@@ -39,7 +39,6 @@ from .category import (
     map_morphism,
     map_tuple,
     refute_terminal,
-    tuple_product,
     underlying_function,
     validate_morphism,
 )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
-from .errors import CapabilityError, GuardError, InvalidMorphismError
+from .errors import GuardError, InvalidMorphismError
 from .monoids import Element, Monoid, ZX
 
 HOM_ENUMERATION_GUARD = 10**7
@@ -57,8 +57,11 @@ def embed(monoid: Monoid, a: Element) -> FactorTuple:
     return FactorTuple(monoid, (a,))
 
 
-def tuple_product(t: FactorTuple) -> Element:
-    return t.product()
+def require_same_monoid(a, b, what: str) -> None:
+    """Raise InvalidMorphismError unless a and b (tuples or morphisms) live
+    over the same monoid."""
+    if a.monoid != b.monoid:
+        raise InvalidMorphismError(f"{what} needs both arguments over the same monoid")
 
 
 @dataclass(frozen=True)
@@ -118,8 +121,7 @@ class Morphism:
     index_fn: IndexFunction
 
     def __post_init__(self):
-        if self.domain.monoid != self.codomain.monoid:
-            raise InvalidMorphismError("domain and codomain live in different monoids")
+        require_same_monoid(self.domain, self.codomain, "a morphism")
         n, m = len(self.domain), len(self.codomain)
         fn = self.index_fn
         if fn.dom_size != m or fn.cod_size != n:
@@ -128,9 +130,7 @@ class Morphism:
                 f"tuple lengths {m} and {n}"
             )
         monoid = self.domain.monoid
-        fibers = [monoid.identity()] * n
-        for pos, target in enumerate(fn.values):
-            fibers[target - 1] = monoid.op(fibers[target - 1], self.codomain.entries[pos])
+        fibers = fiber_products(self)
         for i, x in enumerate(self.domain.entries):
             if not monoid.leq(x, fibers[i]):
                 raise InvalidMorphismError(
@@ -149,6 +149,17 @@ class Morphism:
 
     def __str__(self) -> str:
         return f"{self.domain} -> {self.codomain} via {list(self.values)}"
+
+
+def fiber_products(m: Morphism) -> list:
+    """For each domain position n, the product of the codomain entries that
+    the index function sends to n (the identity for an empty fiber)."""
+    monoid = m.domain.monoid
+    fibers = [monoid.identity()] * len(m.domain.entries)
+    ys = m.codomain.entries
+    for pos, target in enumerate(m.index_fn.values):
+        fibers[target - 1] = monoid.op(fibers[target - 1], ys[pos])
+    return fibers
 
 
 def validate_morphism(
@@ -196,9 +207,8 @@ def hom_index_tuples(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[
     soon as some fiber can no longer satisfy its constraint.  Requests with
     N^M above the 10^7 guard are rejected.  Results are cached.
     """
+    require_same_monoid(domain, codomain, "a hom set")
     monoid = domain.monoid
-    if codomain.monoid != monoid:
-        raise InvalidMorphismError("hom sets need both tuples over the same monoid")
     n, m = len(domain), len(codomain)
     if n == 0:
         # no functions into the empty index set except from itself
@@ -247,27 +257,22 @@ def hom_set(domain: FactorTuple, codomain: FactorTuple) -> list[Morphism]:
     ]
 
 
-def _require_divisibility(monoid: Monoid, what: str) -> None:
-    if not monoid.is_divisibility:
-        raise CapabilityError(f"{what} is only available over divisibility monoids")
-
-
 def is_epic(m: Morphism) -> bool:
     """Epic exactly when the index function is injective (divisibility only)."""
-    _require_divisibility(m.monoid, "is_epic")
+    m.monoid.require_divisibility("is_epic")
     return m.index_fn.is_injective()
 
 
 def is_monic(m: Morphism) -> bool:
     """Monic exactly when the index function is surjective (divisibility only)."""
-    _require_divisibility(m.monoid, "is_monic")
+    m.monoid.require_divisibility("is_monic")
     return m.index_fn.is_surjective()
 
 
 def is_isomorphism(m: Morphism) -> bool:
     """Iso iff the tuples have equal length, the index function is a
     bijection, and matched entries are associates."""
-    _require_divisibility(m.monoid, "is_isomorphism")
+    m.monoid.require_divisibility("is_isomorphism")
     fn = m.index_fn
     if not fn.is_bijective():
         return False
@@ -294,7 +299,7 @@ def inverse(m: Morphism) -> Morphism | None:
 
 def is_initial(t: FactorTuple) -> bool:
     """Initial objects are exactly the 1-tuples on an invertible element."""
-    _require_divisibility(t.monoid, "is_initial")
+    t.monoid.require_divisibility("is_initial")
     return len(t) == 1 and t.monoid.is_invertible(t.entries[0])
 
 
@@ -303,7 +308,7 @@ def refute_terminal(t: FactorTuple) -> FactorTuple:
     terminal.  For the integers, a is the smallest prime exceeding |prod t|;
     for free monoids it is one more copy of the first generator than the
     product holds."""
-    _require_divisibility(t.monoid, "refute_terminal")
+    t.monoid.require_divisibility("refute_terminal")
     witness = t.monoid.fresh_non_divisor(t.product())
     return FactorTuple(t.monoid, (witness,))
 

@@ -28,7 +28,7 @@ from .category import (
     is_monic,
 )
 from .monoidal import tensor_morphisms
-from .weq import decompose_eip, is_weak_equivalence, total_witness
+from .weq import decompose_eip, is_weak_equivalence, quotient_witnesses, total_witness
 from .divisibility import (
     atomic_chain,
     enumerate_irreducible_factorizations,
@@ -98,11 +98,7 @@ def _cmd_check(args) -> int:
     if kind == "iso":
         result = is_isomorphism(m)
         if result:
-            xs, ys = m.domain.entries, m.codomain.entries
-            units = [None] * len(xs)
-            for pos, target in enumerate(m.values):
-                units[target - 1] = monoid.encode(monoid.exact_divide(xs[target - 1], ys[pos]))
-            payload["units"] = units
+            payload["units"] = [monoid.encode(r) for r in quotient_witnesses(m).per_index]
     elif kind == "epic":
         result = is_epic(m)
         payload["injective"] = result

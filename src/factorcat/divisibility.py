@@ -22,26 +22,21 @@ from .category import (
     Morphism,
     compose,
     identity_morphism,
+    require_same_monoid,
     validate_morphism,
 )
 from .monoidal import tensor_objects, tensor_morphisms
-from .weq import decompose_eip, is_weak_equivalence, total_witness
+from .weq import WEAK_EQUIVALENCE, decompose_eip, is_weak_equivalence, total_witness
 
-WEQ_TAG = "weak_equivalence"
 WIRR_TAG = "weakly_irreducible"
 
 FACTORIZATION_ENUMERATION_BOUND = 10**6
 
 
-def _same_monoid(f: Morphism, g: Morphism) -> None:
-    if f.monoid != g.monoid:
-        raise ValueError("both morphisms must live over the same monoid")
-
-
 def weakly_divides(f: Morphism, g: Morphism) -> bool:
     """Whether f weakly divides g: with s, r the total witnesses of f and g,
     decide s | r."""
-    _same_monoid(f, g)
+    require_same_monoid(f, g, "weak divisibility")
     s = total_witness(f)
     r = total_witness(g)
     return f.monoid.leq(s, r)
@@ -90,7 +85,7 @@ def weak_div_diagram(f: Morphism, g: Morphism) -> WeakDivDiagram:
 
 def weakly_associate(f: Morphism, g: Morphism) -> bool:
     """Mutual weak divisibility: the total witnesses are associates."""
-    _same_monoid(f, g)
+    require_same_monoid(f, g, "weak association")
     return f.monoid.are_associates(total_witness(f), total_witness(g))
 
 
@@ -152,14 +147,14 @@ def atomic_chain(m: Morphism) -> AtomicChain:
     if len(m.domain) == 0 or len(m.codomain) == 0:
         raise ValueError("atomic chains need non-empty domain and codomain")
     if is_weak_equivalence(m):
-        return AtomicChain((m,), (WEQ_TAG,), 0)
+        return AtomicChain((m,), (WEAK_EQUIVALENCE,), 0)
     monoid = m.monoid
     d = decompose_eip(m)
     steps: list[Morphism] = []
     tags: list[str] = []
     if d.epsilon != identity_morphism(m.domain):
         steps.append(d.epsilon)
-        tags.append(WEQ_TAG)
+        tags.append(WEAK_EQUIVALENCE)
     current = list(d.epsilon.codomain.entries)
     ident = IndexFunction.identity(len(current))
     for p, ratio in enumerate(d.ratios):
@@ -179,7 +174,7 @@ def atomic_chain(m: Morphism) -> AtomicChain:
     tail = Morphism(tail_dom, m.codomain, d.phi.index_fn)
     if tail != identity_morphism(tail_dom):
         steps.append(tail)
-        tags.append(WEQ_TAG)
+        tags.append(WEAK_EQUIVALENCE)
     return AtomicChain(tuple(steps), tuple(tags), tags.count(WIRR_TAG))
 
 
@@ -210,8 +205,7 @@ def divisor_class_representatives(monoid: Monoid, r: Element) -> list:
             count = r.count(g)
             subsets = [s + (g,) * k for s in subsets for k in range(count + 1)]
         return sorted(set(tuple(sorted(s)) for s in subsets), key=lambda s: (len(s), s))
-    if not monoid.is_divisibility:
-        raise CapabilityError("divisor classes need a divisibility monoid")
+    monoid.require_divisibility("divisor_class_representatives")
     n = abs(r)
     small, large = [], []
     for d in range(1, isqrt(n) + 1):
@@ -347,7 +341,7 @@ def ufd_wedge(f: Morphism, g: Morphism):
     returns the WedgeDiagram on the 1-tuple of the cores' product, whose
     membership in the target is guaranteed over a UFD and asserted here.
     """
-    _same_monoid(f, g)
+    require_same_monoid(f, g, "the wedge construction")
     monoid = f.monoid
     if not monoid.is_ufd:
         raise CapabilityError("the wedge construction is shipped for UFD instances only")

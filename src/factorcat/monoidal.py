@@ -9,21 +9,23 @@ relevant size set to zero, so there are no special-case data paths.
 
 from __future__ import annotations
 
-from .category import FactorTuple, IndexFunction, Morphism, compose, identity_morphism
-
-
-def _same_monoid(a, b) -> None:
-    if a.monoid != b.monoid:
-        raise ValueError("tensor needs both arguments over the same monoid")
+from .category import (
+    FactorTuple,
+    IndexFunction,
+    Morphism,
+    compose,
+    identity_morphism,
+    require_same_monoid,
+)
 
 
 def tensor_objects(s: FactorTuple, t: FactorTuple) -> FactorTuple:
-    _same_monoid(s, t)
+    require_same_monoid(s, t, "tensor")
     return FactorTuple(s.monoid, s.entries + t.entries)
 
 
 def tensor_morphisms(f: Morphism, g: Morphism) -> Morphism:
-    _same_monoid(f, g)
+    require_same_monoid(f, g, "tensor")
     n = len(f.domain)
     values = f.values + tuple(n + v for v in g.values)
     return Morphism(
@@ -39,7 +41,7 @@ def braiding(s: FactorTuple, t: FactorTuple) -> Morphism:
     Its index function sends the first len(t) codomain positions past len(s)
     and the remaining ones to the front; swapping twice gives the identity.
     """
-    _same_monoid(s, t)
+    require_same_monoid(s, t, "braiding")
     n, m = len(s), len(t)
     values = tuple(range(n + 1, n + m + 1)) + tuple(range(1, n + 1))
     return Morphism(

@@ -116,6 +116,11 @@ class Monoid:
 
     # -- divisibility-only operations -------------------------------------
 
+    def require_divisibility(self, what: str) -> None:
+        """Raise CapabilityError unless this monoid is pre-ordered by divisibility."""
+        if not self.is_divisibility:
+            raise CapabilityError(f"{what} is only available over divisibility monoids")
+
     def _capability(self, op_name: str):
         raise CapabilityError(
             f"{op_name} needs a divisibility monoid; "

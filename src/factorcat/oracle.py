@@ -11,6 +11,15 @@ re-run through :func:`recheck`.
 Suites are exhaustive while the case count stays within the universe's
 limit and fall back to seeded sampling beyond it, so every report is
 deterministic for a given UniverseSpec.
+
+Each law is one entry of the ``LAWS`` registry: its name, the payload key
+and wire kind of each predicate argument, and the predicate.  A suite calls
+``rep.check(name, *args)``; a failing case is serialized from the entry and
+:func:`recheck` decodes the same entry to re-run it.  To add a law, add a
+``_law(name, predicate, key=kind, ...)`` line to the registry, with the
+keys in the predicate's argument order, and call ``rep.check`` with it from
+a suite.  Predicates look up library functions as module globals at call
+time, so a test can swap one out and watch the oracle catch it.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from functools import lru_cache
 from itertools import product as iter_product
 from typing import Callable, Iterable, Mapping
 
-from .errors import CapabilityError, GuardError
+from .errors import CapabilityError, GuardError, InvalidMorphismError
 from .monoids import ZX, NAT, Monoid, monoid_by_name
 from .category import (
     FactorTuple,
@@ -94,12 +103,14 @@ class SuiteReport:
 
     MAX_STORED = 50
 
-    def check(self, ok: bool, law: str, payload: Callable[[], dict]) -> None:
+    def check(self, law: str, *args) -> None:
+        """Run one case of the named law and record it if it fails."""
         self.cases += 1
-        if not ok and len(self.failures) < self.MAX_STORED:
-            entry = {"law": law, "monoid": self.monoid}
-            entry.update(payload())
-            self.failures.append(entry)
+        entry = LAWS[law]
+        if not entry.predicate(*args) and len(self.failures) < self.MAX_STORED:
+            failure = {"law": law, "monoid": self.monoid}
+            failure.update(entry.encode(monoid_by_name(self.monoid), args))
+            self.failures.append(failure)
 
     @property
     def passed(self) -> bool:
@@ -136,15 +147,11 @@ def universe_homs(u: UniverseSpec) -> dict:
     return homs
 
 
-def _mk(a: FactorTuple, b: FactorTuple, values: tuple[int, ...]) -> Morphism:
-    return Morphism(a, b, IndexFunction(len(b), len(a), values))
-
-
 @lru_cache(maxsize=16)
 def universe_morphisms(u: UniverseSpec) -> tuple[Morphism, ...]:
     out = []
     for (a, b), fns in universe_homs(u).items():
-        out.extend(_mk(a, b, v) for v in fns)
+        out.extend(Morphism(a, b, IndexFunction(len(b), len(a), v)) for v in fns)
     return tuple(out)
 
 
@@ -160,32 +167,18 @@ def _rng(u: UniverseSpec, suite: str) -> random.Random:
     return random.Random(f"{u.seed}:{suite}")
 
 
-def _pairs(items, u: UniverseSpec, rng: random.Random):
-    """All ordered pairs when within the limit, else a seeded sample."""
-    if len(items) ** 2 <= u.exhaustive_limit:
-        for x in items:
-            for y in items:
-                yield x, y
-    else:
-        size = len(items)
-        for _ in range(u.sample_size):
-            yield items[rng.randrange(size)], items[rng.randrange(size)]
+def _draws(items, k: int, rng: random.Random, count: int):
+    """count seeded k-tuples of items, drawn left to right."""
+    size = len(items)
+    for _ in range(count):
+        yield tuple(items[rng.randrange(size)] for _ in range(k))
 
 
-def _triples(items, u: UniverseSpec, rng: random.Random):
-    if len(items) ** 3 <= u.exhaustive_limit:
-        for x in items:
-            for y in items:
-                for z in items:
-                    yield x, y, z
-    else:
-        size = len(items)
-        for _ in range(u.sample_size):
-            yield (
-                items[rng.randrange(size)],
-                items[rng.randrange(size)],
-                items[rng.randrange(size)],
-            )
+def _k_tuples(items, k: int, u: UniverseSpec, rng: random.Random):
+    """All ordered k-tuples when within the limit, else a seeded sample."""
+    if len(items) ** k <= u.exhaustive_limit:
+        return iter_product(items, repeat=k)
+    return _draws(items, k, rng, u.sample_size)
 
 
 def _composable_pairs(u: UniverseSpec, rng: random.Random):
@@ -205,12 +198,7 @@ def _composable_pairs(u: UniverseSpec, rng: random.Random):
             yield f, outs[rng.randrange(len(outs))]
 
 
-def _require_divisibility(u: UniverseSpec, suite: str) -> None:
-    if not u.monoid.is_divisibility:
-        raise CapabilityError(f"suite {suite!r} needs a divisibility universe")
-
-
-# -- law predicates (shared by the suites and recheck) -----------------------
+# -- law predicates ----------------------------------------------------------
 
 
 def _count_from_empty_ok(monoid: Monoid, t: FactorTuple) -> bool:
@@ -227,17 +215,13 @@ def _count_into_empty_ok(monoid: Monoid, t: FactorTuple) -> bool:
     return count == expected
 
 
-def _count_interval_into_empty_ok(monoid: Monoid, t: FactorTuple) -> bool:
-    # over the unit interval every tuple maps to the empty tuple, exactly once
-    return len(hom_index_tuples(t, empty_tuple(monoid))) == 1
-
-
 def _count_singleton_source_ok(monoid: Monoid, y, t: FactorTuple) -> bool:
+    # the adjunction: one morphism (y) -> t exactly when y is below prod t
     count = len(hom_index_tuples(embed(monoid, y), t))
     return count == (1 if monoid.leq(y, t.product()) else 0)
 
 
-def _count_singleton_target_ok(monoid: Monoid, t: FactorTuple, y) -> bool:
+def _count_singleton_target_ok(monoid: Monoid, y, t: FactorTuple) -> bool:
     count = len(hom_index_tuples(t, embed(monoid, y)))
     bound = sum(1 for x in t.entries if monoid.leq(x, y))
     if count > bound:
@@ -282,14 +266,6 @@ def _monic_by_cancellation(m: Morphism) -> bool:
     return True
 
 
-def _epic_agreement_ok(m: Morphism) -> bool:
-    return _epic_by_cancellation(m) == is_epic(m)
-
-
-def _monic_agreement_ok(m: Morphism) -> bool:
-    return _monic_by_cancellation(m) == is_monic(m)
-
-
 def _iso_by_bruteforce(m: Morphism) -> bool:
     id_dom = identity_morphism(m.domain)
     id_cod = identity_morphism(m.codomain)
@@ -297,10 +273,6 @@ def _iso_by_bruteforce(m: Morphism) -> bool:
         if compose(g, m) == id_dom and compose(m, g) == id_cod:
             return True
     return False
-
-
-def _iso_agreement_ok(m: Morphism) -> bool:
-    return is_isomorphism(m) == _iso_by_bruteforce(m)
 
 
 def _inverse_ok(m: Morphism) -> bool:
@@ -315,20 +287,20 @@ def _inverse_ok(m: Morphism) -> bool:
 
 
 def _two_of_three_ok(f: Morphism, g: Morphism) -> bool:
-    wf = is_weak_equivalence(f)
-    wg = is_weak_equivalence(g)
-    wgf = is_weak_equivalence(compose(g, f))
-    if wf and wg and not wgf:
-        return False
-    if wf and wgf and not wg:
-        return False
-    if wg and wgf and not wf:
-        return False
-    return True
+    # any two of f, g and g o f in W force the third
+    verdicts = (
+        is_weak_equivalence(f),
+        is_weak_equivalence(g),
+        is_weak_equivalence(compose(g, f)),
+    )
+    return sum(verdicts) != 2
 
 
-def _iso_in_w_ok(m: Morphism) -> bool:
-    return not is_isomorphism(m) or is_weak_equivalence(m)
+def _chain_membership_ok(steps: list[Morphism]) -> bool:
+    composite = steps[0]
+    for step in steps[1:]:
+        composite = compose(step, composite)
+    return is_weak_equivalence(composite) == all(is_weak_equivalence(s) for s in steps)
 
 
 def _tensor_unit_object_ok(t: FactorTuple) -> bool:
@@ -336,37 +308,9 @@ def _tensor_unit_object_ok(t: FactorTuple) -> bool:
     return tensor_objects(t, o) == t == tensor_objects(o, t)
 
 
-def _tensor_assoc_ok(x: FactorTuple, y: FactorTuple, z: FactorTuple) -> bool:
-    return tensor_objects(tensor_objects(x, y), z) == tensor_objects(x, tensor_objects(y, z))
-
-
-def _tensor_length_ok(x: FactorTuple, y: FactorTuple) -> bool:
-    return len(tensor_objects(x, y)) == len(x) + len(y)
-
-
-def _braiding_involution_ok(x: FactorTuple, y: FactorTuple) -> bool:
-    return braiding_involution_holds(x, y)
-
-
-def _braiding_iso_ok(x: FactorTuple, y: FactorTuple) -> bool:
-    return is_isomorphism(braiding(x, y))
-
-
-def _hexagon_ok(x: FactorTuple, y: FactorTuple, z: FactorTuple) -> bool:
-    return hexagon_holds(x, y, z)
-
-
 def _tensor_unit_morphism_ok(m: Morphism) -> bool:
     id_o = identity_morphism(empty_tuple(m.monoid))
     return tensor_morphisms(m, id_o) == m == tensor_morphisms(id_o, m)
-
-
-def _bifunctoriality_ok(f: Morphism, h: Morphism, g: Morphism, k: Morphism) -> bool:
-    return tensor_respects_composition(h, k, f, g)
-
-
-def _naturality_ok(f: Morphism, g: Morphism) -> bool:
-    return braiding_is_natural(f, g)
 
 
 def _weakdiv_agreement_ok(f: Morphism, g: Morphism) -> bool:
@@ -377,39 +321,111 @@ def _weakdiv_agreement_ok(f: Morphism, g: Morphism) -> bool:
     return weakly_divides(f, g) == monoid.leq(lhs, rhs)
 
 
-def _weakdiv_reflexive_ok(f: Morphism) -> bool:
-    return weakly_divides(f, f)
-
-
-def _weakdiv_transitive_ok(f: Morphism, g: Morphism, h: Morphism) -> bool:
-    if weakly_divides(f, g) and weakly_divides(g, h):
-        return weakly_divides(f, h)
-    return True
-
-
-def _weakdiv_weq_minimal_ok(f: Morphism) -> bool:
-    # dividing the identity (a weak equivalence) characterizes the weak equivalences
-    return weakly_divides(f, identity_morphism(f.domain)) == is_weak_equivalence(f)
-
-
 def _weakdiv_diagram_ok(f: Morphism, g: Morphism) -> bool:
     if not weakly_divides(f, g):
         return True
     try:
         weak_div_diagram(f, g)  # construction validates all six morphisms
-    except Exception:
+    except (InvalidMorphismError, RuntimeError):
         return False
     return True
 
 
-def _adjunction_count_ok(monoid: Monoid, y, t: FactorTuple) -> bool:
-    lhs = len(hom_index_tuples(embed(monoid, y), t))
-    rhs = 1 if monoid.leq(y, t.product()) else 0
-    return lhs == rhs and lhs in (0, 1)
+# -- the law registry ----------------------------------------------------------
+
+# wire kind -> (encode, decode); both take the monoid and a value
+_WIRE: dict[str, tuple[Callable, Callable]] = {
+    "monoid": (lambda mo, v: mo.name, lambda mo, v: monoid_by_name(v)),
+    "element": (lambda mo, v: mo.encode(v), lambda mo, v: mo.decode(v)),
+    "tuple": (lambda mo, v: encode_tuple(v), decode_tuple),
+    "morphism": (lambda mo, v: encode_morphism(v), lambda mo, v: decode_morphism(v)),
+    "morphisms": (
+        lambda mo, v: [encode_morphism(m) for m in v],
+        lambda mo, v: [decode_morphism(m) for m in v],
+    ),
+}
 
 
-def _adjunction_roundtrip_ok(monoid: Monoid, y) -> bool:
-    return embed(monoid, y).product() == y
+@dataclass(frozen=True)
+class Law:
+    """A law: its name, the (payload key, wire kind) of each predicate
+    argument in order, and the predicate, which is True on a passing case."""
+
+    name: str
+    args: tuple[tuple[str, str], ...]
+    predicate: Callable[..., bool]
+
+    def encode(self, monoid: Monoid, args) -> dict:
+        return {key: _WIRE[kind][0](monoid, a) for (key, kind), a in zip(self.args, args)}
+
+    def decode(self, monoid: Monoid, payload: Mapping) -> list:
+        return [_WIRE[kind][1](monoid, payload[key]) for key, kind in self.args]
+
+
+def _law(name: str, predicate: Callable[..., bool], **kinds: str) -> Law:
+    return Law(name, tuple(kinds.items()), predicate)
+
+
+LAWS: dict[str, Law] = {law.name: law for law in (
+    # homset_formulas
+    _law("hom_count_from_empty", _count_from_empty_ok, monoid="monoid", tuple="tuple"),
+    _law("hom_count_into_empty", _count_into_empty_ok, monoid="monoid", tuple="tuple"),
+    # over the unit interval every tuple maps to the empty tuple, exactly once
+    _law("hom_count_interval_into_empty",
+         lambda monoid, t: len(hom_index_tuples(t, empty_tuple(monoid))) == 1,
+         monoid="monoid", tuple="tuple"),
+    _law("hom_count_singleton_source", _count_singleton_source_ok,
+         monoid="monoid", element="element", tuple="tuple"),
+    _law("hom_count_singleton_target", _count_singleton_target_ok,
+         monoid="monoid", element="element", tuple="tuple"),
+    # epic_monic and iso
+    _law("epic_agreement", lambda m: _epic_by_cancellation(m) == is_epic(m),
+         morphism="morphism"),
+    _law("monic_agreement", lambda m: _monic_by_cancellation(m) == is_monic(m),
+         morphism="morphism"),
+    _law("iso_agreement", lambda m: is_isomorphism(m) == _iso_by_bruteforce(m),
+         morphism="morphism"),
+    _law("inverse_roundtrip", _inverse_ok, morphism="morphism"),
+    # two_of_three
+    _law("two_of_three", _two_of_three_ok, f="morphism", g="morphism"),
+    _law("iso_in_w", lambda m: not is_isomorphism(m) or is_weak_equivalence(m),
+         morphism="morphism"),
+    _law("chain_membership", _chain_membership_ok, steps="morphisms"),
+    # monoidal_laws
+    _law("tensor_unit_object", _tensor_unit_object_ok, tuple="tuple"),
+    _law("tensor_length", lambda x, y: len(tensor_objects(x, y)) == len(x) + len(y),
+         x="tuple", y="tuple"),
+    _law("braiding_involution", lambda x, y: braiding_involution_holds(x, y),
+         x="tuple", y="tuple"),
+    _law("braiding_iso", lambda x, y: is_isomorphism(braiding(x, y)), x="tuple", y="tuple"),
+    _law("tensor_assoc_objects",
+         lambda x, y, z: tensor_objects(tensor_objects(x, y), z)
+         == tensor_objects(x, tensor_objects(y, z)),
+         x="tuple", y="tuple", z="tuple"),
+    _law("hexagon", lambda x, y, z: hexagon_holds(x, y, z), x="tuple", y="tuple", z="tuple"),
+    _law("tensor_unit_morphism", _tensor_unit_morphism_ok, morphism="morphism"),
+    _law("braiding_naturality", lambda f, g: braiding_is_natural(f, g),
+         f="morphism", g="morphism"),
+    _law("bifunctoriality", lambda f, h, g, k: tensor_respects_composition(h, k, f, g),
+         f="morphism", h="morphism", g="morphism", k="morphism"),
+    # weakdiv
+    _law("weakdiv_agreement", _weakdiv_agreement_ok, f="morphism", g="morphism"),
+    _law("weakdiv_diagram", _weakdiv_diagram_ok, f="morphism", g="morphism"),
+    _law("weakdiv_reflexive", lambda f: weakly_divides(f, f), f="morphism"),
+    # dividing the identity (a weak equivalence) characterizes the weak equivalences
+    _law("weakdiv_weq_minimal",
+         lambda f: weakly_divides(f, identity_morphism(f.domain)) == is_weak_equivalence(f),
+         f="morphism"),
+    _law("weakdiv_transitive",
+         lambda f, g, h: not (weakly_divides(f, g) and weakly_divides(g, h))
+         or weakly_divides(f, h),
+         f="morphism", g="morphism", h="morphism"),
+    # adjunction
+    _law("adjunction_count", _count_singleton_source_ok,
+         monoid="monoid", element="element", tuple="tuple"),
+    _law("adjunction_roundtrip", lambda monoid, y: embed(monoid, y).product() == y,
+         monoid="monoid", element="element"),
+)}
 
 
 # -- suites ------------------------------------------------------------------
@@ -422,101 +438,46 @@ def verify_homset_formulas(u: UniverseSpec) -> SuiteReport:
     monoid = u.monoid
     objs = universe_objects(u)
     for t in objs:
-        rep.check(
-            _count_from_empty_ok(monoid, t),
-            "hom_count_from_empty",
-            lambda t=t: {"tuple": encode_tuple(t)},
-        )
-        rep.check(
-            _count_into_empty_ok(monoid, t),
-            "hom_count_into_empty",
-            lambda t=t: {"tuple": encode_tuple(t)},
-        )
+        rep.check("hom_count_from_empty", monoid, t)
+        rep.check("hom_count_into_empty", monoid, t)
         if monoid.name == "interval":
-            rep.check(
-                _count_interval_into_empty_ok(monoid, t),
-                "hom_count_interval_into_empty",
-                lambda t=t: {"tuple": encode_tuple(t)},
-            )
+            rep.check("hom_count_interval_into_empty", monoid, t)
     for y in u.pool:
         for t in objs:
-            rep.check(
-                _count_singleton_source_ok(monoid, y, t),
-                "hom_count_singleton_source",
-                lambda y=y, t=t: {"element": monoid.encode(y), "tuple": encode_tuple(t)},
-            )
-            rep.check(
-                _count_singleton_target_ok(monoid, t, y),
-                "hom_count_singleton_target",
-                lambda y=y, t=t: {"element": monoid.encode(y), "tuple": encode_tuple(t)},
-            )
+            rep.check("hom_count_singleton_source", monoid, y, t)
+            rep.check("hom_count_singleton_target", monoid, y, t)
     return rep
 
 
 def verify_epic_monic(u: UniverseSpec) -> SuiteReport:
     """Cancellation-based epic/monic decisions, probed on the universe
     extended by one unit entry, against the injective/surjective predicates."""
-    _require_divisibility(u, "epic_monic")
     rep = SuiteReport("epic_monic", u.monoid.name)
     for m in universe_morphisms(u):
-        rep.check(
-            _epic_agreement_ok(m),
-            "epic_agreement",
-            lambda m=m: {"morphism": encode_morphism(m)},
-        )
-        rep.check(
-            _monic_agreement_ok(m),
-            "monic_agreement",
-            lambda m=m: {"morphism": encode_morphism(m)},
-        )
+        rep.check("epic_agreement", m)
+        rep.check("monic_agreement", m)
     return rep
 
 
 def verify_iso(u: UniverseSpec) -> SuiteReport:
     """The isomorphism predicate against brute-force two-sided inverse search."""
-    _require_divisibility(u, "iso")
     rep = SuiteReport("iso", u.monoid.name)
     for m in universe_morphisms(u):
-        rep.check(
-            _iso_agreement_ok(m),
-            "iso_agreement",
-            lambda m=m: {"morphism": encode_morphism(m)},
-        )
-        rep.check(
-            _inverse_ok(m),
-            "inverse_roundtrip",
-            lambda m=m: {"morphism": encode_morphism(m)},
-        )
+        rep.check("iso_agreement", m)
+        rep.check("inverse_roundtrip", m)
     return rep
-
-
-def _chain_membership_ok(steps: list[Morphism]) -> bool:
-    composite = steps[0]
-    for step in steps[1:]:
-        composite = compose(step, composite)
-    return is_weak_equivalence(composite) == all(is_weak_equivalence(s) for s in steps)
 
 
 def verify_two_of_three(u: UniverseSpec) -> SuiteReport:
     """The 2-of-3 property of the weak equivalence class on composable
     pairs, membership of every isomorphism, and membership consistency
     along sampled composition chains up to the universe's chain depth."""
-    _require_divisibility(u, "two_of_three")
     rep = SuiteReport("two_of_three", u.monoid.name)
-    rng = _rng(u, "two_of_three")
-    for f, g in _composable_pairs(u, rng):
-        rep.check(
-            _two_of_three_ok(f, g),
-            "two_of_three",
-            lambda f=f, g=g: {"f": encode_morphism(f), "g": encode_morphism(g)},
-        )
-    for m in universe_morphisms(u):
-        rep.check(
-            _iso_in_w_ok(m),
-            "iso_in_w",
-            lambda m=m: {"morphism": encode_morphism(m)},
-        )
+    for f, g in _composable_pairs(u, _rng(u, "two_of_three")):
+        rep.check("two_of_three", f, g)
     morphs = universe_morphisms(u)
+    for m in morphs:
+        rep.check("iso_in_w", m)
     by_dom = _morphisms_by_domain(u)
     chain_rng = _rng(u, "two_of_three:chains")
     for _ in range(min(u.sample_size, 2000)):
@@ -524,11 +485,7 @@ def verify_two_of_three(u: UniverseSpec) -> SuiteReport:
         for _ in range(u.max_chain - 1):
             outs = by_dom[steps[-1].codomain]
             steps.append(outs[chain_rng.randrange(len(outs))])
-        rep.check(
-            _chain_membership_ok(steps),
-            "chain_membership",
-            lambda steps=steps: {"steps": [encode_morphism(s) for s in steps]},
-        )
+        rep.check("chain_membership", steps)
     return rep
 
 
@@ -538,58 +495,21 @@ def verify_monoidal_laws(u: UniverseSpec) -> SuiteReport:
     rep = SuiteReport("monoidal_laws", u.monoid.name)
     rng = _rng(u, "monoidal_laws")
     objs = universe_objects(u)
-    monoid = u.monoid
     for t in objs:
-        rep.check(
-            _tensor_unit_object_ok(t),
-            "tensor_unit_object",
-            lambda t=t: {"tuple": encode_tuple(t)},
-        )
-    for x, y in _pairs(objs, u, rng):
-        rep.check(
-            _tensor_length_ok(x, y),
-            "tensor_length",
-            lambda x=x, y=y: {"x": encode_tuple(x), "y": encode_tuple(y)},
-        )
-        rep.check(
-            _braiding_involution_ok(x, y),
-            "braiding_involution",
-            lambda x=x, y=y: {"x": encode_tuple(x), "y": encode_tuple(y)},
-        )
-        if monoid.is_divisibility:
-            rep.check(
-                _braiding_iso_ok(x, y),
-                "braiding_iso",
-                lambda x=x, y=y: {"x": encode_tuple(x), "y": encode_tuple(y)},
-            )
-    for x, y, z in _triples(objs, u, rng):
-        rep.check(
-            _tensor_assoc_ok(x, y, z),
-            "tensor_assoc_objects",
-            lambda x=x, y=y, z=z: {
-                "x": encode_tuple(x), "y": encode_tuple(y), "z": encode_tuple(z)
-            },
-        )
-        rep.check(
-            _hexagon_ok(x, y, z),
-            "hexagon",
-            lambda x=x, y=y, z=z: {
-                "x": encode_tuple(x), "y": encode_tuple(y), "z": encode_tuple(z)
-            },
-        )
+        rep.check("tensor_unit_object", t)
+    for x, y in _k_tuples(objs, 2, u, rng):
+        rep.check("tensor_length", x, y)
+        rep.check("braiding_involution", x, y)
+        if u.monoid.is_divisibility:
+            rep.check("braiding_iso", x, y)
+    for x, y, z in _k_tuples(objs, 3, u, rng):
+        rep.check("tensor_assoc_objects", x, y, z)
+        rep.check("hexagon", x, y, z)
     morphs = universe_morphisms(u)
     for m in morphs:
-        rep.check(
-            _tensor_unit_morphism_ok(m),
-            "tensor_unit_morphism",
-            lambda m=m: {"morphism": encode_morphism(m)},
-        )
-    for f, g in _pairs(morphs, u, rng):
-        rep.check(
-            _naturality_ok(f, g),
-            "braiding_naturality",
-            lambda f=f, g=g: {"f": encode_morphism(f), "g": encode_morphism(g)},
-        )
+        rep.check("tensor_unit_morphism", m)
+    for f, g in _k_tuples(morphs, 2, u, rng):
+        rep.check("braiding_naturality", f, g)
     pair_stream = _composable_pairs(u, rng)
     pair_stream_2 = _composable_pairs(u, _rng(u, "monoidal_laws:second"))
     budget = min(u.sample_size, u.exhaustive_limit)
@@ -599,16 +519,7 @@ def verify_monoidal_laws(u: UniverseSpec) -> SuiteReport:
             g, k = next(pair_stream_2)
         except StopIteration:
             break
-        rep.check(
-            _bifunctoriality_ok(f, h, g, k),
-            "bifunctoriality",
-            lambda f=f, h=h, g=g, k=k: {
-                "f": encode_morphism(f),
-                "h": encode_morphism(h),
-                "g": encode_morphism(g),
-                "k": encode_morphism(k),
-            },
-        )
+        rep.check("bifunctoriality", f, h, g, k)
     return rep
 
 
@@ -616,49 +527,20 @@ def verify_weakdiv(u: UniverseSpec) -> SuiteReport:
     """Weak divisibility: witness-division against the product-divisibility
     criterion, pre-order laws, minimality of the weak equivalences, and
     well-formedness of the produced squares."""
-    _require_divisibility(u, "weakdiv")
     rep = SuiteReport("weakdiv", u.monoid.name)
     rng = _rng(u, "weakdiv")
     morphs = universe_morphisms(u)
     diagram_budget = 200
-    for f, g in _pairs(morphs, u, rng):
-        rep.check(
-            _weakdiv_agreement_ok(f, g),
-            "weakdiv_agreement",
-            lambda f=f, g=g: {"f": encode_morphism(f), "g": encode_morphism(g)},
-        )
+    for f, g in _k_tuples(morphs, 2, u, rng):
+        rep.check("weakdiv_agreement", f, g)
         if diagram_budget and weakly_divides(f, g):
             diagram_budget -= 1
-            rep.check(
-                _weakdiv_diagram_ok(f, g),
-                "weakdiv_diagram",
-                lambda f=f, g=g: {"f": encode_morphism(f), "g": encode_morphism(g)},
-            )
-    sample = morphs[:: max(1, len(morphs) // 500)]
-    for f in sample:
-        rep.check(
-            _weakdiv_reflexive_ok(f),
-            "weakdiv_reflexive",
-            lambda f=f: {"f": encode_morphism(f)},
-        )
-        rep.check(
-            _weakdiv_weq_minimal_ok(f),
-            "weakdiv_weq_minimal",
-            lambda f=f: {"f": encode_morphism(f)},
-        )
-    for _ in range(min(u.sample_size, 2000)):
-        f = morphs[rng.randrange(len(morphs))]
-        g = morphs[rng.randrange(len(morphs))]
-        h = morphs[rng.randrange(len(morphs))]
-        rep.check(
-            _weakdiv_transitive_ok(f, g, h),
-            "weakdiv_transitive",
-            lambda f=f, g=g, h=h: {
-                "f": encode_morphism(f),
-                "g": encode_morphism(g),
-                "h": encode_morphism(h),
-            },
-        )
+            rep.check("weakdiv_diagram", f, g)
+    for f in morphs[:: max(1, len(morphs) // 500)]:
+        rep.check("weakdiv_reflexive", f)
+        rep.check("weakdiv_weq_minimal", f)
+    for f, g, h in _draws(morphs, 3, rng, min(u.sample_size, 2000)):
+        rep.check("weakdiv_transitive", f, g, h)
     return rep
 
 
@@ -669,17 +551,9 @@ def verify_adjunction(u: UniverseSpec) -> SuiteReport:
     monoid = u.monoid
     objs = universe_objects(u)
     for y in u.pool:
-        rep.check(
-            _adjunction_roundtrip_ok(monoid, y),
-            "adjunction_roundtrip",
-            lambda y=y: {"element": monoid.encode(y)},
-        )
+        rep.check("adjunction_roundtrip", monoid, y)
         for t in objs:
-            rep.check(
-                _adjunction_count_ok(monoid, y, t),
-                "adjunction_count",
-                lambda y=y, t=t: {"element": monoid.encode(y), "tuple": encode_tuple(t)},
-            )
+            rep.check("adjunction_count", monoid, y, t)
     return rep
 
 
@@ -698,7 +572,8 @@ _DIVISIBILITY_ONLY = frozenset({"epic_monic", "iso", "two_of_three", "weakdiv"})
 
 def run_suite(u: UniverseSpec, names: Iterable[str] | None = None) -> list[SuiteReport]:
     """Run the named suites (all capability-compatible ones by default) and
-    return their reports in order.  Unknown names raise ValueError."""
+    return their reports in order.  Unknown names raise ValueError, and a
+    divisibility-only suite on another monoid raises CapabilityError."""
     if names is None:
         selected = [
             n for n in SUITES
@@ -709,81 +584,23 @@ def run_suite(u: UniverseSpec, names: Iterable[str] | None = None) -> list[Suite
         for n in selected:
             if n not in SUITES:
                 raise ValueError(f"unknown suite {n!r}")
-    return [SUITES[n](u) for n in selected]
+    reports = []
+    for n in selected:
+        if n in _DIVISIBILITY_ONLY:
+            u.monoid.require_divisibility(f"suite {n!r}")
+        reports.append(SUITES[n](u))
+    return reports
 
 
 def all_passed(reports: Iterable[SuiteReport]) -> bool:
     return all(r.passed for r in reports)
 
 
-# -- counterexample re-validation --------------------------------------------
-
-
-def _t(monoid: Monoid, payload: Mapping, key: str) -> FactorTuple:
-    return decode_tuple(monoid, payload[key])
-
-
-def _m(payload: Mapping, key: str) -> Morphism:
-    return decode_morphism(payload[key])
-
-
-_RECHECKS: dict[str, Callable[[Monoid, Mapping], bool]] = {
-    "hom_count_from_empty": lambda mo, p: _count_from_empty_ok(mo, _t(mo, p, "tuple")),
-    "hom_count_into_empty": lambda mo, p: _count_into_empty_ok(mo, _t(mo, p, "tuple")),
-    "hom_count_interval_into_empty": lambda mo, p: _count_interval_into_empty_ok(
-        mo, _t(mo, p, "tuple")
-    ),
-    "hom_count_singleton_source": lambda mo, p: _count_singleton_source_ok(
-        mo, mo.decode(p["element"]), _t(mo, p, "tuple")
-    ),
-    "hom_count_singleton_target": lambda mo, p: _count_singleton_target_ok(
-        mo, _t(mo, p, "tuple"), mo.decode(p["element"])
-    ),
-    "epic_agreement": lambda mo, p: _epic_agreement_ok(_m(p, "morphism")),
-    "monic_agreement": lambda mo, p: _monic_agreement_ok(_m(p, "morphism")),
-    "iso_agreement": lambda mo, p: _iso_agreement_ok(_m(p, "morphism")),
-    "inverse_roundtrip": lambda mo, p: _inverse_ok(_m(p, "morphism")),
-    "two_of_three": lambda mo, p: _two_of_three_ok(_m(p, "f"), _m(p, "g")),
-    "chain_membership": lambda mo, p: _chain_membership_ok(
-        [decode_morphism(s) for s in p["steps"]]
-    ),
-    "iso_in_w": lambda mo, p: _iso_in_w_ok(_m(p, "morphism")),
-    "tensor_unit_object": lambda mo, p: _tensor_unit_object_ok(_t(mo, p, "tuple")),
-    "tensor_assoc_objects": lambda mo, p: _tensor_assoc_ok(
-        _t(mo, p, "x"), _t(mo, p, "y"), _t(mo, p, "z")
-    ),
-    "tensor_length": lambda mo, p: _tensor_length_ok(_t(mo, p, "x"), _t(mo, p, "y")),
-    "braiding_involution": lambda mo, p: _braiding_involution_ok(
-        _t(mo, p, "x"), _t(mo, p, "y")
-    ),
-    "braiding_iso": lambda mo, p: _braiding_iso_ok(_t(mo, p, "x"), _t(mo, p, "y")),
-    "hexagon": lambda mo, p: _hexagon_ok(_t(mo, p, "x"), _t(mo, p, "y"), _t(mo, p, "z")),
-    "tensor_unit_morphism": lambda mo, p: _tensor_unit_morphism_ok(_m(p, "morphism")),
-    "bifunctoriality": lambda mo, p: _bifunctoriality_ok(
-        _m(p, "f"), _m(p, "h"), _m(p, "g"), _m(p, "k")
-    ),
-    "braiding_naturality": lambda mo, p: _naturality_ok(_m(p, "f"), _m(p, "g")),
-    "weakdiv_agreement": lambda mo, p: _weakdiv_agreement_ok(_m(p, "f"), _m(p, "g")),
-    "weakdiv_diagram": lambda mo, p: _weakdiv_diagram_ok(_m(p, "f"), _m(p, "g")),
-    "weakdiv_reflexive": lambda mo, p: _weakdiv_reflexive_ok(_m(p, "f")),
-    "weakdiv_weq_minimal": lambda mo, p: _weakdiv_weq_minimal_ok(_m(p, "f")),
-    "weakdiv_transitive": lambda mo, p: _weakdiv_transitive_ok(
-        _m(p, "f"), _m(p, "g"), _m(p, "h")
-    ),
-    "adjunction_count": lambda mo, p: _adjunction_count_ok(
-        mo, mo.decode(p["element"]), _t(mo, p, "tuple")
-    ),
-    "adjunction_roundtrip": lambda mo, p: _adjunction_roundtrip_ok(
-        mo, mo.decode(p["element"])
-    ),
-}
-
-
 def recheck(failure: Mapping) -> bool:
     """Deserialize a reported counterexample and re-run its law; returns
     True when the failure reproduces."""
-    monoid = monoid_by_name(failure["monoid"])
-    return not _RECHECKS[failure["law"]](monoid, failure)
+    law = LAWS[failure["law"]]
+    return not law.predicate(*law.decode(monoid_by_name(failure["monoid"]), failure))
 
 
 # -- seeded morphism sampling (used by probes and acceptance checks) ---------

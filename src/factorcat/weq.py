@@ -15,23 +15,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapabilityError, InvalidMorphismError
+from .errors import InvalidMorphismError
 from .monoids import Element
 from .category import (
     FactorTuple,
     IndexFunction,
     Morphism,
     compose,
+    fiber_products,
+    require_same_monoid,
     validate_morphism,
 )
 
 WEAK_EQUIVALENCE = "weak_equivalence"
 PROPER = "proper"
-
-
-def _require_divisibility(m: Morphism, what: str) -> None:
-    if not m.monoid.is_divisibility:
-        raise CapabilityError(f"{what} is only available over divisibility monoids")
 
 
 @dataclass(frozen=True)
@@ -48,15 +45,12 @@ class QuotientWitness:
 
 
 def quotient_witnesses(m: Morphism) -> QuotientWitness:
-    _require_divisibility(m, "quotient_witnesses")
+    m.monoid.require_divisibility("quotient_witnesses")
     monoid = m.monoid
     if len(m.codomain) == 0:
         total = monoid.exact_divide(m.domain.product(), monoid.identity())
         return QuotientWitness((), total)
-    n = len(m.domain)
-    fibers = [monoid.identity()] * n
-    for pos, target in enumerate(m.values):
-        fibers[target - 1] = monoid.op(fibers[target - 1], m.codomain.entries[pos])
+    fibers = fiber_products(m)
     per = tuple(
         monoid.exact_divide(x, fibers[i]) for i, x in enumerate(m.domain.entries)
     )
@@ -69,7 +63,7 @@ def total_witness(m: Morphism) -> Element:
 
 
 def is_weak_equivalence(m: Morphism) -> bool:
-    _require_divisibility(m, "is_weak_equivalence")
+    m.monoid.require_divisibility("is_weak_equivalence")
     if len(m.codomain) == 0:
         return True
     w = quotient_witnesses(m)
@@ -98,10 +92,11 @@ class EIPDecomposition:
 
 
 def decompose_eip(m: Morphism) -> EIPDecomposition:
-    _require_divisibility(m, "decompose_eip")
+    m.monoid.require_divisibility("decompose_eip")
     if len(m.domain) == 0 or len(m.codomain) == 0:
         raise ValueError("the decomposition needs non-empty domain and codomain")
     monoid = m.monoid
+    per_index = quotient_witnesses(m).per_index
     values = m.values
     image = sorted(set(values))  # n_1 < ... < n_P
     p_count = len(image)
@@ -111,13 +106,7 @@ def decompose_eip(m: Morphism) -> EIPDecomposition:
         m.domain, kept, IndexFunction(p_count, len(m.domain), tuple(image))
     )
     position = {n: p for p, n in enumerate(image, start=1)}
-    fibers = [monoid.identity()] * p_count
-    for pos, target in enumerate(values):
-        p = position[target] - 1
-        fibers[p] = monoid.op(fibers[p], m.codomain.entries[pos])
-    ratios = tuple(
-        monoid.exact_divide(kept.entries[p], fibers[p]) for p in range(p_count)
-    )
+    ratios = tuple(per_index[n - 1] for n in image)
     scaled = FactorTuple(
         monoid, tuple(monoid.op(ratios[p], kept.entries[p]) for p in range(p_count))
     )
@@ -149,8 +138,7 @@ def ore_square(f: Morphism, g: Morphism) -> tuple[Morphism, Morphism]:
     W and g': (prod z) -> (x_n); commutativity f o g' == g o f' is verified
     and an internal failure raises RuntimeError.
     """
-    if f.monoid != g.monoid:
-        raise ValueError("both morphisms must live over the same monoid")
+    require_same_monoid(f, g, "ore_square")
     if not is_weak_equivalence(f):
         raise ValueError("the first morphism must be a weak equivalence")
     if f.codomain != g.codomain:

@@ -26,6 +26,36 @@ INTERVAL_UNIVERSE = UniverseSpec(
     monoid=INTERVAL, pool=(Fraction(1), Fraction(1, 2)), max_len=2
 )
 
+# Per-suite case counts on the universes below; a change to how the suites
+# enumerate or sample cases shows up here.  The free and naturals universes
+# are isomorphic (a and b play 2 and 3), so their counts agree.
+SAME_SHAPE_COUNTS = {
+    "homset_formulas": 210, "epic_monic": 678, "iso": 678, "two_of_three": 6058,
+    "monoidal_laws": 24205, "weakdiv": 4878, "adjunction": 88,
+}
+CASE_COUNTS = {
+    "small": {
+        "homset_formulas": 210, "epic_monic": 1118, "iso": 1118, "two_of_three": 14876,
+        "monoidal_laws": 28425, "weakdiv": 7318, "adjunction": 88,
+    },
+    "degenerate": {
+        "homset_formulas": 12, "epic_monic": 22, "iso": 22, "two_of_three": 2058,
+        "monoidal_laws": 263, "weakdiv": 2264, "adjunction": 4,
+    },
+    "interval": {"homset_formulas": 49, "monoidal_laws": 4898, "adjunction": 16},
+    "free_ab": SAME_SHAPE_COUNTS,
+    "nat": SAME_SHAPE_COUNTS,
+}
+
+
+def run_passing(u, counts):
+    """Run every compatible suite, assert each passes, and pin its cases."""
+    reports = run_suite(u)
+    for r in reports:
+        assert r.passed, (r.suite, r.failures[:2])
+    assert {r.suite: r.cases for r in reports} == counts
+    return reports
+
 
 def test_universe_enumeration_is_deterministic():
     objs = universe_objects(SMALL)
@@ -35,16 +65,12 @@ def test_universe_enumeration_is_deterministic():
 
 
 def test_all_suites_pass_on_small_universe():
-    reports = run_suite(SMALL)
+    reports = run_passing(SMALL, CASE_COUNTS["small"])
     assert [r.suite for r in reports] == list(SUITES)
-    for r in reports:
-        assert r.passed, (r.suite, r.failures[:2])
-        assert r.cases > 0
 
 
 def test_all_suites_pass_on_degenerate_universe():
-    for r in run_suite(DEGENERATE):
-        assert r.passed, (r.suite, r.failures[:2])
+    run_passing(DEGENERATE, CASE_COUNTS["degenerate"])
 
 
 def test_all_suites_pass_on_free_monoid_universe():
@@ -58,8 +84,7 @@ def test_all_suites_pass_on_free_monoid_universe():
         exhaustive_limit=20_000,
         sample_size=2_000,
     )
-    for r in run_suite(u):
-        assert r.passed, (r.suite, r.failures[:2])
+    run_passing(u, CASE_COUNTS["free_ab"])
 
 
 def test_all_suites_pass_on_naturals_universe():
@@ -72,12 +97,11 @@ def test_all_suites_pass_on_naturals_universe():
         exhaustive_limit=20_000,
         sample_size=2_000,
     )
-    for r in run_suite(u):
-        assert r.passed, (r.suite, r.failures[:2])
+    run_passing(u, CASE_COUNTS["nat"])
 
 
 def test_interval_universe_runs_compatible_suites():
-    reports = run_suite(INTERVAL_UNIVERSE)
+    reports = run_passing(INTERVAL_UNIVERSE, CASE_COUNTS["interval"])
     names = [r.suite for r in reports]
     assert "homset_formulas" in names and "adjunction" in names
     assert "epic_monic" not in names and "iso" not in names
@@ -158,27 +182,112 @@ def test_corrupted_epic_predicate_is_caught():
     assert not recheck(report.failures[0])
 
 
-def test_recheck_covers_passing_payloads():
-    # build payloads for a few laws directly and confirm recheck says "fixed"
-    from factorcat import encode_morphism, encode_tuple, FactorTuple, validate_morphism
+# law -> payload keys besides "law" and "monoid"
+PAYLOAD_KEYS = {
+    "hom_count_from_empty": {"tuple"},
+    "hom_count_into_empty": {"tuple"},
+    "hom_count_interval_into_empty": {"tuple"},
+    "hom_count_singleton_source": {"element", "tuple"},
+    "hom_count_singleton_target": {"element", "tuple"},
+    "epic_agreement": {"morphism"},
+    "monic_agreement": {"morphism"},
+    "iso_agreement": {"morphism"},
+    "inverse_roundtrip": {"morphism"},
+    "two_of_three": {"f", "g"},
+    "iso_in_w": {"morphism"},
+    "chain_membership": {"steps"},
+    "tensor_unit_object": {"tuple"},
+    "tensor_length": {"x", "y"},
+    "braiding_involution": {"x", "y"},
+    "braiding_iso": {"x", "y"},
+    "tensor_assoc_objects": {"x", "y", "z"},
+    "hexagon": {"x", "y", "z"},
+    "tensor_unit_morphism": {"morphism"},
+    "braiding_naturality": {"f", "g"},
+    "bifunctoriality": {"f", "h", "g", "k"},
+    "weakdiv_agreement": {"f", "g"},
+    "weakdiv_diagram": {"f", "g"},
+    "weakdiv_reflexive": {"f"},
+    "weakdiv_weq_minimal": {"f"},
+    "weakdiv_transitive": {"f", "g", "h"},
+    "adjunction_count": {"element", "tuple"},
+    "adjunction_roundtrip": {"element"},
+}
+
+
+def _passing_payload(law):
+    """A payload on which the law holds; g, h and k compose after f."""
+    from factorcat import FactorTuple, encode_morphism, encode_tuple, validate_morphism
 
     m = validate_morphism(FactorTuple(ZX, (2,)), FactorTuple(ZX, (6,)), [1])
-    t = FactorTuple(ZX, (2, 3))
-    payloads = [
-        {"law": "epic_agreement", "monoid": "zx", "morphism": encode_morphism(m)},
-        {"law": "monic_agreement", "monoid": "zx", "morphism": encode_morphism(m)},
-        {"law": "iso_in_w", "monoid": "zx", "morphism": encode_morphism(m)},
-        {"law": "hom_count_into_empty", "monoid": "zx", "tuple": encode_tuple(t)},
-        {"law": "tensor_unit_object", "monoid": "zx", "tuple": encode_tuple(t)},
-        {
-            "law": "adjunction_count",
-            "monoid": "zx",
-            "element": 2,
-            "tuple": encode_tuple(t),
-        },
-    ]
-    for payload in payloads:
-        assert not recheck(payload)
+    six = identity_morphism(FactorTuple(ZX, (6,)))
+    values = {
+        "tuple": encode_tuple(FactorTuple(ZX, (2, 3))),
+        "element": 2,
+        "morphism": encode_morphism(m),
+        "steps": [encode_morphism(m), encode_morphism(six)],
+        "f": encode_morphism(m),
+        **{key: encode_morphism(six) for key in "ghk"},
+        "x": [2, 3],
+        "y": [6],
+        "z": [],
+    }
+    payload = {"law": law, "monoid": "zx"}
+    payload.update((key, values[key]) for key in sorted(PAYLOAD_KEYS[law]))
+    if law == "hom_count_interval_into_empty":
+        payload.update(monoid="interval", tuple=["1/2", "1/1"])
+    return payload
+
+
+def test_recheck_covers_passing_payloads():
+    assert len(PAYLOAD_KEYS) == 28
+    assert set(oracle.LAWS) == set(PAYLOAD_KEYS)
+    for law, keys in PAYLOAD_KEYS.items():
+        payload = _passing_payload(law)
+        assert not recheck(payload), law
+        for key in keys:  # every pinned key is needed to re-run the law
+            partial = {k: v for k, v in payload.items() if k != key}
+            with pytest.raises(KeyError):
+                recheck(partial)
+
+
+def test_failure_payloads_come_from_the_registry(monkeypatch):
+    # force each law to fail on its decoded passing case: the reported
+    # payload carries exactly the pinned keys and round-trips through recheck
+    from dataclasses import replace
+
+    from factorcat import monoid_by_name
+
+    for name, keys in PAYLOAD_KEYS.items():
+        law = oracle.LAWS[name]
+        payload = _passing_payload(name)
+        args = law.decode(monoid_by_name(payload["monoid"]), payload)
+        monkeypatch.setitem(oracle.LAWS, name, replace(law, predicate=lambda *a: False))
+        report = oracle.SuiteReport("forced", payload["monoid"])
+        report.check(name, *args)
+        monkeypatch.setitem(oracle.LAWS, name, law)
+        assert report.failures == [payload]
+        assert set(payload) - {"law", "monoid"} == keys
+
+
+def test_bad_square_is_a_weakdiv_diagram_counterexample(monkeypatch):
+    from factorcat import InvalidMorphismError
+
+    def bad_square(f, g):
+        raise InvalidMorphismError("square does not close")
+
+    monkeypatch.setattr(oracle, "weak_div_diagram", bad_square)
+    report = run_suite(UniverseSpec(pool=(1, 2), max_len=1), ["weakdiv"])[0]
+    assert {f["law"] for f in report.failures} == {"weakdiv_diagram"}
+
+
+def test_programming_error_in_weak_div_diagram_propagates(monkeypatch):
+    def broken(f, g):
+        raise TypeError("broken")
+
+    monkeypatch.setattr(oracle, "weak_div_diagram", broken)
+    with pytest.raises(TypeError):
+        run_suite(UniverseSpec(pool=(1, 2), max_len=1), ["weakdiv"])
 
 
 def test_suite_case_counts_scale_with_universe():
