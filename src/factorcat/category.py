@@ -60,7 +60,7 @@ def embed(monoid: Monoid, a: Element) -> FactorTuple:
 def require_same_monoid(a, b, what: str) -> None:
     """Raise InvalidMorphismError unless a and b (tuples or morphisms) live
     over the same monoid."""
-    if a.monoid != b.monoid:
+    if a.monoid is not b.monoid and a.monoid != b.monoid:
         raise InvalidMorphismError(f"{what} needs both arguments over the same monoid")
 
 
@@ -94,7 +94,7 @@ class IndexFunction:
 
     @staticmethod
     def identity(n: int) -> "IndexFunction":
-        return IndexFunction(n, n, tuple(range(1, n + 1)))
+        return _trusted_fn(n, n, tuple(range(1, n + 1)))
 
     def is_injective(self) -> bool:
         return len(set(self.values)) == self.dom_size
@@ -110,10 +110,17 @@ class IndexFunction:
 class Morphism:
     """A validated morphism domain -> codomain.
 
-    ``index_fn`` maps codomain positions to domain positions.  Construction
-    checks the order constraint fiber by fiber and reports the first failing
-    domain index, so every Morphism in existence is valid.  Two morphisms are
-    equal when their tuples agree element-wise and their index functions agree.
+    ``index_fn`` maps codomain positions to domain positions.  Every Morphism
+    in existence is valid.  Public construction (``Morphism(...)``,
+    ``validate_morphism``, decoding) checks the order constraint fiber by
+    fiber and reports the first failing domain index.  Internal construction
+    goes through ``_trusted_morphism``, which skips the checks, and happens
+    only where validity holds by theorem: the category is closed under
+    identities, composition, inverses, tensor and braiding, and the EIP and
+    atomic-chain steps are morphisms by construction.  The closure tests in
+    tests/test_oracle.py re-validate the output of each such operation.  Two
+    morphisms are equal when their tuples agree element-wise and their index
+    functions agree.
     """
 
     domain: FactorTuple
@@ -151,6 +158,38 @@ class Morphism:
         return f"{self.domain} -> {self.codomain} via {list(self.values)}"
 
 
+# -- construction without re-checking ----------------------------------------
+# Mirrors of the three constructors that skip __post_init__, for outputs that
+# are valid by theorem (see Morphism).  The fields must already be normalized:
+# entries and values are tuples.  Caller data goes through the constructors.
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _trusted_tuple(monoid: Monoid, entries: tuple) -> FactorTuple:
+    t = _new(FactorTuple)
+    _set(t, "monoid", monoid)
+    _set(t, "entries", entries)
+    return t
+
+
+def _trusted_fn(dom_size: int, cod_size: int, values: tuple) -> IndexFunction:
+    fn = _new(IndexFunction)
+    _set(fn, "dom_size", dom_size)
+    _set(fn, "cod_size", cod_size)
+    _set(fn, "values", values)
+    return fn
+
+
+def _trusted_morphism(domain: FactorTuple, codomain: FactorTuple, fn: IndexFunction) -> Morphism:
+    m = _new(Morphism)
+    _set(m, "domain", domain)
+    _set(m, "codomain", codomain)
+    _set(m, "index_fn", fn)
+    return m
+
+
 def fiber_products(m: Morphism) -> list:
     """For each domain position n, the product of the codomain entries that
     the index function sends to n (the identity for an empty fiber)."""
@@ -177,7 +216,7 @@ def validate_morphism(
 
 
 def identity_morphism(t: FactorTuple) -> Morphism:
-    return Morphism(t, t, IndexFunction.identity(len(t)))
+    return _trusted_morphism(t, t, IndexFunction.identity(len(t)))
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
@@ -193,9 +232,8 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
         )
     fv = f.values
     values = tuple(fv[v - 1] for v in g.values)
-    return Morphism(
-        f.domain, g.codomain, IndexFunction(len(g.codomain), len(f.domain), values)
-    )
+    fn = _trusted_fn(len(g.codomain), len(f.domain), values)
+    return _trusted_morphism(f.domain, g.codomain, fn)
 
 
 @lru_cache(maxsize=None)
@@ -213,9 +251,12 @@ def hom_index_tuples(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[
     if n == 0:
         # no functions into the empty index set except from itself
         return ((),) if m == 0 else ()
-    if n > 1 and n**m > HOM_ENUMERATION_GUARD:
-        raise GuardError(f"hom enumeration over {n}^{m} candidates exceeds the 10^7 guard")
     xs, ys = domain.entries, codomain.entries
+    if n == 1:
+        # the single candidate sends everything to 1; it needs no search
+        return ((1,) * m,) if monoid.leq(xs[0], monoid.product(ys)) else ()
+    if n**m > HOM_ENUMERATION_GUARD:
+        raise GuardError(f"hom enumeration over {n}^{m} candidates exceeds the 10^7 guard")
     one = monoid.identity()
     suffix = [one] * (m + 1)
     for pos in range(m - 1, -1, -1):
@@ -252,7 +293,7 @@ def hom_set(domain: FactorTuple, codomain: FactorTuple) -> list[Morphism]:
     """All morphisms domain -> codomain, ordered lexicographically by map."""
     m, n = len(codomain), len(domain)
     return [
-        Morphism(domain, codomain, IndexFunction(m, n, values))
+        _trusted_morphism(domain, codomain, _trusted_fn(m, n, values))
         for values in hom_index_tuples(domain, codomain)
     ]
 
@@ -292,9 +333,8 @@ def inverse(m: Morphism) -> Morphism | None:
     inv = [0] * n
     for pos, target in enumerate(m.values, start=1):
         inv[target - 1] = pos
-    return Morphism(
-        m.codomain, m.domain, IndexFunction(n, len(m.codomain), tuple(inv))
-    )
+    fn = _trusted_fn(n, len(m.codomain), tuple(inv))
+    return _trusted_morphism(m.codomain, m.domain, fn)
 
 
 def is_initial(t: FactorTuple) -> bool:

@@ -12,14 +12,16 @@ by the factorization-property probes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, prod
 
 from .errors import CapabilityError, GuardError, InvalidMorphismError
-from .monoids import Element, Monoid, FreeCommutative
+from .monoids import PRIMALITY_BOUND, Element, Monoid, FreeCommutative
 from .category import (
     FactorTuple,
     IndexFunction,
     Morphism,
+    _trusted_morphism,
+    _trusted_tuple,
     compose,
     identity_morphism,
     require_same_monoid,
@@ -31,6 +33,8 @@ from .weq import WEAK_EQUIVALENCE, decompose_eip, is_weak_equivalence, total_wit
 WIRR_TAG = "weakly_irreducible"
 
 FACTORIZATION_ENUMERATION_BOUND = 10**6
+
+DIVISOR_CLASS_GUARD = 10**5
 
 
 def weakly_divides(f: Morphism, g: Morphism) -> bool:
@@ -155,24 +159,22 @@ def atomic_chain(m: Morphism) -> AtomicChain:
     if d.epsilon != identity_morphism(m.domain):
         steps.append(d.epsilon)
         tags.append(WEAK_EQUIVALENCE)
-    current = list(d.epsilon.codomain.entries)
+    # every step is a morphism by construction: each one multiplies a single
+    # entry by an irreducible factor, and the tail's domain differs from
+    # delta's codomain only by the units of the factorizations
+    current = d.epsilon.codomain
     ident = IndexFunction.identity(len(current))
     for p, ratio in enumerate(d.ratios):
         _, factors = monoid.factor_irreducibles(ratio)
         for q in factors:
-            scaled = list(current)
-            scaled[p] = monoid.op(q, current[p])
-            step = Morphism(
-                FactorTuple(monoid, tuple(current)),
-                FactorTuple(monoid, tuple(scaled)),
-                ident,
-            )
-            steps.append(step)
+            entries = list(current.entries)
+            entries[p] = monoid.op(q, entries[p])
+            scaled = _trusted_tuple(monoid, tuple(entries))
+            steps.append(_trusted_morphism(current, scaled, ident))
             tags.append(WIRR_TAG)
             current = scaled
-    tail_dom = FactorTuple(monoid, tuple(current))
-    tail = Morphism(tail_dom, m.codomain, d.phi.index_fn)
-    if tail != identity_morphism(tail_dom):
+    tail = _trusted_morphism(current, m.codomain, d.phi.index_fn)
+    if tail != identity_morphism(current):
         steps.append(tail)
         tags.append(WEAK_EQUIVALENCE)
     return AtomicChain(tuple(steps), tuple(tags), tags.count(WIRR_TAG))
@@ -198,14 +200,24 @@ def zeta_obj(t: FactorTuple) -> int:
 def divisor_class_representatives(monoid: Monoid, r: Element) -> list:
     """One canonical representative per associate class of divisors of r:
     positive divisors ascending over the integers, sub-multisets ordered by
-    size then name over free monoids."""
+    size then name over free monoids.
+
+    Integers beyond the 2**31 trial-division bound, and free-monoid elements
+    with more than 10^5 divisor classes, raise GuardError before any work."""
     if isinstance(monoid, FreeCommutative):
+        counts = {g: r.count(g) for g in sorted(set(r))}
+        classes = prod(c + 1 for c in counts.values())
+        if classes > DIVISOR_CLASS_GUARD:
+            raise GuardError(
+                f"{classes} divisor classes of {monoid.encode(r)} exceed the 10^5 guard"
+            )
         subsets: list[tuple] = [()]
-        for g in sorted(set(r)):
-            count = r.count(g)
+        for g, count in counts.items():
             subsets = [s + (g,) * k for s in subsets for k in range(count + 1)]
         return sorted(set(tuple(sorted(s)) for s in subsets), key=lambda s: (len(s), s))
     monoid.require_divisibility("divisor_class_representatives")
+    if abs(r) > PRIMALITY_BOUND:
+        raise GuardError(f"{monoid.name}: |{r}| exceeds the trial-division bound 2**31")
     n = abs(r)
     small, large = [], []
     for d in range(1, isqrt(n) + 1):

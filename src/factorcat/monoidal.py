@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from .category import (
     FactorTuple,
-    IndexFunction,
     Morphism,
+    _trusted_fn,
+    _trusted_morphism,
+    _trusted_tuple,
     compose,
     identity_morphism,
     require_same_monoid,
@@ -21,17 +23,18 @@ from .category import (
 
 def tensor_objects(s: FactorTuple, t: FactorTuple) -> FactorTuple:
     require_same_monoid(s, t, "tensor")
-    return FactorTuple(s.monoid, s.entries + t.entries)
+    return _trusted_tuple(s.monoid, s.entries + t.entries)
 
 
 def tensor_morphisms(f: Morphism, g: Morphism) -> Morphism:
     require_same_monoid(f, g, "tensor")
+    monoid = f.monoid
     n = len(f.domain)
     values = f.values + tuple(n + v for v in g.values)
-    return Morphism(
-        tensor_objects(f.domain, g.domain),
-        tensor_objects(f.codomain, g.codomain),
-        IndexFunction(len(f.codomain) + len(g.codomain), n + len(g.domain), values),
+    return _trusted_morphism(
+        _trusted_tuple(monoid, f.domain.entries + g.domain.entries),
+        _trusted_tuple(monoid, f.codomain.entries + g.codomain.entries),
+        _trusted_fn(len(f.codomain) + len(g.codomain), n + len(g.domain), values),
     )
 
 
@@ -44,8 +47,10 @@ def braiding(s: FactorTuple, t: FactorTuple) -> Morphism:
     require_same_monoid(s, t, "braiding")
     n, m = len(s), len(t)
     values = tuple(range(n + 1, n + m + 1)) + tuple(range(1, n + 1))
-    return Morphism(
-        tensor_objects(s, t), tensor_objects(t, s), IndexFunction(m + n, n + m, values)
+    return _trusted_morphism(
+        _trusted_tuple(s.monoid, s.entries + t.entries),
+        _trusted_tuple(s.monoid, t.entries + s.entries),
+        _trusted_fn(m + n, n + m, values),
     )
 
 

@@ -232,6 +232,7 @@ class NonzeroIntegers(DivisibilityMonoid):
         return unit, tuple(_trial_factor(abs(a)))
 
     def fresh_non_divisor(self, a):
+        self._check_bound(a)
         return next_prime_above(abs(a))
 
     def encode(self, a):

@@ -150,8 +150,8 @@ def universe_homs(u: UniverseSpec) -> dict:
 @lru_cache(maxsize=16)
 def universe_morphisms(u: UniverseSpec) -> tuple[Morphism, ...]:
     out = []
-    for (a, b), fns in universe_homs(u).items():
-        out.extend(Morphism(a, b, IndexFunction(len(b), len(a), v)) for v in fns)
+    for a, b in universe_homs(u):
+        out.extend(hom_set(a, b))
     return tuple(out)
 
 

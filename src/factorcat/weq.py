@@ -21,6 +21,9 @@ from .category import (
     FactorTuple,
     IndexFunction,
     Morphism,
+    _trusted_fn,
+    _trusted_morphism,
+    _trusted_tuple,
     compose,
     fiber_products,
     require_same_monoid,
@@ -101,19 +104,20 @@ def decompose_eip(m: Morphism) -> EIPDecomposition:
     image = sorted(set(values))  # n_1 < ... < n_P
     p_count = len(image)
     xs = m.domain.entries
-    kept = FactorTuple(monoid, tuple(xs[n - 1] for n in image))
-    epsilon = Morphism(
-        m.domain, kept, IndexFunction(p_count, len(m.domain), tuple(image))
-    )
+    # each step is a morphism by construction: the dropped entries are units
+    # (their fibers are empty), r_n * x_n is the fiber product of n, and each
+    # kept entry divides its scaled one
+    kept = _trusted_tuple(monoid, tuple(xs[n - 1] for n in image))
+    epsilon = _trusted_morphism(m.domain, kept, _trusted_fn(p_count, len(xs), tuple(image)))
     position = {n: p for p, n in enumerate(image, start=1)}
     ratios = tuple(per_index[n - 1] for n in image)
-    scaled = FactorTuple(
+    scaled = _trusted_tuple(
         monoid, tuple(monoid.op(ratios[p], kept.entries[p]) for p in range(p_count))
     )
-    delta = Morphism(kept, scaled, IndexFunction.identity(p_count))
+    delta = _trusted_morphism(kept, scaled, IndexFunction.identity(p_count))
     phi_values = tuple(position[v] for v in values)
-    phi = Morphism(
-        scaled, m.codomain, IndexFunction(len(m.codomain), p_count, phi_values)
+    phi = _trusted_morphism(
+        scaled, m.codomain, _trusted_fn(len(m.codomain), p_count, phi_values)
     )
     dropped = monoid.product(xs[n - 1] for n in range(1, len(xs) + 1) if n not in position)
     return EIPDecomposition(epsilon, delta, phi, ratios, dropped)

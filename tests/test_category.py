@@ -278,6 +278,11 @@ class TestInitialTerminal:
         assert witness.entries == (2,)
         assert len(hom_set(witness, OMEGA)) == 0
 
+    def test_refute_terminal_guard(self):
+        with pytest.raises(GuardError):
+            refute_terminal(zt(10**24))
+        assert refute_terminal(zt(2**31)).entries == (2**31 + 11,)
+
     def test_refute_terminal_free(self):
         t = FactorTuple(FREE, (("a",),))
         witness = refute_terminal(t)

@@ -57,6 +57,16 @@ class TestHom:
         code, _, err = run(capsys, "hom", "--monoid", "zx", "[1,1]", "[" + ("1," * 24) + "1]")
         assert code == 3 and "guard" in err
 
+    def test_long_codomain_over_one_entry_domain(self, capsys):
+        # one candidate map, decided without a search as deep as the codomain
+        codomain = json.dumps([1] * 1500)
+        code, payload = run_json(capsys, "hom", "--monoid", "zx", "[1]", codomain)
+        assert code == 0
+        assert payload["count"] == 1
+        assert payload["morphisms"][0]["map"] == [1] * 1500
+        code, payload = run_json(capsys, "hom", "--monoid", "zx", "[2]", codomain)
+        assert code == 0 and payload["count"] == 0
+
 
 class TestCompose:
     def test_round_trip(self, capsys):
@@ -174,6 +184,11 @@ class TestDivisors:
         assert code == 0
         assert payload["classes"] == [1, 2, 3, 4, 6, 12]
         assert payload["count"] == 6
+
+    def test_witness_beyond_the_bound_is_a_guard_error(self, capsys):
+        m = json.dumps({"monoid": "zx", "domain": [1], "codomain": [10**21], "map": [1]})
+        code, _, err = run(capsys, "divisors", m)
+        assert code == 3 and "2**31" in err
 
 
 class TestFactorizations:

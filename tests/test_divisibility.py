@@ -251,6 +251,17 @@ class TestDivisorClasses:
     def test_prime_witness(self):
         assert divisor_class_representatives(ZX, 13) == [1, 13]
 
+    def test_integer_guard(self):
+        with pytest.raises(GuardError):
+            divisor_class_representatives(ZX, -(10**21))
+        assert divisor_class_representatives(ZX, 2**31) == [2**k for k in range(32)]
+
+    def test_free_guard(self):
+        ten = free_monoid("abcdefghij")
+        with pytest.raises(GuardError):  # 7**10 classes
+            divisor_class_representatives(ten, tuple(sorted(ten.generators * 6)))
+        assert len(divisor_class_representatives(ten, ten.generators)) == 2**10
+
     def test_free_multiset_classes(self):
         reps = divisor_class_representatives(FREE, ("a", "a", "b"))
         assert reps == [

@@ -1,6 +1,7 @@
 """Verification suites: bounded-universe law checks, determinism, and the
 self-test that a corrupted operation is caught with a usable counterexample."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,16 +9,32 @@ import pytest
 import factorcat.oracle as oracle
 from factorcat import (
     CapabilityError,
+    FactorTuple,
     INTERVAL,
+    IndexFunction,
+    InvalidMorphismError,
+    Morphism,
+    NAT,
     SUITES,
     UniverseSpec,
     ZX,
     all_passed,
+    atomic_chain,
+    braiding,
+    compose,
+    decode_morphism,
+    decompose_eip,
+    free_monoid,
+    hom_set,
     identity_morphism,
+    inverse,
     recheck,
     run_suite,
+    tensor_morphisms,
+    tensor_objects,
     universe_morphisms,
     universe_objects,
+    validate_morphism,
 )
 
 SMALL = UniverseSpec(pool=(-1, 1, 2, 6), max_len=2, exhaustive_limit=40_000, sample_size=4_000)
@@ -415,3 +432,86 @@ def test_universe_morphisms_cover_worked_counts():
 
     pair = [m for m in morphs if m.domain == FactorTuple(ZX, (1, 2)) and m.codomain == FactorTuple(ZX, (1, 2))]
     assert len(pair) == 2
+
+
+# -- closure: the operations that skip re-checking build valid morphisms --------
+#
+# Identities, composition, inverses, hom enumeration, tensor, braiding and the
+# decomposition and chain steps build their outputs without the checks in
+# __post_init__, because validity holds there by theorem.  These tests rebuild
+# every such output through the public, checking constructors instead.
+
+FREE_AB_UNIVERSE = UniverseSpec(
+    monoid=free_monoid("ab"), pool=((), ("a",), ("b",), ("a", "b")), max_len=2
+)
+NAT_UNIVERSE = UniverseSpec(monoid=NAT, pool=(1, 2, 3, 6), max_len=2)
+CLOSURE_UNIVERSES = {
+    "small": SMALL,
+    "degenerate": DEGENERATE,
+    "interval": INTERVAL_UNIVERSE,
+    "free_ab": FREE_AB_UNIVERSE,
+    "nat": NAT_UNIVERSE,
+}
+
+
+def assert_valid(m):
+    """m equals its rebuild through FactorTuple and validate_morphism."""
+    rebuilt = validate_morphism(
+        FactorTuple(m.monoid, m.domain.entries),
+        FactorTuple(m.monoid, m.codomain.entries),
+        m.values,
+    )
+    assert rebuilt == m, str(m)
+
+
+def assert_steps_valid(m):
+    d = decompose_eip(m)
+    for step in (d.epsilon, d.delta, d.phi, *atomic_chain(m).steps):
+        assert_valid(step)
+
+
+@pytest.mark.parametrize("u", CLOSURE_UNIVERSES.values(), ids=CLOSURE_UNIVERSES.keys())
+def test_closed_operations_build_valid_morphisms(u):
+    objs = universe_objects(u)
+    for s in objs:
+        assert_valid(identity_morphism(s))
+        for t in objs:
+            assert tensor_objects(s, t) == FactorTuple(u.monoid, s.entries + t.entries)
+            assert_valid(braiding(s, t))
+            for m in hom_set(s, t):
+                assert_valid(m)
+    morphs = universe_morphisms(u)
+    by_domain = {}
+    for m in morphs:
+        assert_valid(m)
+        by_domain.setdefault(m.domain, []).append(m)
+    for f in morphs:
+        for g in by_domain.get(f.codomain, ()):
+            assert_valid(compose(g, f))
+    rng = random.Random(0)
+    for _ in range(2000):
+        assert_valid(tensor_morphisms(rng.choice(morphs), rng.choice(morphs)))
+    if u.monoid.is_divisibility:
+        for m in morphs:
+            g = inverse(m)
+            if g is not None:
+                assert_valid(g)
+            if len(m.domain) and len(m.codomain):
+                assert_steps_valid(m)
+
+
+@pytest.mark.parametrize("monoid", [ZX, NAT], ids=["zx", "nat"])
+def test_decomposition_and_chain_steps_are_valid_on_samples(monoid):
+    rng = random.Random(11)
+    for _ in range(300):
+        assert_steps_valid(oracle.sample_morphism(rng, monoid))
+
+
+def test_public_constructors_still_check():
+    with pytest.raises(ValueError):
+        FactorTuple(ZX, (0,))
+    with pytest.raises(InvalidMorphismError):
+        Morphism(FactorTuple(ZX, (2,)), FactorTuple(ZX, (3,)), IndexFunction(1, 1, (1,)))
+    for bad_map in ([1], [2], [0, 1]):
+        with pytest.raises(InvalidMorphismError):
+            decode_morphism({"monoid": "zx", "domain": [2], "codomain": [3], "map": bad_map})
