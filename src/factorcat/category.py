@@ -23,16 +23,35 @@ from .monoids import Element, Monoid, ZX
 HOM_ENUMERATION_GUARD = 10**7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class FactorTuple:
-    """An ordered tuple of monoid elements; length 0 is the unit object."""
+    """An ordered tuple of monoid elements; length 0 is the unit object.
+
+    Instances are slotted and immutable.  Two tuples are equal when their
+    entries are equal and they live over the same monoid, so equal entries
+    over ``zx`` and ``nat`` give unequal tuples.  The hash is the hash of
+    the entries alone: equal tuples hash equal, and tuples that differ only
+    in their monoid merely collide.
+    """
 
     monoid: Monoid
     entries: tuple = ()
 
     def __post_init__(self):
-        normalized = tuple(self.monoid.validate(e) for e in self.entries)
-        object.__setattr__(self, "entries", normalized)
+        validate = self.monoid.validate
+        object.__setattr__(self, "entries", tuple([validate(e) for e in self.entries]))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not FactorTuple:
+            return NotImplemented
+        return self.entries == other.entries and (
+            self.monoid is other.monoid or self.monoid == other.monoid
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -64,7 +83,7 @@ def require_same_monoid(a, b, what: str) -> None:
         raise InvalidMorphismError(f"{what} needs both arguments over the same monoid")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexFunction:
     """A total function [dom_size] -> [cod_size], stored 1-based.
 
@@ -106,7 +125,7 @@ class IndexFunction:
         return self.dom_size == self.cod_size and self.is_injective()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Morphism:
     """A validated morphism domain -> codomain.
 
@@ -118,9 +137,14 @@ class Morphism:
     only where validity holds by theorem: the category is closed under
     identities, composition, inverses, tensor and braiding, and the EIP and
     atomic-chain steps are morphisms by construction.  The closure tests in
-    tests/test_oracle.py re-validate the output of each such operation.  Two
-    morphisms are equal when their tuples agree element-wise and their index
-    functions agree.
+    tests/test_oracle.py re-validate the output of each such operation.
+
+    Instances are slotted and immutable.  Two morphisms are equal when their
+    index values, domain entries and codomain entries agree and their
+    domains live over the same monoid.  On valid morphisms the index sizes
+    are the tuple lengths and both tuples share one monoid, so those need no
+    separate comparison.  The hash is the hash of the index values and the
+    two entry tuples.
     """
 
     domain: FactorTuple
@@ -145,6 +169,22 @@ class Morphism:
                     f"{monoid.encode(x)} is not below the fiber product "
                     f"{monoid.encode(fibers[i])}"
                 )
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Morphism:
+            return NotImplemented
+        a, b = self.domain, other.domain
+        return (
+            self.index_fn.values == other.index_fn.values
+            and a.entries == b.entries
+            and self.codomain.entries == other.codomain.entries
+            and (a.monoid is b.monoid or a.monoid == b.monoid)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.index_fn.values, self.domain.entries, self.codomain.entries))
 
     @property
     def monoid(self) -> Monoid:
@@ -216,7 +256,7 @@ def validate_morphism(
 
 
 def identity_morphism(t: FactorTuple) -> Morphism:
-    return _trusted_morphism(t, t, IndexFunction.identity(len(t)))
+    return _trusted_morphism(t, t, IndexFunction.identity(len(t.entries)))
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
@@ -230,10 +270,11 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
             "cannot compose: codomain of the first-applied morphism differs "
             "from the domain of the second"
         )
-    fv = f.values
-    values = tuple(fv[v - 1] for v in g.values)
-    fn = _trusted_fn(len(g.codomain), len(f.domain), values)
-    return _trusted_morphism(f.domain, g.codomain, fn)
+    fv = f.index_fn.values
+    values = tuple([fv[v - 1] for v in g.index_fn.values])
+    domain, codomain = f.domain, g.codomain
+    fn = _trusted_fn(len(codomain.entries), len(domain.entries), values)
+    return _trusted_morphism(domain, codomain, fn)
 
 
 @lru_cache(maxsize=None)
@@ -247,11 +288,11 @@ def hom_index_tuples(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[
     """
     require_same_monoid(domain, codomain, "a hom set")
     monoid = domain.monoid
-    n, m = len(domain), len(codomain)
+    xs, ys = domain.entries, codomain.entries
+    n, m = len(xs), len(ys)
     if n == 0:
         # no functions into the empty index set except from itself
         return ((),) if m == 0 else ()
-    xs, ys = domain.entries, codomain.entries
     if n == 1:
         # the single candidate sends everything to 1; it needs no search
         return ((1,) * m,) if monoid.leq(xs[0], monoid.product(ys)) else ()
@@ -291,7 +332,7 @@ def hom_index_tuples(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[
 
 def hom_set(domain: FactorTuple, codomain: FactorTuple) -> list[Morphism]:
     """All morphisms domain -> codomain, ordered lexicographically by map."""
-    m, n = len(codomain), len(domain)
+    m, n = len(codomain.entries), len(domain.entries)
     return [
         _trusted_morphism(domain, codomain, _trusted_fn(m, n, values))
         for values in hom_index_tuples(domain, codomain)
@@ -313,11 +354,11 @@ def is_monic(m: Morphism) -> bool:
 def is_isomorphism(m: Morphism) -> bool:
     """Iso iff the tuples have equal length, the index function is a
     bijection, and matched entries are associates."""
-    m.monoid.require_divisibility("is_isomorphism")
+    monoid = m.domain.monoid
+    monoid.require_divisibility("is_isomorphism")
     fn = m.index_fn
     if not fn.is_bijective():
         return False
-    monoid = m.monoid
     xs, ys = m.domain.entries, m.codomain.entries
     return all(
         monoid.are_associates(xs[target - 1], ys[pos])

@@ -59,8 +59,17 @@ def _opt_monoid(args) -> Monoid | None:
     return monoid_by_name(args.monoid) if args.monoid else None
 
 
+def _json_arg(text: str):
+    """Parse a JSON command-line argument.  Nesting too deep for the parser
+    is a parse error like any other malformed input, not a crash."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON argument is nested too deeply") from None
+
+
 def _load_morphism(args, attr="morphism"):
-    return decode_morphism(json.loads(getattr(args, attr)), _opt_monoid(args))
+    return decode_morphism(_json_arg(getattr(args, attr)), _opt_monoid(args))
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -69,8 +78,8 @@ def _emit(args, payload: dict, text: str) -> None:
 
 def _cmd_hom(args) -> int:
     monoid = _monoid_arg(args)
-    domain = decode_tuple(monoid, json.loads(args.domain))
-    codomain = decode_tuple(monoid, json.loads(args.codomain))
+    domain = decode_tuple(monoid, _json_arg(args.domain))
+    codomain = decode_tuple(monoid, _json_arg(args.codomain))
     morphisms = hom_set(domain, codomain)
     payload = {"count": len(morphisms), "morphisms": [encode_morphism(m) for m in morphisms]}
     lines = [f"count {len(morphisms)}"]
@@ -193,7 +202,7 @@ def _cmd_divisors(args) -> int:
 
 def _cmd_factorizations(args) -> int:
     monoid = _monoid_arg(args)
-    element = monoid.decode(json.loads(args.element))
+    element = monoid.decode(_json_arg(args.element))
     found = enumerate_irreducible_factorizations(monoid, element, max_count=args.max_count)
     payload = {
         "element": monoid.encode(element),
@@ -207,7 +216,7 @@ def _cmd_factorizations(args) -> int:
 
 def _cmd_graph(args) -> int:
     monoid = _monoid_arg(args)
-    pool = tuple(monoid.decode(v) for v in json.loads(args.pool))
+    pool = tuple(monoid.decode(v) for v in _json_arg(args.pool))
     node_count = sum(len(pool) ** k for k in range(args.max_len + 1))
     if node_count > GRAPH_NODE_GUARD:
         raise GuardError(f"graph universe has {node_count} nodes; guard is {GRAPH_NODE_GUARD}")
@@ -257,7 +266,7 @@ def _render_dot(u: UniverseSpec) -> str:
 
 def _cmd_verify(args) -> int:
     monoid = monoid_by_name(args.monoid or "zx")
-    pool = tuple(monoid.decode(v) for v in json.loads(args.pool)) if args.pool else None
+    pool = tuple(monoid.decode(v) for v in _json_arg(args.pool)) if args.pool else None
     spec_kwargs = {"monoid": monoid, "max_len": args.max_len, "seed": args.seed}
     if pool is not None:
         spec_kwargs["pool"] = pool

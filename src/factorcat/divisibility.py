@@ -34,6 +34,9 @@ WIRR_TAG = "weakly_irreducible"
 
 FACTORIZATION_ENUMERATION_BOUND = 10**6
 
+# the free-monoid enumerator recurses once per generator copy
+FACTORIZATION_DEGREE_BOUND = 256
+
 DIVISOR_CLASS_GUARD = 10**5
 
 
@@ -283,6 +286,9 @@ def _multiset_factorizations(rest: tuple, start: str):
     if not rest:
         yield ()
         return
+    if rest[0] < start:
+        # rest is sorted: its first generator can no longer be placed
+        return
     for g in sorted(set(rest)):
         if g >= start:
             reduced = list(rest)
@@ -300,7 +306,8 @@ def enumerate_irreducible_factorizations(
     This is deliberately independent of factor_irreducibles so it can serve
     as a ground-truth oracle; on the shipped instances it always finds
     exactly one class.  Units have the single empty factorization.  Integer
-    inputs beyond 10**6 in absolute value are rejected rather than scanned.
+    inputs beyond 10**6 in absolute value and free-monoid inputs with more
+    than 256 generator copies are rejected rather than scanned.
     """
     if not monoid.is_ufd:
         raise CapabilityError(
@@ -308,6 +315,11 @@ def enumerate_irreducible_factorizations(
         )
     a = monoid.validate(a)
     if isinstance(monoid, FreeCommutative):
+        if len(a) > FACTORIZATION_DEGREE_BOUND:
+            raise GuardError(
+                f"factorization enumeration over {len(a)} generator copies "
+                f"exceeds the degree bound {FACTORIZATION_DEGREE_BOUND}"
+            )
         source = _multiset_factorizations(a, "")
     else:
         n = abs(a)

@@ -27,14 +27,15 @@ def tensor_objects(s: FactorTuple, t: FactorTuple) -> FactorTuple:
 
 
 def tensor_morphisms(f: Morphism, g: Morphism) -> Morphism:
-    require_same_monoid(f, g, "tensor")
-    monoid = f.monoid
-    n = len(f.domain)
-    values = f.values + tuple(n + v for v in g.values)
+    fdom, fcod, gdom, gcod = f.domain, f.codomain, g.domain, g.codomain
+    require_same_monoid(fdom, gdom, "tensor")
+    monoid = fdom.monoid
+    n = len(fdom.entries)
+    values = f.index_fn.values + tuple([n + v for v in g.index_fn.values])
     return _trusted_morphism(
-        _trusted_tuple(monoid, f.domain.entries + g.domain.entries),
-        _trusted_tuple(monoid, f.codomain.entries + g.codomain.entries),
-        _trusted_fn(len(f.codomain) + len(g.codomain), n + len(g.domain), values),
+        _trusted_tuple(monoid, fdom.entries + gdom.entries),
+        _trusted_tuple(monoid, fcod.entries + gcod.entries),
+        _trusted_fn(len(fcod.entries) + len(gcod.entries), n + len(gdom.entries), values),
     )
 
 
@@ -45,11 +46,12 @@ def braiding(s: FactorTuple, t: FactorTuple) -> Morphism:
     and the remaining ones to the front; swapping twice gives the identity.
     """
     require_same_monoid(s, t, "braiding")
-    n, m = len(s), len(t)
+    xs, ys = s.entries, t.entries
+    n, m = len(xs), len(ys)
     values = tuple(range(n + 1, n + m + 1)) + tuple(range(1, n + 1))
     return _trusted_morphism(
-        _trusted_tuple(s.monoid, s.entries + t.entries),
-        _trusted_tuple(s.monoid, t.entries + s.entries),
+        _trusted_tuple(s.monoid, xs + ys),
+        _trusted_tuple(s.monoid, ys + xs),
         _trusted_fn(m + n, n + m, values),
     )
 

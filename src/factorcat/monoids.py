@@ -20,6 +20,9 @@ Element = object  # int | Fraction | tuple[str, ...] depending on the instance
 
 PRIMALITY_BOUND = 2**31
 
+# most generator copies a decoded free-monoid element may hold
+FREE_DECODE_BOUND = 10**4
+
 
 def _is_prime_int(n: int) -> bool:
     """Deterministic trial division on a non-negative integer."""
@@ -73,6 +76,8 @@ class Monoid:
     is_ufd: bool = False
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         return isinstance(other, Monoid) and self.name == other.name
 
     def __hash__(self) -> int:
@@ -325,6 +330,8 @@ class FreeCommutative(DivisibilityMonoid):
     Elements are finite multisets of generator names stored as sorted
     tuples; the operation is multiset union and divisibility is multiset
     inclusion.  Generators are the irreducibles, and they are prime.
+    Decoding raises GuardError for an element of more than 10^4 generator
+    copies, before building it.
     """
 
     is_ufd = True
@@ -410,6 +417,13 @@ class FreeCommutative(DivisibilityMonoid):
                     raise ValueError(f"{self.name}: bad exponent in {part!r}")
                 if k < 1:
                     raise ValueError(f"{self.name}: bad exponent in {part!r}")
+            if name not in self._genset:
+                raise ValueError(f"{self.name}: unknown generator {name!r}")
+            if len(items) + k > FREE_DECODE_BOUND:
+                raise GuardError(
+                    f"{self.name}: element has more than {FREE_DECODE_BOUND} "
+                    f"generator copies"
+                )
             items.extend([name] * k)
         return self.validate(items)
 
@@ -439,6 +453,8 @@ def free_monoid(alphabet: str | Iterable[str]) -> FreeCommutative:
 
 def monoid_by_name(name: str) -> Monoid:
     """Resolve a wire-format monoid name: zx, nat, interval, free:<alphabet>."""
+    if not isinstance(name, str):
+        raise ValueError(f"monoid name must be a string, got {name!r}")
     if name == "zx":
         return ZX
     if name == "nat":

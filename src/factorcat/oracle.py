@@ -238,15 +238,21 @@ def _count_singleton_target_ok(monoid: Monoid, y, t: FactorTuple) -> bool:
     return count == expected
 
 
+@lru_cache(maxsize=None)
+def _unit_constants(monoid: Monoid) -> tuple[FactorTuple, Morphism]:
+    """The 1-tuple (1) and the identity on (), built once per monoid
+    through the public embed, empty_tuple and identity_morphism."""
+    return embed(monoid, monoid.identity()), identity_morphism(empty_tuple(monoid))
+
+
 def _epic_by_cancellation(m: Morphism) -> bool:
     """No distinct post-compositions collide on the probe target obtained by
     appending a unit entry to the codomain."""
-    one_t = embed(m.monoid, m.monoid.identity())
-    target = tensor_objects(m.codomain, one_t)
+    target = tensor_objects(m.codomain, _unit_constants(m.monoid)[0])
     values = m.values
     seen = set()
     for gv in hom_index_tuples(m.codomain, target):
-        c = tuple(values[x - 1] for x in gv)
+        c = tuple([values[x - 1] for x in gv])
         if c in seen:
             return False
         seen.add(c)
@@ -254,12 +260,11 @@ def _epic_by_cancellation(m: Morphism) -> bool:
 
 
 def _monic_by_cancellation(m: Morphism) -> bool:
-    one_t = embed(m.monoid, m.monoid.identity())
-    source = tensor_objects(m.domain, one_t)
+    source = tensor_objects(m.domain, _unit_constants(m.monoid)[0])
     values = m.values
     seen = set()
     for gv in hom_index_tuples(source, m.domain):
-        c = tuple(gv[x - 1] for x in values)
+        c = tuple([gv[x - 1] for x in values])
         if c in seen:
             return False
         seen.add(c)
@@ -309,7 +314,7 @@ def _tensor_unit_object_ok(t: FactorTuple) -> bool:
 
 
 def _tensor_unit_morphism_ok(m: Morphism) -> bool:
-    id_o = identity_morphism(empty_tuple(m.monoid))
+    id_o = _unit_constants(m.monoid)[1]
     return tensor_morphisms(m, id_o) == m == tensor_morphisms(id_o, m)
 
 

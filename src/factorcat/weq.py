@@ -54,9 +54,9 @@ def quotient_witnesses(m: Morphism) -> QuotientWitness:
         total = monoid.exact_divide(m.domain.product(), monoid.identity())
         return QuotientWitness((), total)
     fibers = fiber_products(m)
-    per = tuple(
+    per = tuple([
         monoid.exact_divide(x, fibers[i]) for i, x in enumerate(m.domain.entries)
-    )
+    ])
     return QuotientWitness(per, monoid.product(per))
 
 

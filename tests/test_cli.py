@@ -57,6 +57,16 @@ class TestHom:
         code, _, err = run(capsys, "hom", "--monoid", "zx", "[1,1]", "[" + ("1," * 24) + "1]")
         assert code == 3 and "guard" in err
 
+    def test_deeply_nested_json_is_parse_error(self, capsys):
+        deep = "[" * 20000 + "]" * 20000
+        code, _, err = run(capsys, "hom", "--monoid", "zx", deep, "[1]")
+        assert code == 2 and "nested too deeply" in err
+
+    def test_non_string_monoid_name_is_parse_error(self, capsys):
+        m = json.dumps({"monoid": 1, "domain": [], "codomain": [], "map": []})
+        code, _, err = run(capsys, "check", "--iso", m)
+        assert code == 2 and "monoid name" in err
+
     def test_long_codomain_over_one_entry_domain(self, capsys):
         # one candidate map, decided without a search as deep as the codomain
         codomain = json.dumps([1] * 1500)
@@ -207,6 +217,14 @@ class TestFactorizations:
     def test_interval_capability(self, capsys):
         code, _, _ = run(capsys, "factorizations", "--monoid", "interval", '"1/2"')
         assert code == 4
+
+    def test_free_degree_beyond_the_recursion_bound_is_a_guard_error(self, capsys):
+        code, _, err = run(capsys, "factorizations", "--monoid", "free:ab", '"a^2000"')
+        assert code == 3 and "degree bound 256" in err
+
+    def test_free_exponent_beyond_the_decode_bound_is_a_guard_error(self, capsys):
+        code, _, err = run(capsys, "factorizations", "--monoid", "free:ab", '"a^3000000"')
+        assert code == 3 and "10000 generator copies" in err
 
 
 class TestGraph:

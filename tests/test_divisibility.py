@@ -329,6 +329,20 @@ class TestFactorizationEnumeration:
         with pytest.raises(GuardError):
             enumerate_irreducible_factorizations(ZX, 10**6 + 1)
 
+    def test_free_degree_guard(self):
+        at_bound = ("a",) * 255 + ("b",)
+        out = enumerate_irreducible_factorizations(FREE, at_bound)
+        assert out.classes == (tuple((g,) for g in at_bound),)
+        with pytest.raises(GuardError):
+            enumerate_irreducible_factorizations(FREE, at_bound + ("b",))
+
+    def test_free_many_generators_single_class(self):
+        # 15 generators of multiplicity 2 once meant 3^15 search nodes
+        letters = "abcdefghijklmno"
+        words = free_monoid(letters)
+        out = enumerate_irreducible_factorizations(words, tuple(sorted(letters * 2)))
+        assert len(out.classes) == 1 and not out.truncated
+
     def test_capability_gate(self):
         from factorcat import INTERVAL
         from fractions import Fraction

@@ -15,6 +15,7 @@ from factorcat import (
     free_monoid,
     monoid_by_name,
 )
+from factorcat.monoids import FREE_DECODE_BOUND
 
 FREE = free_monoid("ab")
 
@@ -140,6 +141,25 @@ def test_element_wire_formats():
         INTERVAL.decode("3/2")
     with pytest.raises(ValueError):
         ZX.decode("7")
+
+
+def test_free_decode_bounds_the_element_size():
+    assert len(FREE.decode("a^5000*b^5000")) == FREE_DECODE_BOUND
+    for text in ("a^5000*b^5001", "a^3000000", "a*" * FREE_DECODE_BOUND + "b"):
+        with pytest.raises(GuardError):
+            FREE.decode(text)
+
+
+def test_free_decode_rejects_an_unknown_generator_before_the_size_bound():
+    for text in ("z^20000", "a*z^20000", "a^5000*z^5001"):
+        with pytest.raises(ValueError, match="unknown generator 'z'"):
+            FREE.decode(text)
+
+
+def test_monoid_name_must_be_a_string():
+    for name in (1, None, ["zx"]):
+        with pytest.raises(ValueError):
+            monoid_by_name(name)
 
 
 # -- algebraic laws, sampled ---------------------------------------------

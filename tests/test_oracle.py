@@ -2,6 +2,7 @@
 self-test that a corrupted operation is caught with a usable counterexample."""
 
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -454,14 +455,26 @@ CLOSURE_UNIVERSES = {
 }
 
 
-def assert_valid(m):
-    """m equals its rebuild through FactorTuple and validate_morphism."""
-    rebuilt = validate_morphism(
+def rebuilt(m):
+    """m rebuilt through FactorTuple and validate_morphism, sharing no
+    object with m."""
+    return validate_morphism(
         FactorTuple(m.monoid, m.domain.entries),
         FactorTuple(m.monoid, m.codomain.entries),
         m.values,
     )
-    assert rebuilt == m, str(m)
+
+
+def assert_valid(m):
+    """m equals its rebuild through FactorTuple and validate_morphism.
+
+    Morphism equality leaves out the index sizes and the codomain's monoid,
+    which agree on valid morphisms; since m is the morphism under test, they
+    are compared here as well."""
+    r = rebuilt(m)
+    assert r == m, str(m)
+    assert r.index_fn == m.index_fn, str(m)
+    assert r.codomain.monoid == m.codomain.monoid, str(m)
 
 
 def assert_steps_valid(m):
@@ -515,3 +528,63 @@ def test_public_constructors_still_check():
     for bad_map in ([1], [2], [0, 1]):
         with pytest.raises(InvalidMorphismError):
             decode_morphism({"monoid": "zx", "domain": [2], "codomain": [3], "map": bad_map})
+
+
+# -- equality and hashing of the value types ---------------------------------
+# FactorTuple and Morphism compare and hash field by field by hand; these
+# tests hold them to a field-wise reference on the universes above.
+
+
+def reference_tuple_eq(s, t):
+    return s.monoid.name == t.monoid.name and s.entries == t.entries
+
+
+def reference_morphism_eq(f, g):
+    return (
+        reference_tuple_eq(f.domain, g.domain)
+        and reference_tuple_eq(f.codomain, g.codomain)
+        and f.index_fn.dom_size == g.index_fn.dom_size
+        and f.index_fn.cod_size == g.index_fn.cod_size
+        and f.index_fn.values == g.index_fn.values
+    )
+
+
+@pytest.mark.parametrize("u", CLOSURE_UNIVERSES.values(), ids=CLOSURE_UNIVERSES.keys())
+def test_equality_and_hash_agree_with_fieldwise_reference(u):
+    rng = random.Random(5)
+    objs = universe_objects(u)
+    morphs = universe_morphisms(u)
+    tuple_pairs = [(s, t) for s in objs for t in objs]
+    tuple_pairs += [(t, FactorTuple(u.monoid, t.entries)) for t in objs]
+    for s, t in tuple_pairs:
+        assert (s == t) == reference_tuple_eq(s, t)
+        assert (s != t) != (s == t)
+        if s == t:
+            assert hash(s) == hash(t)
+    morphism_pairs = [(rng.choice(morphs), rng.choice(morphs)) for _ in range(3000)]
+    morphism_pairs += [(f, g) for f in morphs[:60] for g in morphs[:60]]
+    morphism_pairs += [(m, rebuilt(m)) for m in rng.sample(morphs, min(300, len(morphs)))]
+    for f, g in morphism_pairs:
+        assert (f == g) == reference_morphism_eq(f, g)
+        assert (f != g) != (f == g)
+        if f == g:
+            assert hash(f) == hash(g)
+    assert len(set(morphs)) == len(morphs)
+    assert len(set(objs)) == len(objs)
+
+
+def test_equal_entries_over_different_monoids_are_unequal():
+    assert FactorTuple(ZX, (2, 3)) != FactorTuple(NAT, (2, 3))
+    f = validate_morphism(FactorTuple(ZX, (2,)), FactorTuple(ZX, (6,)), [1])
+    g = validate_morphism(FactorTuple(NAT, (2,)), FactorTuple(NAT, (6,)), [1])
+    assert f != g
+    assert FactorTuple(ZX, (2,)) != (2,) and f != f.index_fn
+
+
+def test_value_types_are_frozen_and_slotted():
+    t = FactorTuple(ZX, (2, 3))
+    m = identity_morphism(t)
+    for obj, field_name in ((t, "entries"), (m.index_fn, "values"), (m, "domain")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, field_name, None)
+        assert not hasattr(obj, "__dict__")
