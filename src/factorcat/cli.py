@@ -19,10 +19,9 @@ from .errors import CapabilityError, GuardError, InvalidMorphismError
 from .monoids import Monoid, monoid_by_name
 from .category import (
     FactorTuple,
-    IndexFunction,
-    Morphism,
     compose,
     hom_set,
+    identity_morphism,
     is_epic,
     is_isomorphism,
     is_monic,
@@ -217,10 +216,9 @@ def _cmd_factorizations(args) -> int:
 def _cmd_graph(args) -> int:
     monoid = _monoid_arg(args)
     pool = tuple(monoid.decode(v) for v in _json_arg(args.pool))
-    node_count = sum(len(pool) ** k for k in range(args.max_len + 1))
-    if node_count > GRAPH_NODE_GUARD:
-        raise GuardError(f"graph universe has {node_count} nodes; guard is {GRAPH_NODE_GUARD}")
     u = UniverseSpec(monoid=monoid, pool=pool, max_len=args.max_len)
+    if u.object_count > GRAPH_NODE_GUARD:
+        raise GuardError(f"graph universe has {u.object_count} nodes; guard is {GRAPH_NODE_GUARD}")
     dot = _render_dot(u)
     if args.out and args.out != "-":
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -236,30 +234,21 @@ def _dot_id(t: FactorTuple) -> str:
 
 
 def _render_dot(u: UniverseSpec) -> str:
-    monoid = u.monoid
-    objs = universe_objects(u)
-    homs = universe_homs(u)
     lines = ["digraph factorization {", "  rankdir=LR;"]
-    for t in objs:
-        lines.append(f"  {_dot_id(t)};")
-    classify = monoid.is_divisibility
-    for a in objs:
-        for b in objs:
-            fns = homs.get((a, b))
-            if not fns:
+    lines += [f"  {_dot_id(t)};" for t in universe_objects(u)]
+    classify = u.monoid.is_divisibility
+    for a, b in universe_homs(u):
+        ident = identity_morphism(a) if a == b else None
+        for m in hom_set(a, b):
+            if m == ident:
                 continue
-            ident = tuple(range(1, len(a) + 1)) if a == b else None
-            for values in fns:
-                if ident is not None and values == ident:
-                    continue
-                m = Morphism(a, b, IndexFunction(len(b), len(a), values))
-                attrs = [f'label="{list(values)}"']
-                if classify:
-                    if is_weak_equivalence(m):
-                        attrs.append("style=dashed")
-                    elif is_weakly_irreducible(m):
-                        attrs.append("style=bold")
-                lines.append(f"  {_dot_id(a)} -> {_dot_id(b)} [{', '.join(attrs)}];")
+            attrs = [f'label="{list(m.values)}"']
+            if classify:
+                if is_weak_equivalence(m):
+                    attrs.append("style=dashed")
+                elif is_weakly_irreducible(m):
+                    attrs.append("style=bold")
+            lines.append(f"  {_dot_id(a)} -> {_dot_id(b)} [{', '.join(attrs)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

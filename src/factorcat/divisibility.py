@@ -12,10 +12,9 @@ by the factorization-property probes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt, prod
 
-from .errors import CapabilityError, GuardError, InvalidMorphismError
-from .monoids import PRIMALITY_BOUND, Element, Monoid, FreeCommutative
+from .errors import InvalidMorphismError
+from .monoids import Element, Monoid
 from .category import (
     FactorTuple,
     IndexFunction,
@@ -31,13 +30,6 @@ from .monoidal import tensor_objects, tensor_morphisms
 from .weq import WEAK_EQUIVALENCE, decompose_eip, is_weak_equivalence, total_witness
 
 WIRR_TAG = "weakly_irreducible"
-
-FACTORIZATION_ENUMERATION_BOUND = 10**6
-
-# the free-monoid enumerator recurses once per generator copy
-FACTORIZATION_DEGREE_BOUND = 256
-
-DIVISOR_CLASS_GUARD = 10**5
 
 
 def weakly_divides(f: Morphism, g: Morphism) -> bool:
@@ -207,28 +199,7 @@ def divisor_class_representatives(monoid: Monoid, r: Element) -> list:
 
     Integers beyond the 2**31 trial-division bound, and free-monoid elements
     with more than 10^5 divisor classes, raise GuardError before any work."""
-    if isinstance(monoid, FreeCommutative):
-        counts = {g: r.count(g) for g in sorted(set(r))}
-        classes = prod(c + 1 for c in counts.values())
-        if classes > DIVISOR_CLASS_GUARD:
-            raise GuardError(
-                f"{classes} divisor classes of {monoid.encode(r)} exceed the 10^5 guard"
-            )
-        subsets: list[tuple] = [()]
-        for g, count in counts.items():
-            subsets = [s + (g,) * k for s in subsets for k in range(count + 1)]
-        return sorted(set(tuple(sorted(s)) for s in subsets), key=lambda s: (len(s), s))
-    monoid.require_divisibility("divisor_class_representatives")
-    if abs(r) > PRIMALITY_BOUND:
-        raise GuardError(f"{monoid.name}: |{r}| exceeds the trial-division bound 2**31")
-    n = abs(r)
-    small, large = [], []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return small + large[::-1]
+    return monoid.divisor_class_representatives(r)
 
 
 def weak_divisor_classes(m: Morphism) -> list:
@@ -266,71 +237,24 @@ class IrreducibleFactorizations:
     truncated: bool
 
 
-def _scan_irreducible_int(d: int) -> bool:
-    return d >= 2 and all(d % e for e in range(2, isqrt(d) + 1))
-
-
-def _int_factorizations(n: int, start: int):
-    if n == 1:
-        yield ()
-        return
-    d = start
-    while d <= n:
-        if n % d == 0 and _scan_irreducible_int(d):
-            for rest in _int_factorizations(n // d, d):
-                yield (d,) + rest
-        d += 1
-
-
-def _multiset_factorizations(rest: tuple, start: str):
-    if not rest:
-        yield ()
-        return
-    if rest[0] < start:
-        # rest is sorted: its first generator can no longer be placed
-        return
-    for g in sorted(set(rest)):
-        if g >= start:
-            reduced = list(rest)
-            reduced.remove(g)
-            for tail in _multiset_factorizations(tuple(reduced), g):
-                yield ((g,),) + tail
-
-
 def enumerate_irreducible_factorizations(
     monoid: Monoid, a: Element, max_count: int = 10_000
 ) -> IrreducibleFactorizations:
     """All factorizations of a into irreducibles, up to associates and
     reordering, by brute-force divisor recursion.
 
-    This is deliberately independent of factor_irreducibles so it can serve
-    as a ground-truth oracle; on the shipped instances it always finds
-    exactly one class.  Units have the single empty factorization.  Integer
-    inputs beyond 10**6 in absolute value and free-monoid inputs with more
-    than 256 generator copies are rejected rather than scanned.
+    The search is ``Monoid.irreducible_factorizations``, deliberately
+    independent of factor_irreducibles so it can serve as a ground-truth
+    oracle; on the shipped instances it always finds exactly one class.
+    Units have the single empty factorization.  Integer inputs beyond 10**6
+    in absolute value and free-monoid inputs with more than 256 generator
+    copies are rejected rather than scanned.
     """
-    if not monoid.is_ufd:
-        raise CapabilityError(
-            "factorization enumeration is shipped for the UFD instances only"
-        )
+    monoid.require_ufd("factorization enumeration")
     a = monoid.validate(a)
-    if isinstance(monoid, FreeCommutative):
-        if len(a) > FACTORIZATION_DEGREE_BOUND:
-            raise GuardError(
-                f"factorization enumeration over {len(a)} generator copies "
-                f"exceeds the degree bound {FACTORIZATION_DEGREE_BOUND}"
-            )
-        source = _multiset_factorizations(a, "")
-    else:
-        n = abs(a)
-        if n > FACTORIZATION_ENUMERATION_BOUND:
-            raise GuardError(
-                f"divisor recursion bound 10^6 exceeded by |{monoid.encode(a)}|"
-            )
-        source = _int_factorizations(n, 2)
     classes: list[tuple] = []
     truncated = False
-    for item in source:
+    for item in monoid.irreducible_factorizations(a):
         if len(classes) >= max_count:
             truncated = True
             break
@@ -367,8 +291,7 @@ def ufd_wedge(f: Morphism, g: Morphism):
     """
     require_same_monoid(f, g, "the wedge construction")
     monoid = f.monoid
-    if not monoid.is_ufd:
-        raise CapabilityError("the wedge construction is shipped for UFD instances only")
+    monoid.require_ufd("the wedge construction")
     if f.codomain != g.codomain:
         raise InvalidMorphismError("both morphisms must share a codomain")
     if not is_weakly_irreducible_tuple(f.domain) or not is_weakly_irreducible_tuple(g.domain):

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from math import isqrt, prod
+from typing import Iterable, Iterator
 
 from .errors import CapabilityError, GuardError
 
@@ -22,6 +23,16 @@ PRIMALITY_BOUND = 2**31
 
 # most generator copies a decoded free-monoid element may hold
 FREE_DECODE_BOUND = 10**4
+
+# largest decimal exponent, of either sign, in a decoded interval element
+INTERVAL_EXPONENT_BOUND = 10**4
+
+# the reference factorization enumerators: largest |n| over the integers, and
+# most generator copies over free monoids (that one recurses once per copy)
+FACTORIZATION_ENUMERATION_BOUND = 10**6
+FACTORIZATION_DEGREE_BOUND = 256
+
+DIVISOR_CLASS_GUARD = 10**5
 
 
 def _is_prime_int(n: int) -> bool:
@@ -68,7 +79,7 @@ class Monoid:
     raise :class:`CapabilityError` unless the instance is pre-ordered by
     divisibility.  ``is_ufd`` marks instances with provably unique
     irreducible factorizations, which gates the wedge construction and the
-    factorization enumerator.
+    factorization enumerator.  Whatever differs between instances lives here.
     """
 
     name: str = "abstract"
@@ -126,33 +137,41 @@ class Monoid:
         if not self.is_divisibility:
             raise CapabilityError(f"{what} is only available over divisibility monoids")
 
-    def _capability(self, op_name: str):
-        raise CapabilityError(
-            f"{op_name} needs a divisibility monoid; "
-            f"{self.name!r} carries a general pre-order"
-        )
+    def require_ufd(self, what: str) -> None:
+        """Raise CapabilityError unless irreducible factorizations are unique here."""
+        if not self.is_ufd:
+            raise CapabilityError(f"{what} is only available over UFD monoids")
 
     def exact_divide(self, a: Element, b: Element) -> Element | None:
         """The unique q with op(a, q) == b when a divides b, else None."""
-        self._capability("exact_divide")
+        self.require_divisibility("exact_divide")
 
     def is_irreducible(self, a: Element) -> bool:
-        self._capability("is_irreducible")
+        self.require_divisibility("is_irreducible")
 
     def is_prime(self, a: Element) -> bool:
-        self._capability("is_prime")
+        self.require_divisibility("is_prime")
 
     def factor_irreducibles(self, a: Element) -> tuple[Element, tuple[Element, ...]]:
         """Canonical factorization ``(unit, factors)`` with every factor
         irreducible and op(unit, product(factors)) == a."""
-        self._capability("factor_irreducibles")
+        self.require_divisibility("factor_irreducibles")
 
     def are_associates(self, a: Element, b: Element) -> bool:
-        self._capability("are_associates")
+        self.require_divisibility("are_associates")
 
     def fresh_non_divisor(self, a: Element) -> Element:
         """A deterministic element that does not divide ``a``."""
-        self._capability("fresh_non_divisor")
+        self.require_divisibility("fresh_non_divisor")
+
+    def divisor_class_representatives(self, a: Element) -> list:
+        """One canonical representative per associate class of divisors of a."""
+        self.require_divisibility("divisor_class_representatives")
+
+    def irreducible_factorizations(self, a: Element) -> Iterator[tuple]:
+        """One factorization into irreducibles per class, by brute force over
+        the elements; independent of factor_irreducibles, which it checks."""
+        self.require_ufd("irreducible_factorizations")
 
     # -- enumeration support -----------------------------------------------
 
@@ -185,7 +204,8 @@ class NonzeroIntegers(DivisibilityMonoid):
 
     Irreducibility and primality coincide here and are decided by trial
     division, valid for ``|a| <= 2**31``; larger inputs raise GuardError
-    rather than fall back to a probabilistic answer.
+    rather than fall back to a probabilistic answer, as do the divisor scan
+    and the terminal-refutation witness.
     """
 
     name = "zx"
@@ -240,6 +260,37 @@ class NonzeroIntegers(DivisibilityMonoid):
         self._check_bound(a)
         return next_prime_above(abs(a))
 
+    def divisor_class_representatives(self, a):
+        # the positive divisors, ascending: one per associate class {d, -d}
+        self._check_bound(a)
+        n = abs(a)
+        small, large = [], []
+        for d in range(1, isqrt(n) + 1):
+            if n % d == 0:
+                small.append(d)
+                if d != n // d:
+                    large.append(n // d)
+        return small + large[::-1]
+
+    def irreducible_factorizations(self, a):
+        n = abs(a)
+        if n > FACTORIZATION_ENUMERATION_BOUND:
+            raise GuardError(f"divisor recursion bound 10^6 exceeded by |{self.encode(a)}|")
+        return self._factorizations(n, 2)
+
+    @classmethod
+    def _factorizations(cls, n: int, start: int):
+        if n == 1:
+            yield ()
+            return
+        d = start
+        while d <= n:
+            # d >= start >= 2: trial division decides irreducibility
+            if n % d == 0 and all(d % e for e in range(2, isqrt(d) + 1)):
+                for rest in cls._factorizations(n // d, d):
+                    yield (d,) + rest
+            d += 1
+
     def encode(self, a):
         return a
 
@@ -261,13 +312,6 @@ class PositiveIntegers(NonzeroIntegers):
 
     def is_invertible(self, a):
         return a == 1
-
-    def are_associates(self, a, b):
-        return a == b
-
-    def factor_irreducibles(self, a):
-        self._check_bound(a)
-        return 1, tuple(_trial_factor(a))
 
 
 class UnitInterval(Monoid):
@@ -316,6 +360,12 @@ class UnitInterval(Monoid):
         if isinstance(value, int):
             return self.validate(Fraction(value))
         if isinstance(value, str):
+            try:  # Fraction expands a decimal exponent in full: refuse a large one first
+                exponent = abs(int(value.lower().partition("e")[2]))
+            except ValueError:  # none, or malformed, which Fraction rejects below
+                exponent = 0
+            if exponent > INTERVAL_EXPONENT_BOUND:
+                raise GuardError(f"{self.name}: exponent of {value!r} exceeds {INTERVAL_EXPONENT_BOUND}")
             try:
                 q = Fraction(value)
             except (ValueError, ZeroDivisionError) as exc:
@@ -392,6 +442,40 @@ class FreeCommutative(DivisibilityMonoid):
         g = self.generators[0]
         return (g,) * (a.count(g) + 1)
 
+    def divisor_class_representatives(self, a):
+        # every sub-multiset, ordered by size and then by name
+        counts = {g: a.count(g) for g in sorted(set(a))}
+        classes = prod(c + 1 for c in counts.values())
+        if classes > DIVISOR_CLASS_GUARD:
+            raise GuardError(f"{classes} divisor classes of {self.encode(a)} exceed the 10^5 guard")
+        subsets: list[tuple] = [()]
+        for g, count in counts.items():
+            subsets = [s + (g,) * k for s in subsets for k in range(count + 1)]
+        return sorted(set(tuple(sorted(s)) for s in subsets), key=lambda s: (len(s), s))
+
+    def irreducible_factorizations(self, a):
+        if len(a) > FACTORIZATION_DEGREE_BOUND:
+            raise GuardError(
+                f"factorization enumeration over {len(a)} generator copies "
+                f"exceeds the degree bound {FACTORIZATION_DEGREE_BOUND}"
+            )
+        return self._factorizations(a, "")
+
+    @classmethod
+    def _factorizations(cls, rest: tuple, start: str):
+        if not rest:
+            yield ()
+            return
+        if rest[0] < start:
+            # rest is sorted: its first generator can no longer be placed
+            return
+        for g in sorted(set(rest)):
+            if g >= start:
+                reduced = list(rest)
+                reduced.remove(g)
+                for tail in cls._factorizations(tuple(reduced), g):
+                    yield ((g,),) + tail
+
     def encode(self, a):
         if not a:
             return "1"
@@ -455,12 +539,9 @@ def monoid_by_name(name: str) -> Monoid:
     """Resolve a wire-format monoid name: zx, nat, interval, free:<alphabet>."""
     if not isinstance(name, str):
         raise ValueError(f"monoid name must be a string, got {name!r}")
-    if name == "zx":
-        return ZX
-    if name == "nat":
-        return NAT
-    if name == "interval":
-        return INTERVAL
+    for monoid in (ZX, NAT, INTERVAL):
+        if name == monoid.name:
+            return monoid
     if name.startswith("free:"):
         return free_monoid(name[len("free:"):])
     raise ValueError(f"unknown monoid {name!r}")

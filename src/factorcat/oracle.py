@@ -65,16 +65,19 @@ DEFAULT_POOL = (-1, 1, 2, 3, 5, 6)
 
 UNIVERSE_OBJECT_GUARD = 2000
 
+# morphisms per sampled composition chain in the two_of_three suite
+MAX_CHAIN = 3
+
 
 @dataclass(frozen=True)
 class UniverseSpec:
     """A bounded universe: a pool of elements, a tuple-length cap, and the
-    determinism knobs (seed, exhaustive limit, sample size)."""
+    determinism knobs (seed, exhaustive limit, sample size).  Construction
+    counts the tuples into ``object_count`` and stops at the object guard."""
 
     monoid: Monoid = ZX
     pool: tuple = DEFAULT_POOL
     max_len: int = 3
-    max_chain: int = 3
     seed: int = 0
     exhaustive_limit: int = 1_000_000
     sample_size: int = 20_000
@@ -86,10 +89,20 @@ class UniverseSpec:
             if v not in seen:
                 seen.append(v)
         object.__setattr__(self, "pool", tuple(seen))
-        if self.max_len < 0 or self.max_chain < 1:
+        if self.max_len < 0:
             raise ValueError("universe bounds must be positive")
         if self.exhaustive_limit < 1 or self.sample_size < 1:
             raise ValueError("universe limits must be positive")
+        count = layer = 1
+        for _ in range(self.max_len):
+            layer *= len(self.pool)
+            if not layer:
+                break
+            count += layer
+            if count > UNIVERSE_OBJECT_GUARD:
+                raise GuardError(
+                    f"universe has at least {count} objects; the guard is {UNIVERSE_OBJECT_GUARD}")
+        object.__setattr__(self, "object_count", count)
 
 
 @dataclass
@@ -122,15 +135,9 @@ class SuiteReport:
 
 @lru_cache(maxsize=16)
 def universe_objects(u: UniverseSpec) -> tuple[FactorTuple, ...]:
-    count = sum(len(u.pool) ** k for k in range(u.max_len + 1))
-    if count > UNIVERSE_OBJECT_GUARD:
-        raise GuardError(
-            f"universe has {count} objects; the guard is {UNIVERSE_OBJECT_GUARD}"
-        )
     out = [empty_tuple(u.monoid)]
-    for k in range(1, u.max_len + 1):
-        for combo in iter_product(u.pool, repeat=k):
-            out.append(FactorTuple(u.monoid, combo))
+    for k in range(1, u.max_len + 1 if u.pool else 1):  # no pool: only the empty tuple
+        out += [FactorTuple(u.monoid, combo) for combo in iter_product(u.pool, repeat=k)]
     return tuple(out)
 
 
@@ -476,7 +483,7 @@ def verify_iso(u: UniverseSpec) -> SuiteReport:
 def verify_two_of_three(u: UniverseSpec) -> SuiteReport:
     """The 2-of-3 property of the weak equivalence class on composable
     pairs, membership of every isomorphism, and membership consistency
-    along sampled composition chains up to the universe's chain depth."""
+    along sampled composition chains of MAX_CHAIN morphisms."""
     rep = SuiteReport("two_of_three", u.monoid.name)
     for f, g in _composable_pairs(u, _rng(u, "two_of_three")):
         rep.check("two_of_three", f, g)
@@ -487,7 +494,7 @@ def verify_two_of_three(u: UniverseSpec) -> SuiteReport:
     chain_rng = _rng(u, "two_of_three:chains")
     for _ in range(min(u.sample_size, 2000)):
         steps = [morphs[chain_rng.randrange(len(morphs))]]
-        for _ in range(u.max_chain - 1):
+        for _ in range(MAX_CHAIN - 1):
             outs = by_dom[steps[-1].codomain]
             steps.append(outs[chain_rng.randrange(len(outs))])
         rep.check("chain_membership", steps)
@@ -617,6 +624,8 @@ _SAMPLE_ENTRIES = (1, 2, 3, 4, 5, 6, 7, 9, 10)
 def _random_fibering(rng: random.Random, monoid: Monoid, xs, witness_bound: int):
     """Random codomain entries and fiber owners for the given domain entries:
     each x_i is multiplied by a random witness and the product refactored."""
+    if monoid not in (ZX, NAT):
+        raise CapabilityError("sampling is shipped for the integer instances")
     n = len(xs)
     mult = [1] * n
     total = 1
@@ -626,7 +635,7 @@ def _random_fibering(rng: random.Random, monoid: Monoid, xs, witness_bound: int)
             break
         total *= p
         mult[rng.randrange(n)] *= p
-    signed = monoid is ZX
+    signed = monoid.is_invertible(-1)
     if signed:
         for i in range(n):
             if rng.random() < 0.3:
@@ -655,8 +664,6 @@ def _random_fibering(rng: random.Random, monoid: Monoid, xs, witness_bound: int)
 def sample_extension(rng: random.Random, t: FactorTuple, witness_bound: int = 10_000) -> Morphism:
     """A random valid morphism out of the given non-empty integer tuple."""
     monoid = t.monoid
-    if monoid not in (ZX, NAT):
-        raise CapabilityError("sampling is shipped for the integer instances")
     if len(t) == 0:
         raise ValueError("need a non-empty domain")
     entries, owners = _random_fibering(rng, monoid, t.entries, witness_bound)
@@ -668,10 +675,8 @@ def sample_morphism(rng: random.Random, monoid: Monoid = ZX, max_len: int = 3,
                     witness_bound: int = 10_000) -> Morphism:
     """A random valid morphism over the integers, mixing divisibility steps,
     refactoring, dropped units, and codomain shuffling."""
-    if monoid not in (ZX, NAT):
-        raise CapabilityError("sampling is shipped for the integer instances")
     n = rng.randint(1, max_len)
-    sign = (lambda: rng.choice((1, -1))) if monoid is ZX else (lambda: 1)
+    sign = (lambda: rng.choice((1, -1))) if monoid.is_invertible(-1) else (lambda: 1)
     xs = [sign() * rng.choice(_SAMPLE_ENTRIES) for _ in range(n)]
     entries, owners = _random_fibering(rng, monoid, xs, witness_bound)
     # splice unused unit entries into the domain

@@ -2,11 +2,14 @@
 code contract (0 ok/true, 1 false/fail, 2 parse, 3 guard, 4 capability)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from factorcat import decode_morphism
 from factorcat.cli import main
+
+DATA = Path(__file__).resolve().parent / "data"
 
 F_2_6 = json.dumps({"monoid": "zx", "domain": [2], "codomain": [6], "map": [1]})
 G_5_105 = json.dumps({"monoid": "zx", "domain": [5], "codomain": [105], "map": [1]})
@@ -254,6 +257,15 @@ class TestGraph:
             capsys, "graph", "--monoid", "zx", "--pool", "[1,2,3,5,6,7]", "--max-len", "4"
         )
         assert code == 3
+
+    def test_golden_dot(self, capsys):
+        # dashed weak equivalences, bold weakly irreducible edges, plain edges,
+        # and no identity loops
+        code, out, _ = run(
+            capsys, "graph", "--monoid", "zx", "--pool", "[-1,1,2,6]", "--max-len", "2"
+        )
+        assert code == 0
+        assert out == (DATA / "graph_zx_pool_-1_1_2_6_len2.dot").read_text(encoding="utf-8")
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "g.dot"

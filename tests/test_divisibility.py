@@ -2,6 +2,9 @@
 functions, and the factorization-property probes."""
 
 import random
+import re
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +13,10 @@ from factorcat import (
     CapabilityError,
     FactorTuple,
     GuardError,
+    INTERVAL,
     InvalidMorphismError,
     Morphism,
+    NAT,
     WedgeDiagram,
     ZX,
     atomic_chain,
@@ -53,6 +58,12 @@ def zm(dom, cod, values):
 
 F_2_6 = lambda: zm([2], [6], [1])
 G_5_105 = lambda: zm([5], [105], [1])
+
+
+def free_elements(monoid, max_degree):
+    """Every element of the free monoid with at most max_degree generator copies."""
+    for k in range(max_degree + 1):
+        yield from combinations_with_replacement(monoid.generators, k)
 
 
 class TestWeakDivisibility:
@@ -273,6 +284,22 @@ class TestDivisorClasses:
             ("a", "a", "b"),
         ]
 
+    def test_integers_match_a_plain_scan(self):
+        for monoid, witnesses in ((ZX, range(-2000, 2001)), (NAT, range(1, 2001))):
+            for r in witnesses:
+                if r == 0:
+                    continue
+                n = abs(r)
+                expected = [d for d in range(1, n + 1) if n % d == 0]
+                assert divisor_class_representatives(monoid, r) == expected, (monoid, r)
+
+    def test_free_matches_sub_multisets(self):
+        abc = free_monoid("abc")
+        for r in free_elements(abc, 6):
+            subs = {c for k in range(len(r) + 1) for c in combinations(r, k)}
+            expected = sorted(subs, key=lambda s: (len(s), s))
+            assert divisor_class_representatives(abc, r) == expected, r
+
 
 class TestChainStabilization:
     def test_worked_chain(self):
@@ -350,6 +377,23 @@ class TestFactorizationEnumeration:
         with pytest.raises(CapabilityError):
             enumerate_irreducible_factorizations(INTERVAL, Fraction(1, 2))
 
+    def test_integers_give_the_trial_division_class(self):
+        for n in range(2, 1001):
+            factors, rest, d = [], n, 2
+            while rest > 1:
+                while rest % d == 0:
+                    factors.append(d)
+                    rest //= d
+                d += 1
+            out = enumerate_irreducible_factorizations(ZX, n)
+            assert out.classes == (tuple(factors),) and not out.truncated, n
+
+    def test_free_gives_the_generator_class(self):
+        abc = free_monoid("abc")
+        for a in free_elements(abc, 6):
+            out = enumerate_irreducible_factorizations(abc, a)
+            assert out.classes == (tuple((g,) for g in a),) and not out.truncated, a
+
     def test_ufd_uniqueness_sampled(self):
         rng = random.Random(11)
         for _ in range(30):
@@ -408,3 +452,31 @@ class TestUfdWedge:
         out = ufd_wedge(f, g)
         assert isinstance(out, WedgeDiagram)
         assert out.apex.entries == (("a", "b"),)
+
+
+def test_capability_refusals_have_one_message_form_each():
+    half = Fraction(1, 2)
+    divisibility_only = {
+        "exact_divide": (half, half),
+        "is_irreducible": (half,),
+        "is_prime": (half,),
+        "factor_irreducibles": (half,),
+        "are_associates": (half, half),
+        "fresh_non_divisor": (half,),
+        "divisor_class_representatives": (half,),
+    }
+    for name, args in divisibility_only.items():
+        with pytest.raises(CapabilityError) as exc:
+            getattr(INTERVAL, name)(*args)
+        assert str(exc.value) == f"{name} is only available over divisibility monoids"
+    ufd_form = re.compile(r"^\S.* is only available over UFD monoids$")
+    with pytest.raises(CapabilityError) as exc:
+        INTERVAL.irreducible_factorizations(half)
+    assert ufd_form.match(str(exc.value))
+    with pytest.raises(CapabilityError) as exc:
+        enumerate_irreducible_factorizations(INTERVAL, half)
+    assert ufd_form.match(str(exc.value))
+    m = identity_morphism(FactorTuple(INTERVAL, (half,)))
+    with pytest.raises(CapabilityError) as exc:
+        ufd_wedge(m, m)
+    assert ufd_form.match(str(exc.value))

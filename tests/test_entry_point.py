@@ -1,0 +1,61 @@
+"""The installed entry point, ``python -m factorcat``, run in subprocesses.
+
+Besides a smoke test of the module entry point, this holds the regression
+tests for requests that once ran without bound: each runs under a timeout,
+so a regression fails instead of hanging the suite.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def factorcat(*argv, timeout=60):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "factorcat", *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
+
+
+def test_verify_json_through_the_module_entry_point():
+    proc = factorcat("verify", "--suite", "adjunction", "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)[0]["suite"] == "adjunction"
+
+
+def test_graph_guard_through_the_module_entry_point():
+    proc = factorcat("graph", "--monoid", "zx", "--pool", "[1,2,3,5,6,7]", "--max-len", "4")
+    assert proc.returncode == 3, proc.stderr
+
+
+def test_graph_with_a_huge_length_cap_is_a_guard_error():
+    proc = factorcat("graph", "--monoid", "zx", "--pool", "[1,2]", "--max-len", "300000", timeout=10)
+    assert proc.returncode == 3, proc.stderr
+
+
+def test_verify_with_a_huge_length_cap_is_a_guard_error():
+    proc = factorcat("verify", "--pool", "[1,2]", "--max-len", "300000", timeout=10)
+    assert proc.returncode == 3, proc.stderr
+
+
+def test_graph_over_an_empty_pool_ignores_the_length_cap():
+    proc = factorcat("graph", "--monoid", "zx", "--pool", "[]", "--max-len", "100000000", timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == factorcat("graph", "--monoid", "zx", "--pool", "[]", "--max-len", "3").stdout
+
+
+def test_verify_over_an_empty_pool_ignores_the_length_cap():
+    proc = factorcat("verify", "--pool", "[]", "--max-len", "100000000", timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == factorcat("verify", "--pool", "[]", "--max-len", "3").stdout
+
+
+def test_interval_decode_of_a_huge_exponent_is_a_guard_error():
+    proc = factorcat("factorizations", "--monoid", "interval", '"1e-999999999"', timeout=10)
+    assert proc.returncode == 3, proc.stderr

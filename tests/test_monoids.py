@@ -1,6 +1,8 @@
 """Element algebra of the four shipped monoid instances."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +17,7 @@ from factorcat import (
     free_monoid,
     monoid_by_name,
 )
-from factorcat.monoids import FREE_DECODE_BOUND
+from factorcat.monoids import FREE_DECODE_BOUND, INTERVAL_EXPONENT_BOUND
 
 FREE = free_monoid("ab")
 
@@ -150,6 +152,19 @@ def test_free_decode_bounds_the_element_size():
             FREE.decode(text)
 
 
+def test_interval_decode_bounds_the_decimal_exponent():
+    assert INTERVAL.decode("1/2") == INTERVAL.decode("0.5") == Fraction(1, 2)
+    assert INTERVAL.decode("1e-3") == Fraction(1, 1000)
+    at_bound = INTERVAL.decode(f"1e-{INTERVAL_EXPONENT_BOUND}")
+    assert at_bound == Fraction(1, 10**INTERVAL_EXPONENT_BOUND)
+    over = INTERVAL_EXPONENT_BOUND + 1
+    for text in (f"1e-{over}", f"1E{over}", f"0.5e+{over}", f"1e-{over:_}"):
+        with pytest.raises(GuardError):
+            INTERVAL.decode(text)
+    with pytest.raises(ValueError):
+        INTERVAL.decode("1e-x")
+
+
 def test_free_decode_rejects_an_unknown_generator_before_the_size_bound():
     for text in ("z^20000", "a*z^20000", "a^5000*z^5001"):
         with pytest.raises(ValueError, match="unknown generator 'z'"):
@@ -241,3 +256,28 @@ def test_factor_reassembles_exhaustively():
         assert list(factors) == sorted(factors)
         assert ZX.product((unit, *factors)) == a
         assert (factors == ()) == ZX.is_invertible(a)
+
+
+def test_only_the_monoids_module_dispatches_on_monoid_types():
+    # a new monoid needs edits in monoids.py only: no other module may branch
+    # on the concrete class of a monoid
+    from factorcat import monoids
+
+    subclasses = {
+        name for name, obj in vars(monoids).items()
+        if isinstance(obj, type) and issubclass(obj, monoids.Monoid)
+    }
+    offenders = []
+    for path in sorted(Path(monoids.__file__).parent.glob("*.py")):
+        if path.name == "monoids.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                continue
+            kinds = node.args[1]
+            for kind in kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]:
+                name = kind.attr if isinstance(kind, ast.Attribute) else getattr(kind, "id", None)
+                if name in subclasses:
+                    offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert offenders == []
