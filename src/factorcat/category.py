@@ -21,6 +21,7 @@ from .errors import GuardError, InvalidMorphismError
 from .monoids import Element, Monoid, ZX
 
 HOM_ENUMERATION_GUARD = 10**7
+HOM_CACHE_SIZE = 2**17  # hom_index_tuples entries; a default verify fills about 39k
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -277,14 +278,15 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     return _trusted_morphism(domain, codomain, fn)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=HOM_CACHE_SIZE)
 def hom_index_tuples(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[int, ...], ...]:
     """All order-constrained index-value tuples domain <- codomain, in
     lexicographic order of the value sequence.
 
     Enumerates the N^M candidate functions depth-first, pruning a branch as
     soon as some fiber can no longer satisfy its constraint.  Requests with
-    N^M above the 10^7 guard are rejected.  Results are cached.
+    N^M above the 10^7 guard are rejected.  The HOM_CACHE_SIZE most recent
+    results are cached.
     """
     require_same_monoid(domain, codomain, "a hom set")
     monoid = domain.monoid

@@ -21,7 +21,6 @@ from .category import (
     FactorTuple,
     compose,
     hom_set,
-    identity_morphism,
     is_epic,
     is_isomorphism,
     is_monic,
@@ -36,7 +35,7 @@ from .divisibility import (
     weak_divisor_classes,
     weakly_divides,
 )
-from .oracle import SUITES, UniverseSpec, all_passed, run_suite, universe_homs, universe_objects
+from .oracle import SUITES, UniverseSpec, all_passed, run_suite, universe_morphisms, universe_objects
 from .encoding import decode_morphism, decode_tuple, encode_morphism, encode_tuple
 
 EXIT_OK = 0
@@ -237,18 +236,16 @@ def _render_dot(u: UniverseSpec) -> str:
     lines = ["digraph factorization {", "  rankdir=LR;"]
     lines += [f"  {_dot_id(t)};" for t in universe_objects(u)]
     classify = u.monoid.is_divisibility
-    for a, b in universe_homs(u):
-        ident = identity_morphism(a) if a == b else None
-        for m in hom_set(a, b):
-            if m == ident:
-                continue
-            attrs = [f'label="{list(m.values)}"']
-            if classify:
-                if is_weak_equivalence(m):
-                    attrs.append("style=dashed")
-                elif is_weakly_irreducible(m):
-                    attrs.append("style=bold")
-            lines.append(f"  {_dot_id(a)} -> {_dot_id(b)} [{', '.join(attrs)}];")
+    for m in universe_morphisms(u):
+        if m.domain == m.codomain and m.values == tuple(range(1, len(m.values) + 1)):
+            continue  # the identity
+        attrs = [f'label="{list(m.values)}"']
+        if classify:
+            if is_weak_equivalence(m):
+                attrs.append("style=dashed")
+            elif is_weakly_irreducible(m):
+                attrs.append("style=bold")
+        lines.append(f"  {_dot_id(m.domain)} -> {_dot_id(m.codomain)} [{', '.join(attrs)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -284,24 +281,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, helptext, aliases=()):
+    def add(name, helptext, handler, *positionals, aliases=()):
         sp = sub.add_parser(name, help=helptext, aliases=list(aliases))
         sp.add_argument("--monoid", help="monoid name: zx, nat, interval, free:<alphabet>")
         sp.add_argument("--json", action="store_true", help="emit JSON")
+        for arg, arghelp in positionals:
+            sp.add_argument(arg, help=arghelp)
+        sp.set_defaults(handler=handler)
         return sp
 
-    sp = add("hom", "enumerate the morphisms between two tuples")
-    sp.add_argument("domain", help="JSON array, e.g. '[6,35]'")
-    sp.add_argument("codomain", help="JSON array, e.g. '[2,3,5,7]'")
-    sp.set_defaults(handler=_cmd_hom)
-
-    sp = add("compose", "compose two morphisms (second applied after first)")
-    sp.add_argument("second", help="morphism JSON applied second")
-    sp.add_argument("first", help="morphism JSON applied first")
-    sp.set_defaults(handler=_cmd_compose)
-
-    sp = add("check", "classify a morphism", aliases=("classify",))
-    sp.add_argument("morphism", help="morphism JSON")
+    morphism = ("morphism", "morphism JSON")
+    pair = (("first", "morphism JSON"), ("second", "morphism JSON"))
+    add("hom", "enumerate the morphisms between two tuples", _cmd_hom,
+        ("domain", "JSON array, e.g. '[6,35]'"), ("codomain", "JSON array, e.g. '[2,3,5,7]'"))
+    add("compose", "compose two morphisms (second applied after first)", _cmd_compose,
+        ("second", "morphism JSON applied second"), ("first", "morphism JSON applied first"))
+    sp = add("check", "classify a morphism", _cmd_check, morphism, aliases=("classify",))
     group = sp.add_mutually_exclusive_group(required=True)
     for kind, helptext in (
         ("iso", "isomorphism"),
@@ -312,47 +307,26 @@ def build_parser() -> argparse.ArgumentParser:
         ("wprime", "weakly prime"),
     ):
         group.add_argument(f"--{kind}", action="store_true", help=helptext)
-    sp.set_defaults(handler=_cmd_check)
+    add("decompose", "drop-units / divisibility / refactor decomposition", _cmd_decompose, morphism)
+    add("chain", "atomic chain of a morphism", _cmd_chain, morphism)
+    add("tensor", "tensor two morphisms", _cmd_tensor, *pair)
+    add("weakdiv", "does the first morphism weakly divide the second?", _cmd_weakdiv, *pair)
+    add("divisors", "weak divisor class representatives of a morphism", _cmd_divisors, morphism)
 
-    sp = add("decompose", "drop-units / divisibility / refactor decomposition")
-    sp.add_argument("morphism", help="morphism JSON")
-    sp.set_defaults(handler=_cmd_decompose)
-
-    sp = add("chain", "atomic chain of a morphism")
-    sp.add_argument("morphism", help="morphism JSON")
-    sp.set_defaults(handler=_cmd_chain)
-
-    sp = add("tensor", "tensor two morphisms")
-    sp.add_argument("first", help="morphism JSON")
-    sp.add_argument("second", help="morphism JSON")
-    sp.set_defaults(handler=_cmd_tensor)
-
-    sp = add("weakdiv", "does the first morphism weakly divide the second?")
-    sp.add_argument("first", help="morphism JSON")
-    sp.add_argument("second", help="morphism JSON")
-    sp.set_defaults(handler=_cmd_weakdiv)
-
-    sp = add("divisors", "weak divisor class representatives of a morphism")
-    sp.add_argument("morphism", help="morphism JSON")
-    sp.set_defaults(handler=_cmd_divisors)
-
-    sp = add("factorizations", "irreducible factorizations of an element")
-    sp.add_argument("element", help="element JSON")
+    sp = add("factorizations", "irreducible factorizations of an element", _cmd_factorizations,
+             ("element", "element JSON"))
     sp.add_argument("--max-count", type=int, default=1000)
-    sp.set_defaults(handler=_cmd_factorizations)
 
-    sp = add("graph", "DOT graph of a bounded universe")
+    sp = add("graph", "DOT graph of a bounded universe", _cmd_graph)
     sp.add_argument("--pool", required=True, help="JSON array of elements")
     sp.add_argument("--max-len", type=int, default=2)
     sp.add_argument("--out", default="-", help="output file, - for stdout")
-    sp.set_defaults(handler=_cmd_graph)
 
-    sp = add("verify", "run the law verification suites")
+    sp = add("verify", "run the law verification suites", _cmd_verify)
     sp.add_argument("--suite", action="append", choices=sorted(SUITES), help="suite name (repeatable)")
     sp.add_argument("--pool", help="JSON array of elements")
     sp.add_argument("--max-len", type=int, default=3)
     sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(handler=_cmd_verify)
 
     return parser
 

@@ -10,7 +10,8 @@ re-run through :func:`recheck`.
 
 Suites are exhaustive while the case count stays within the universe's
 limit and fall back to seeded sampling beyond it, so every report is
-deterministic for a given UniverseSpec.
+deterministic for a given UniverseSpec, which builds its objects, hom table
+and morphisms on first use and keeps them for its own lifetime.
 
 Each law is one entry of the ``LAWS`` registry: its name, the payload key
 and wire kind of each predicate argument, and the predicate.  A suite calls
@@ -27,7 +28,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import product as iter_product
 from typing import Callable, Iterable, Mapping
 
@@ -73,7 +74,9 @@ MAX_CHAIN = 3
 class UniverseSpec:
     """A bounded universe: a pool of elements, a tuple-length cap, and the
     determinism knobs (seed, exhaustive limit, sample size).  Construction
-    counts the tuples into ``object_count`` and stops at the object guard."""
+    counts the tuples into ``object_count`` and stops at the object guard.
+    The objects, hom table and morphisms are built on first use and kept on
+    the spec, so they live as long as the spec does."""
 
     monoid: Monoid = ZX
     pool: tuple = DEFAULT_POOL
@@ -130,10 +133,23 @@ class SuiteReport:
         return not self.failures
 
 
-# -- universe enumeration (cached per universe) ------------------------------
+# -- universe enumeration (tables kept on the spec) ---------------------------
 
 
-@lru_cache(maxsize=16)
+def _per_spec(build: Callable[[UniverseSpec], object]):
+    """Build the spec's table on first use and keep it in the spec's ``__dict__``."""
+    key = "_" + build.__name__
+
+    @wraps(build)
+    def table(u: UniverseSpec):
+        if key not in u.__dict__:
+            u.__dict__[key] = build(u)
+        return u.__dict__[key]
+
+    return table
+
+
+@_per_spec
 def universe_objects(u: UniverseSpec) -> tuple[FactorTuple, ...]:
     out = [empty_tuple(u.monoid)]
     for k in range(1, u.max_len + 1 if u.pool else 1):  # no pool: only the empty tuple
@@ -141,33 +157,41 @@ def universe_objects(u: UniverseSpec) -> tuple[FactorTuple, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=16)
+def _hom_pairs(u: UniverseSpec):
+    """The pairs (a, b) of universe objects that may have a morphism a -> b:
+    one forces prod a <= prod b, since the product is a functor."""
+    leq = u.monoid.leq
+    objs = [(t, t.product()) for t in universe_objects(u)]
+    for a, pa in objs:
+        for b, pb in objs:
+            if leq(pa, pb):
+                yield a, b
+
+
+@_per_spec
 def universe_homs(u: UniverseSpec) -> dict:
     """Map (domain, codomain) -> index tuples, for non-empty hom sets only."""
-    objs = universe_objects(u)
     homs = {}
-    for a in objs:
-        for b in objs:
-            fns = hom_index_tuples(a, b)
-            if fns:
-                homs[(a, b)] = fns
+    for a, b in _hom_pairs(u):
+        fns = hom_index_tuples(a, b)
+        if fns:
+            homs[(a, b)] = fns
     return homs
 
 
-@lru_cache(maxsize=16)
+@_per_spec
 def universe_morphisms(u: UniverseSpec) -> tuple[Morphism, ...]:
-    out = []
-    for a, b in universe_homs(u):
-        out.extend(hom_set(a, b))
-    return tuple(out)
+    return tuple(m for a, b in _hom_pairs(u) for m in hom_set(a, b))
 
 
-@lru_cache(maxsize=16)
-def _morphisms_by_domain(u: UniverseSpec) -> dict:
+@_per_spec
+def _by_domain(u: UniverseSpec) -> tuple[dict, int]:
+    """The morphisms grouped by domain, and the number of composable pairs."""
+    morphs = universe_morphisms(u)
     by_dom = defaultdict(list)
-    for m in universe_morphisms(u):
+    for m in morphs:
         by_dom[m.domain].append(m)
-    return dict(by_dom)
+    return dict(by_dom), sum(len(by_dom[m.codomain]) for m in morphs)
 
 
 def _rng(u: UniverseSpec, suite: str) -> random.Random:
@@ -191,8 +215,7 @@ def _k_tuples(items, k: int, u: UniverseSpec, rng: random.Random):
 def _composable_pairs(u: UniverseSpec, rng: random.Random):
     """Pairs (f, g) with g composable after f, exhaustive or sampled."""
     morphs = universe_morphisms(u)
-    by_dom = _morphisms_by_domain(u)
-    total = sum(len(by_dom.get(m.codomain, ())) for m in morphs)
+    by_dom, total = _by_domain(u)
     if total <= u.exhaustive_limit:
         for f in morphs:
             for g in by_dom.get(f.codomain, ()):
@@ -490,7 +513,7 @@ def verify_two_of_three(u: UniverseSpec) -> SuiteReport:
     morphs = universe_morphisms(u)
     for m in morphs:
         rep.check("iso_in_w", m)
-    by_dom = _morphisms_by_domain(u)
+    by_dom = _by_domain(u)[0]
     chain_rng = _rng(u, "two_of_three:chains")
     for _ in range(min(u.sample_size, 2000)):
         steps = [morphs[chain_rng.randrange(len(morphs))]]

@@ -1,6 +1,8 @@
 """Morphism validation, composition, hom-set enumeration, and classification."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +35,7 @@ from factorcat import (
     underlying_function,
     validate_morphism,
 )
+from factorcat.category import HOM_CACHE_SIZE
 
 FREE = free_monoid("ab")
 
@@ -346,3 +349,30 @@ class TestFunctors:
             MonoidHom.primes_for_generators(FREE, {"a": 2})
         with pytest.raises(ValueError):
             MonoidHom.primes_for_generators(ZX, {"a": 2})
+
+
+# caches keyed on a monoid, of which a process holds a handful
+UNBOUNDED_CACHES = {"_unit_constants", "_free_cached"}
+
+
+def test_every_cache_on_caller_data_is_bounded():
+    import factorcat
+
+    offenders = []
+    for path in sorted(Path(factorcat.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.FunctionDef) or node.name in UNBOUNDED_CACHES:
+                continue
+            for deco in node.decorator_list:
+                func = deco.func if isinstance(deco, ast.Call) else deco
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name not in ("lru_cache", "cache"):
+                    continue
+                sizes = []  # a bare or empty lru_cache has the finite default of 128
+                if isinstance(deco, ast.Call):
+                    sizes = deco.args[:1] + [k.value for k in deco.keywords if k.arg == "maxsize"]
+                if name == "cache" or any(
+                        isinstance(v, ast.Constant) and v.value is None for v in sizes):
+                    offenders.append(f"{path.name}:{node.lineno} {node.name}")
+    assert offenders == []
+    assert hom_index_tuples.cache_info().maxsize == HOM_CACHE_SIZE

@@ -1,8 +1,10 @@
 """Verification suites: bounded-universe law checks, determinism, and the
 self-test that a corrupted operation is caught with a usable counterexample."""
 
+import gc
 import random
-from dataclasses import FrozenInstanceError
+import weakref
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,7 @@ from factorcat import (
     decode_morphism,
     decompose_eip,
     free_monoid,
+    hom_index_tuples,
     hom_set,
     identity_morphism,
     inverse,
@@ -37,6 +40,7 @@ from factorcat import (
     universe_objects,
     validate_morphism,
 )
+from factorcat.oracle import universe_homs
 
 SMALL = UniverseSpec(pool=(-1, 1, 2, 6), max_len=2, exhaustive_limit=40_000, sample_size=4_000)
 DEGENERATE = UniverseSpec(pool=(1,), max_len=2)
@@ -511,6 +515,34 @@ def test_closed_operations_build_valid_morphisms(u):
                 assert_valid(g)
             if len(m.domain) and len(m.codomain):
                 assert_steps_valid(m)
+
+
+@pytest.mark.parametrize("u", CLOSURE_UNIVERSES.values(), ids=CLOSURE_UNIVERSES.keys())
+def test_product_prefilter_keeps_every_non_empty_hom_set(u):
+    # the universe build skips pairs with prod a not below prod b; the walk
+    # over every pair must give the same table in the same order
+    objs = universe_objects(u)
+    unfiltered = {(a, b): hom_index_tuples(a, b) for a in objs for b in objs}
+    unfiltered = {pair: fns for pair, fns in unfiltered.items() if fns}
+    assert list(universe_homs(u).items()) == list(unfiltered.items())
+    assert universe_morphisms(u) == tuple(m for a, b in unfiltered for m in hom_set(a, b))
+
+
+def test_universe_tables_live_as_long_as_their_spec():
+    u = UniverseSpec(pool=(1, 2), max_len=2, seed=5)
+    assert all_passed(run_suite(u))
+    alive = weakref.ref(u)
+    del u
+    gc.collect()
+    assert alive() is None
+
+
+def test_universe_tables_do_not_depend_on_the_seed():
+    a, b = SMALL, replace(SMALL, seed=SMALL.seed + 1)
+    assert universe_objects(a) == universe_objects(b)
+    assert universe_homs(a) == universe_homs(b)
+    assert universe_morphisms(a) == universe_morphisms(b)
+    assert universe_morphisms(a) is not universe_morphisms(b)
 
 
 @pytest.mark.parametrize("monoid", [ZX, NAT], ids=["zx", "nat"])
