@@ -203,31 +203,45 @@ class Morphism:
 # Mirrors of the three constructors that skip __post_init__, for outputs that
 # are valid by theorem (see Morphism).  The fields must already be normalized:
 # entries and values are tuples.  Caller data goes through the constructors.
+#
+# A frozen dataclass can only be filled through object.__setattr__, a wrapper
+# call that costs several plain slot stores per field, and one verify builds
+# millions of these objects.  So each is filled as an unfrozen shell twin and
+# then turned into the public class by one __class__ assignment, which CPython
+# allows only when the two slot layouts match.  _shell copies the public
+# class's __slots__ so that they always do.  Callers only see the public class.
 
-_new = object.__new__
-_set = object.__setattr__
+
+def _shell(cls: type) -> type:
+    return type(cls.__name__ + "Shell", (), {"__slots__": cls.__slots__})
+
+
+_TupleShell, _FnShell, _MorphismShell = map(_shell, (FactorTuple, IndexFunction, Morphism))
 
 
 def _trusted_tuple(monoid: Monoid, entries: tuple) -> FactorTuple:
-    t = _new(FactorTuple)
-    _set(t, "monoid", monoid)
-    _set(t, "entries", entries)
+    t = _TupleShell()
+    t.monoid = monoid
+    t.entries = entries
+    t.__class__ = FactorTuple
     return t
 
 
 def _trusted_fn(dom_size: int, cod_size: int, values: tuple) -> IndexFunction:
-    fn = _new(IndexFunction)
-    _set(fn, "dom_size", dom_size)
-    _set(fn, "cod_size", cod_size)
-    _set(fn, "values", values)
+    fn = _FnShell()
+    fn.dom_size = dom_size
+    fn.cod_size = cod_size
+    fn.values = values
+    fn.__class__ = IndexFunction
     return fn
 
 
 def _trusted_morphism(domain: FactorTuple, codomain: FactorTuple, fn: IndexFunction) -> Morphism:
-    m = _new(Morphism)
-    _set(m, "domain", domain)
-    _set(m, "codomain", codomain)
-    _set(m, "index_fn", fn)
+    m = _MorphismShell()
+    m.domain = domain
+    m.codomain = codomain
+    m.index_fn = fn
+    m.__class__ = Morphism
     return m
 
 
@@ -329,6 +343,7 @@ def hom_index_tuples(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[
             fibers[target] = before
 
     walk(0)
+    del walk  # walk holds itself through its cell; drop that cycle here
     return tuple(out)
 
 

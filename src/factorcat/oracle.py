@@ -86,12 +86,8 @@ class UniverseSpec:
     sample_size: int = 20_000
 
     def __post_init__(self):
-        seen = []
-        for e in self.pool:
-            v = self.monoid.validate(e)
-            if v not in seen:
-                seen.append(v)
-        object.__setattr__(self, "pool", tuple(seen))
+        pool = dict.fromkeys(map(self.monoid.validate, self.pool))  # keeps first-seen order
+        object.__setattr__(self, "pool", tuple(pool))
         if self.max_len < 0:
             raise ValueError("universe bounds must be positive")
         if self.exhaustive_limit < 1 or self.sample_size < 1:
@@ -302,9 +298,12 @@ def _monic_by_cancellation(m: Morphism) -> bool:
 
 
 def _iso_by_bruteforce(m: Morphism) -> bool:
+    candidates = hom_set(m.codomain, m.domain)
+    if not candidates:  # the usual case; it needs no identities
+        return False
     id_dom = identity_morphism(m.domain)
     id_cod = identity_morphism(m.codomain)
-    for g in hom_set(m.codomain, m.domain):
+    for g in candidates:
         if compose(g, m) == id_dom and compose(m, g) == id_cod:
             return True
     return False

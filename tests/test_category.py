@@ -1,6 +1,7 @@
 """Morphism validation, composition, hom-set enumeration, and classification."""
 
 import ast
+import gc
 from fractions import Fraction
 from pathlib import Path
 
@@ -376,3 +377,13 @@ def test_every_cache_on_caller_data_is_bounded():
                     offenders.append(f"{path.name}:{node.lineno} {node.name}")
     assert offenders == []
     assert hom_index_tuples.cache_info().maxsize == HOM_CACHE_SIZE
+
+
+def test_a_cold_enumeration_is_freed_without_the_cycle_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        assert hom_index_tuples.__wrapped__(zt(2, 3), zt(3, 5, 4, 1))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

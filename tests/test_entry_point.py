@@ -59,3 +59,10 @@ def test_verify_over_an_empty_pool_ignores_the_length_cap():
 def test_interval_decode_of_a_huge_exponent_is_a_guard_error():
     proc = factorcat("factorizations", "--monoid", "interval", '"1e-999999999"', timeout=10)
     assert proc.returncode == 3, proc.stderr
+
+
+def test_a_large_pool_reaches_the_object_guard_quickly():
+    # 12,000 distinct rationals: the pool's dedupe before the guard must be linear
+    pool = json.dumps([f"1/{k}" for k in range(1, 12_001)])
+    proc = factorcat("graph", "--monoid", "interval", "--pool", pool, "--max-len", "1", timeout=10)
+    assert proc.returncode == 3, proc.stderr

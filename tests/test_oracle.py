@@ -475,6 +475,8 @@ def assert_valid(m):
     Morphism equality leaves out the index sizes and the codomain's monoid,
     which agree on valid morphisms; since m is the morphism under test, they
     are compared here as well."""
+    assert type(m) is Morphism and type(m.index_fn) is IndexFunction, str(m)
+    assert type(m.domain) is FactorTuple and type(m.codomain) is FactorTuple, str(m)
     r = rebuilt(m)
     assert r == m, str(m)
     assert r.index_fn == m.index_fn, str(m)
@@ -616,7 +618,14 @@ def test_equal_entries_over_different_monoids_are_unequal():
 def test_value_types_are_frozen_and_slotted():
     t = FactorTuple(ZX, (2, 3))
     m = identity_morphism(t)
-    for obj, field_name in ((t, "entries"), (m.index_fn, "values"), (m, "domain")):
-        with pytest.raises(FrozenInstanceError):
-            setattr(obj, field_name, None)
-        assert not hasattr(obj, "__dict__")
+    homs = hom_set(t, FactorTuple(ZX, (3, 5, 4, 1)))
+    d = decompose_eip(homs[0])
+    built = [
+        m, compose(m, m), tensor_morphisms(m, homs[0]), braiding(t, t), *homs,
+        d.epsilon, d.delta, d.phi, *atomic_chain(homs[0]).steps,
+    ]
+    for out in built:
+        for obj, field_name in ((out.domain, "entries"), (out.index_fn, "values"), (out, "domain")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, field_name, None)
+            assert not hasattr(obj, "__dict__")
