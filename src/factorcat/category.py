@@ -1,12 +1,13 @@
 """Objects and morphisms of the factorization category of a monoid.
 
 An object is a finite tuple of monoid elements; the empty tuple is written
-() and acts as the unit object.  A morphism (x_1..x_N) -> (y_1..y_M) is an
-index function [M] -> [N] that is order-constrained: for every n, x_n is
-below the product of the codomain entries mapped to n (the empty product
-being the identity).  Note the reversal: the index function runs from
-codomain positions to domain positions, and composition composes index
-functions the opposite way round.
+() and acts as the unit object.  A morphism (x_1..x_N) -> (y_1..y_M) is its
+two tuples and an order-constrained map [M] -> [N], stored as its M values:
+for every n, x_n is below the product of the codomain entries mapped to n
+(the empty product being the identity).  Note the reversal: the map runs
+from codomain positions to domain positions, and composition composes maps
+the opposite way round.  ``underlying_function`` returns the map as an
+``IndexFunction``, the value of the underlying functor to finite sets.
 
 Index values are 1-based throughout, matching the wire format.
 """
@@ -89,7 +90,9 @@ class IndexFunction:
     """A total function [dom_size] -> [cod_size], stored 1-based.
 
     dom_size > 0 with cod_size == 0 is unrepresentable: there is no
-    function from a non-empty index set into the empty one.
+    function from a non-empty index set into the empty one.  This is what
+    ``underlying_function`` returns, and its checks are the ones public
+    Morphism construction applies to the map.
     """
 
     dom_size: int
@@ -97,7 +100,10 @@ class IndexFunction:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
+        try:
+            object.__setattr__(self, "values", tuple(self.values))
+        except TypeError:
+            raise InvalidMorphismError(f"index values {self.values!r} are not a sequence") from None
         if self.dom_size < 0 or self.cod_size < 0:
             raise InvalidMorphismError("index set sizes must be non-negative")
         if self.dom_size > 0 and self.cod_size == 0:
@@ -107,14 +113,14 @@ class IndexFunction:
                 f"expected {self.dom_size} values, got {len(self.values)}"
             )
         for v in self.values:
-            if not isinstance(v, int) or not 1 <= v <= self.cod_size:
+            if isinstance(v, bool) or not isinstance(v, int) or not 1 <= v <= self.cod_size:
                 raise InvalidMorphismError(
                     f"value {v!r} outside the 1-based range [{self.cod_size}]"
                 )
 
     @staticmethod
     def identity(n: int) -> "IndexFunction":
-        return _trusted_fn(n, n, tuple(range(1, n + 1)))
+        return IndexFunction(n, n, tuple(range(1, n + 1)))
 
     def is_injective(self) -> bool:
         return len(set(self.values)) == self.dom_size
@@ -130,37 +136,34 @@ class IndexFunction:
 class Morphism:
     """A validated morphism domain -> codomain.
 
-    ``index_fn`` maps codomain positions to domain positions.  Every Morphism
-    in existence is valid.  Public construction (``Morphism(...)``,
-    ``validate_morphism``, decoding) checks the order constraint fiber by
-    fiber and reports the first failing domain index.  Internal construction
-    goes through ``_trusted_morphism``, which skips the checks, and happens
-    only where validity holds by theorem: the category is closed under
-    identities, composition, inverses, tensor and braiding, and the EIP and
-    atomic-chain steps are morphisms by construction.  The closure tests in
-    tests/test_oracle.py re-validate the output of each such operation.
+    ``values`` is the 1-based map from codomain positions to domain
+    positions, one value per codomain entry.  Every Morphism in existence is
+    valid.  Public construction (``Morphism(...)``, ``validate_morphism``,
+    decoding) checks the map once by building
+    ``IndexFunction(len(codomain), len(domain), values)``, then checks the
+    order constraint fiber by fiber and reports the first failing domain
+    index.  Internal construction goes through ``_trusted_morphism``, which
+    skips the checks, and happens only where validity holds by theorem: the
+    category is closed under identities, composition, inverses, tensor and
+    braiding, and the EIP and atomic-chain steps are morphisms by
+    construction.  The closure tests in tests/test_oracle.py re-validate the
+    output of each such operation.
 
     Instances are slotted and immutable.  Two morphisms are equal when their
-    index values, domain entries and codomain entries agree and their
-    domains live over the same monoid.  On valid morphisms the index sizes
-    are the tuple lengths and both tuples share one monoid, so those need no
-    separate comparison.  The hash is the hash of the index values and the
-    two entry tuples.
+    values, domain entries and codomain entries agree and their domains live
+    over the same monoid; on valid morphisms both tuples share one monoid, so
+    the codomain's needs no separate comparison.  The hash is the hash of the
+    values and the two entry tuples.
     """
 
     domain: FactorTuple
     codomain: FactorTuple
-    index_fn: IndexFunction
+    values: tuple[int, ...]
 
     def __post_init__(self):
+        fn = IndexFunction(len(self.codomain), len(self.domain), self.values)
+        object.__setattr__(self, "values", fn.values)
         require_same_monoid(self.domain, self.codomain, "a morphism")
-        n, m = len(self.domain), len(self.codomain)
-        fn = self.index_fn
-        if fn.dom_size != m or fn.cod_size != n:
-            raise InvalidMorphismError(
-                f"index function sizes [{fn.dom_size}]->[{fn.cod_size}] do not match "
-                f"tuple lengths {m} and {n}"
-            )
         monoid = self.domain.monoid
         fibers = fiber_products(self)
         for i, x in enumerate(self.domain.entries):
@@ -178,29 +181,25 @@ class Morphism:
             return NotImplemented
         a, b = self.domain, other.domain
         return (
-            self.index_fn.values == other.index_fn.values
+            self.values == other.values
             and a.entries == b.entries
             and self.codomain.entries == other.codomain.entries
             and (a.monoid is b.monoid or a.monoid == b.monoid)
         )
 
     def __hash__(self) -> int:
-        return hash((self.index_fn.values, self.domain.entries, self.codomain.entries))
+        return hash((self.values, self.domain.entries, self.codomain.entries))
 
     @property
     def monoid(self) -> Monoid:
         return self.domain.monoid
-
-    @property
-    def values(self) -> tuple[int, ...]:
-        return self.index_fn.values
 
     def __str__(self) -> str:
         return f"{self.domain} -> {self.codomain} via {list(self.values)}"
 
 
 # -- construction without re-checking ----------------------------------------
-# Mirrors of the three constructors that skip __post_init__, for outputs that
+# Mirrors of the two constructors that skip __post_init__, for outputs that
 # are valid by theorem (see Morphism).  The fields must already be normalized:
 # entries and values are tuples.  Caller data goes through the constructors.
 #
@@ -216,7 +215,7 @@ def _shell(cls: type) -> type:
     return type(cls.__name__ + "Shell", (), {"__slots__": cls.__slots__})
 
 
-_TupleShell, _FnShell, _MorphismShell = map(_shell, (FactorTuple, IndexFunction, Morphism))
+_TupleShell, _MorphismShell = _shell(FactorTuple), _shell(Morphism)
 
 
 def _trusted_tuple(monoid: Monoid, entries: tuple) -> FactorTuple:
@@ -227,31 +226,22 @@ def _trusted_tuple(monoid: Monoid, entries: tuple) -> FactorTuple:
     return t
 
 
-def _trusted_fn(dom_size: int, cod_size: int, values: tuple) -> IndexFunction:
-    fn = _FnShell()
-    fn.dom_size = dom_size
-    fn.cod_size = cod_size
-    fn.values = values
-    fn.__class__ = IndexFunction
-    return fn
-
-
-def _trusted_morphism(domain: FactorTuple, codomain: FactorTuple, fn: IndexFunction) -> Morphism:
+def _trusted_morphism(domain: FactorTuple, codomain: FactorTuple, values: tuple) -> Morphism:
     m = _MorphismShell()
     m.domain = domain
     m.codomain = codomain
-    m.index_fn = fn
+    m.values = values
     m.__class__ = Morphism
     return m
 
 
 def fiber_products(m: Morphism) -> list:
     """For each domain position n, the product of the codomain entries that
-    the index function sends to n (the identity for an empty fiber)."""
+    the map sends to n (the identity for an empty fiber)."""
     monoid = m.domain.monoid
     fibers = [monoid.identity()] * len(m.domain.entries)
     ys = m.codomain.entries
-    for pos, target in enumerate(m.index_fn.values):
+    for pos, target in enumerate(m.values):
         fibers[target - 1] = monoid.op(fibers[target - 1], ys[pos])
     return fibers
 
@@ -262,34 +252,36 @@ def validate_morphism(
     index_values: IndexFunction | Sequence[int],
 ) -> Morphism:
     """Build the morphism for the given 1-based map, checking the order
-    constraint; raises InvalidMorphismError naming the first failing index."""
+    constraint; raises InvalidMorphismError naming the first failing index.
+    An IndexFunction must have the sizes [len(codomain)] -> [len(domain)]."""
     if isinstance(index_values, IndexFunction):
         fn = index_values
-    else:
-        fn = IndexFunction(len(codomain), len(domain), tuple(index_values))
-    return Morphism(domain, codomain, fn)
+        if (fn.dom_size, fn.cod_size) != (len(codomain), len(domain)):
+            raise InvalidMorphismError(
+                f"index function sizes [{fn.dom_size}]->[{fn.cod_size}] do not match "
+                f"tuple lengths {len(codomain)} and {len(domain)}"
+            )
+        index_values = fn.values
+    return Morphism(domain, codomain, index_values)
 
 
 def identity_morphism(t: FactorTuple) -> Morphism:
-    return _trusted_morphism(t, t, IndexFunction.identity(len(t.entries)))
+    return _trusted_morphism(t, t, tuple(range(1, len(t.entries) + 1)))
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
     """The composite g after f; f's codomain must equal g's domain.
 
-    On index functions this is composition the other way round: the result
-    sends a position k of g's codomain to f.values[g.values[k]].
+    On maps this is composition the other way round: the result sends a
+    position k of g's codomain to f.values[g.values[k]].
     """
     if f.codomain != g.domain:
         raise InvalidMorphismError(
             "cannot compose: codomain of the first-applied morphism differs "
             "from the domain of the second"
         )
-    fv = f.index_fn.values
-    values = tuple([fv[v - 1] for v in g.index_fn.values])
-    domain, codomain = f.domain, g.codomain
-    fn = _trusted_fn(len(codomain.entries), len(domain.entries), values)
-    return _trusted_morphism(domain, codomain, fn)
+    fv = f.values
+    return _trusted_morphism(f.domain, g.codomain, tuple([fv[v - 1] for v in g.values]))
 
 
 @lru_cache(maxsize=HOM_CACHE_SIZE)
@@ -349,37 +341,32 @@ def hom_index_tuples(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[
 
 def hom_set(domain: FactorTuple, codomain: FactorTuple) -> list[Morphism]:
     """All morphisms domain -> codomain, ordered lexicographically by map."""
-    m, n = len(codomain.entries), len(domain.entries)
-    return [
-        _trusted_morphism(domain, codomain, _trusted_fn(m, n, values))
-        for values in hom_index_tuples(domain, codomain)
-    ]
+    return [_trusted_morphism(domain, codomain, v) for v in hom_index_tuples(domain, codomain)]
 
 
 def is_epic(m: Morphism) -> bool:
-    """Epic exactly when the index function is injective (divisibility only)."""
+    """Epic exactly when the map is injective (divisibility only)."""
     m.monoid.require_divisibility("is_epic")
-    return m.index_fn.is_injective()
+    return len(set(m.values)) == len(m.values)
 
 
 def is_monic(m: Morphism) -> bool:
-    """Monic exactly when the index function is surjective (divisibility only)."""
+    """Monic exactly when the map is surjective (divisibility only)."""
     m.monoid.require_divisibility("is_monic")
-    return m.index_fn.is_surjective()
+    return len(set(m.values)) == len(m.domain.entries)
 
 
 def is_isomorphism(m: Morphism) -> bool:
-    """Iso iff the tuples have equal length, the index function is a
-    bijection, and matched entries are associates."""
+    """Iso iff the tuples have equal length, the map is a bijection, and
+    matched entries are associates."""
     monoid = m.domain.monoid
     monoid.require_divisibility("is_isomorphism")
-    fn = m.index_fn
-    if not fn.is_bijective():
+    values, xs, ys = m.values, m.domain.entries, m.codomain.entries
+    if len(values) != len(xs) or len(set(values)) != len(values):
         return False
-    xs, ys = m.domain.entries, m.codomain.entries
     return all(
         monoid.are_associates(xs[target - 1], ys[pos])
-        for pos, target in enumerate(fn.values)
+        for pos, target in enumerate(values)
     )
 
 
@@ -391,8 +378,7 @@ def inverse(m: Morphism) -> Morphism | None:
     inv = [0] * n
     for pos, target in enumerate(m.values, start=1):
         inv[target - 1] = pos
-    fn = _trusted_fn(n, len(m.codomain), tuple(inv))
-    return _trusted_morphism(m.codomain, m.domain, fn)
+    return _trusted_morphism(m.codomain, m.domain, tuple(inv))
 
 
 def is_initial(t: FactorTuple) -> bool:
@@ -412,8 +398,9 @@ def refute_terminal(t: FactorTuple) -> FactorTuple:
 
 
 def underlying_function(m: Morphism) -> IndexFunction:
-    """The index function of a morphism (the presheaf of index sets on maps)."""
-    return m.index_fn
+    """The map of a morphism as an IndexFunction [len(codomain)] ->
+    [len(domain)]: the underlying functor to finite sets, built on demand."""
+    return IndexFunction(len(m.codomain.entries), len(m.domain.entries), m.values)
 
 
 class MonoidHom:
@@ -422,7 +409,7 @@ class MonoidHom:
     Supported maps: the identity on any instance, the inclusion of the
     positive integers into the nonzero integers, and free-monoid maps that
     assign a prime integer to each generator.  Applying one to a morphism
-    maps both tuples entry-wise and keeps the index function.
+    maps both tuples entry-wise and keeps the map.
     """
 
     def __init__(self, source: Monoid, target: Monoid, elem_map: Callable, label: str):
@@ -478,4 +465,4 @@ def map_tuple(hom: MonoidHom, t: FactorTuple) -> FactorTuple:
 def map_morphism(hom: MonoidHom, m: Morphism) -> Morphism:
     """Apply a monoid homomorphism to a morphism; the image is validated in
     the target category on construction."""
-    return Morphism(map_tuple(hom, m.domain), map_tuple(hom, m.codomain), m.index_fn)
+    return Morphism(map_tuple(hom, m.domain), map_tuple(hom, m.codomain), m.values)

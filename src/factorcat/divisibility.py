@@ -17,7 +17,6 @@ from .errors import InvalidMorphismError
 from .monoids import Element, Monoid
 from .category import (
     FactorTuple,
-    IndexFunction,
     Morphism,
     _trusted_morphism,
     _trusted_tuple,
@@ -158,7 +157,7 @@ def atomic_chain(m: Morphism) -> AtomicChain:
     # entry by an irreducible factor, and the tail's domain differs from
     # delta's codomain only by the units of the factorizations
     current = d.epsilon.codomain
-    ident = IndexFunction.identity(len(current))
+    ident = tuple(range(1, len(current) + 1))
     for p, ratio in enumerate(d.ratios):
         _, factors = monoid.factor_irreducibles(ratio)
         for q in factors:
@@ -168,7 +167,7 @@ def atomic_chain(m: Morphism) -> AtomicChain:
             steps.append(_trusted_morphism(current, scaled, ident))
             tags.append(WIRR_TAG)
             current = scaled
-    tail = _trusted_morphism(current, m.codomain, d.phi.index_fn)
+    tail = _trusted_morphism(current, m.codomain, d.phi.values)
     if tail != identity_morphism(current):
         steps.append(tail)
         tags.append(WEAK_EQUIVALENCE)
@@ -248,8 +247,10 @@ def enumerate_irreducible_factorizations(
     oracle; on the shipped instances it always finds exactly one class.
     Units have the single empty factorization.  Integer inputs beyond 10**6
     in absolute value and free-monoid inputs with more than 256 generator
-    copies are rejected rather than scanned.
+    copies are rejected rather than scanned, and so is a negative cap.
     """
+    if max_count < 0:
+        raise ValueError(f"max_count must be non-negative, got {max_count}")
     monoid.require_ufd("factorization enumeration")
     a = monoid.validate(a)
     classes: list[tuple] = []

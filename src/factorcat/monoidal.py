@@ -2,9 +2,9 @@
 
 The tensor of objects is tuple concatenation, strictly associative with the
 empty tuple as a two-sided unit.  On morphisms f: (x)->(w) and g: (y)->(z)
-the tensor glues the index functions side by side, shifting g's values past
-the length of f's domain; the same formula covers empty tuples with the
-relevant size set to zero, so there are no special-case data paths.
+the tensor glues the maps side by side, shifting g's values past the length
+of f's domain; the same formula covers empty tuples with the relevant size
+set to zero, so there are no special-case data paths.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from .category import (
     FactorTuple,
     Morphism,
-    _trusted_fn,
     _trusted_morphism,
     _trusted_tuple,
     compose,
@@ -31,28 +30,26 @@ def tensor_morphisms(f: Morphism, g: Morphism) -> Morphism:
     require_same_monoid(fdom, gdom, "tensor")
     monoid = fdom.monoid
     n = len(fdom.entries)
-    values = f.index_fn.values + tuple([n + v for v in g.index_fn.values])
     return _trusted_morphism(
         _trusted_tuple(monoid, fdom.entries + gdom.entries),
         _trusted_tuple(monoid, fcod.entries + gcod.entries),
-        _trusted_fn(len(fcod.entries) + len(gcod.entries), n + len(gdom.entries), values),
+        f.values + tuple([n + v for v in g.values]),
     )
 
 
 def braiding(s: FactorTuple, t: FactorTuple) -> Morphism:
     """The swap isomorphism s (x) t -> t (x) s.
 
-    Its index function sends the first len(t) codomain positions past len(s)
+    Its map sends the first len(t) codomain positions past len(s)
     and the remaining ones to the front; swapping twice gives the identity.
     """
     require_same_monoid(s, t, "braiding")
     xs, ys = s.entries, t.entries
     n, m = len(xs), len(ys)
-    values = tuple(range(n + 1, n + m + 1)) + tuple(range(1, n + 1))
     return _trusted_morphism(
         _trusted_tuple(s.monoid, xs + ys),
         _trusted_tuple(s.monoid, ys + xs),
-        _trusted_fn(m + n, n + m, values),
+        tuple(range(n + 1, n + m + 1)) + tuple(range(1, n + 1)),
     )
 
 

@@ -36,7 +36,6 @@ from .errors import CapabilityError, GuardError, InvalidMorphismError
 from .monoids import ZX, NAT, Monoid, monoid_by_name
 from .category import (
     FactorTuple,
-    IndexFunction,
     Morphism,
     compose,
     empty_tuple,
@@ -690,7 +689,7 @@ def sample_extension(rng: random.Random, t: FactorTuple, witness_bound: int = 10
         raise ValueError("need a non-empty domain")
     entries, owners = _random_fibering(rng, monoid, t.entries, witness_bound)
     codomain = FactorTuple(monoid, tuple(entries))
-    return Morphism(t, codomain, IndexFunction(len(entries), len(t), tuple(owners)))
+    return Morphism(t, codomain, tuple(owners))
 
 
 def sample_morphism(rng: random.Random, monoid: Monoid = ZX, max_len: int = 3,
@@ -709,4 +708,4 @@ def sample_morphism(rng: random.Random, monoid: Monoid = ZX, max_len: int = 3,
         owners = [o + 1 if o > at else o for o in owners]
     domain = FactorTuple(monoid, tuple(xs))
     codomain = FactorTuple(monoid, tuple(entries))
-    return Morphism(domain, codomain, IndexFunction(len(entries), len(xs), tuple(owners)))
+    return Morphism(domain, codomain, tuple(owners))

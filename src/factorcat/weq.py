@@ -19,9 +19,7 @@ from .errors import InvalidMorphismError
 from .monoids import Element
 from .category import (
     FactorTuple,
-    IndexFunction,
     Morphism,
-    _trusted_fn,
     _trusted_morphism,
     _trusted_tuple,
     compose,
@@ -108,17 +106,14 @@ def decompose_eip(m: Morphism) -> EIPDecomposition:
     # (their fibers are empty), r_n * x_n is the fiber product of n, and each
     # kept entry divides its scaled one
     kept = _trusted_tuple(monoid, tuple(xs[n - 1] for n in image))
-    epsilon = _trusted_morphism(m.domain, kept, _trusted_fn(p_count, len(xs), tuple(image)))
+    epsilon = _trusted_morphism(m.domain, kept, tuple(image))
     position = {n: p for p, n in enumerate(image, start=1)}
     ratios = tuple(per_index[n - 1] for n in image)
     scaled = _trusted_tuple(
         monoid, tuple(monoid.op(ratios[p], kept.entries[p]) for p in range(p_count))
     )
-    delta = _trusted_morphism(kept, scaled, IndexFunction.identity(p_count))
-    phi_values = tuple(position[v] for v in values)
-    phi = _trusted_morphism(
-        scaled, m.codomain, _trusted_fn(len(m.codomain), p_count, phi_values)
-    )
+    delta = _trusted_morphism(kept, scaled, tuple(range(1, p_count + 1)))
+    phi = _trusted_morphism(scaled, m.codomain, tuple(position[v] for v in values))
     dropped = monoid.product(xs[n - 1] for n in range(1, len(xs) + 1) if n not in position)
     return EIPDecomposition(epsilon, delta, phi, ratios, dropped)
 

@@ -71,9 +71,25 @@ class TestValidation:
         with pytest.raises(InvalidMorphismError):
             zm([2], [6], [2])
 
+    def test_mis_sized_index_function(self):
+        with pytest.raises(InvalidMorphismError, match="sizes"):
+            validate_morphism(zt(2, 3), zt(6), IndexFunction(1, 3, (1,)))
+
+    def test_bool_values_rejected(self):
+        with pytest.raises(InvalidMorphismError):
+            validate_morphism(zt(2), zt(6), [True])
+        with pytest.raises(InvalidMorphismError):
+            IndexFunction(1, 1, (True,))
+
+    def test_non_iterable_map_rejected(self):
+        with pytest.raises(InvalidMorphismError):
+            IndexFunction(1, 1, 5)
+        with pytest.raises(InvalidMorphismError):
+            validate_morphism(zt(2), zt(6), 5)
+
     def test_monoid_mismatch(self):
         with pytest.raises(InvalidMorphismError):
-            Morphism(zt(2), FactorTuple(NAT, (6,)), IndexFunction(1, 1, (1,)))
+            Morphism(zt(2), FactorTuple(NAT, (6,)), (1,))
 
     def test_index_function_into_empty_unrepresentable(self):
         with pytest.raises(InvalidMorphismError):

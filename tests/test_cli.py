@@ -221,6 +221,14 @@ class TestFactorizations:
         code, _, _ = run(capsys, "factorizations", "--monoid", "interval", '"1/2"')
         assert code == 4
 
+    def test_negative_max_count_is_parse_error(self, capsys):
+        code, out, err = run(capsys, "factorizations", "--monoid", "zx", "12", "--max-count", "-1")
+        assert code == 2 and out == "" and "max_count" in err
+
+    def test_zero_max_count_truncates(self, capsys):
+        code, out, _ = run(capsys, "factorizations", "--monoid", "zx", "12", "--max-count", "0")
+        assert code == 0 and out.startswith("0 class(es) [truncated]")
+
     def test_free_degree_beyond_the_recursion_bound_is_a_guard_error(self, capsys):
         code, _, err = run(capsys, "factorizations", "--monoid", "free:ab", '"a^2000"')
         assert code == 3 and "degree bound 256" in err

@@ -352,6 +352,10 @@ class TestFactorizationEnumeration:
         out = enumerate_irreducible_factorizations(ZX, 12, max_count=0)
         assert out.truncated and out.classes == ()
 
+    def test_negative_cap_rejected(self):
+        with pytest.raises(ValueError, match="max_count"):
+            enumerate_irreducible_factorizations(ZX, 12, max_count=-1)
+
     def test_guard(self):
         with pytest.raises(GuardError):
             enumerate_irreducible_factorizations(ZX, 10**6 + 1)

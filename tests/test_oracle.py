@@ -36,6 +36,7 @@ from factorcat import (
     run_suite,
     tensor_morphisms,
     tensor_objects,
+    underlying_function,
     universe_morphisms,
     universe_objects,
     validate_morphism,
@@ -472,14 +473,14 @@ def rebuilt(m):
 def assert_valid(m):
     """m equals its rebuild through FactorTuple and validate_morphism.
 
-    Morphism equality leaves out the index sizes and the codomain's monoid,
-    which agree on valid morphisms; since m is the morphism under test, they
-    are compared here as well."""
-    assert type(m) is Morphism and type(m.index_fn) is IndexFunction, str(m)
+    Morphism equality leaves out the codomain's monoid, which agrees on
+    valid morphisms; since m is the morphism under test, it is compared here
+    as well, and so is the map read back through the underlying functor."""
+    assert type(m) is Morphism and type(m.values) is tuple, str(m)
     assert type(m.domain) is FactorTuple and type(m.codomain) is FactorTuple, str(m)
     r = rebuilt(m)
     assert r == m, str(m)
-    assert r.index_fn == m.index_fn, str(m)
+    assert underlying_function(r) == underlying_function(m), str(m)
     assert r.codomain.monoid == m.codomain.monoid, str(m)
 
 
@@ -517,6 +518,23 @@ def test_closed_operations_build_valid_morphisms(u):
                 assert_valid(g)
             if len(m.domain) and len(m.codomain):
                 assert_steps_valid(m)
+
+
+@pytest.mark.parametrize("u", CLOSURE_UNIVERSES.values(), ids=CLOSURE_UNIVERSES.keys())
+def test_underlying_function_is_a_functor(u):
+    # contravariant on index sets: the map of g o f is the map of f after
+    # the map of g, and identities go to identity maps
+    for t in universe_objects(u):
+        assert underlying_function(identity_morphism(t)) == IndexFunction.identity(len(t))
+    morphs = universe_morphisms(u)
+    by_domain = {}
+    for m in morphs:
+        by_domain.setdefault(m.domain, []).append(m)
+    for f in morphs:
+        fv = underlying_function(f).values
+        for g in by_domain.get(f.codomain, ()):
+            composite = underlying_function(compose(g, f)).values
+            assert composite == tuple(fv[v - 1] for v in underlying_function(g).values)
 
 
 @pytest.mark.parametrize("u", CLOSURE_UNIVERSES.values(), ids=CLOSURE_UNIVERSES.keys())
@@ -558,7 +576,7 @@ def test_public_constructors_still_check():
     with pytest.raises(ValueError):
         FactorTuple(ZX, (0,))
     with pytest.raises(InvalidMorphismError):
-        Morphism(FactorTuple(ZX, (2,)), FactorTuple(ZX, (3,)), IndexFunction(1, 1, (1,)))
+        Morphism(FactorTuple(ZX, (2,)), FactorTuple(ZX, (3,)), (1,))
     for bad_map in ([1], [2], [0, 1]):
         with pytest.raises(InvalidMorphismError):
             decode_morphism({"monoid": "zx", "domain": [2], "codomain": [3], "map": bad_map})
@@ -577,9 +595,7 @@ def reference_morphism_eq(f, g):
     return (
         reference_tuple_eq(f.domain, g.domain)
         and reference_tuple_eq(f.codomain, g.codomain)
-        and f.index_fn.dom_size == g.index_fn.dom_size
-        and f.index_fn.cod_size == g.index_fn.cod_size
-        and f.index_fn.values == g.index_fn.values
+        and underlying_function(f) == underlying_function(g)
     )
 
 
@@ -612,7 +628,7 @@ def test_equal_entries_over_different_monoids_are_unequal():
     f = validate_morphism(FactorTuple(ZX, (2,)), FactorTuple(ZX, (6,)), [1])
     g = validate_morphism(FactorTuple(NAT, (2,)), FactorTuple(NAT, (6,)), [1])
     assert f != g
-    assert FactorTuple(ZX, (2,)) != (2,) and f != f.index_fn
+    assert FactorTuple(ZX, (2,)) != (2,) and f != underlying_function(f)
 
 
 def test_value_types_are_frozen_and_slotted():
@@ -625,7 +641,7 @@ def test_value_types_are_frozen_and_slotted():
         d.epsilon, d.delta, d.phi, *atomic_chain(homs[0]).steps,
     ]
     for out in built:
-        for obj, field_name in ((out.domain, "entries"), (out.index_fn, "values"), (out, "domain")):
+        for obj, field_name in ((out.domain, "entries"), (out, "values"), (out, "domain")):
             with pytest.raises(FrozenInstanceError):
                 setattr(obj, field_name, None)
             assert not hasattr(obj, "__dict__")
