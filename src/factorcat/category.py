@@ -104,6 +104,9 @@ class IndexFunction:
             object.__setattr__(self, "values", tuple(self.values))
         except TypeError:
             raise InvalidMorphismError(f"index values {self.values!r} are not a sequence") from None
+        for n in (self.dom_size, self.cod_size):
+            if isinstance(n, bool) or not isinstance(n, int):
+                raise InvalidMorphismError(f"index set size {n!r} is not an integer")
         if self.dom_size < 0 or self.cod_size < 0:
             raise InvalidMorphismError("index set sizes must be non-negative")
         if self.dom_size > 0 and self.cod_size == 0:

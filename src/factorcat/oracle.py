@@ -21,6 +21,14 @@ and wire kind of each predicate argument, and the predicate.  A suite calls
 keys in the predicate's argument order, and call ``rep.check`` with it from
 a suite.  Predicates look up library functions as module globals at call
 time, so a test can swap one out and watch the oracle catch it.
+
+The two cancellation probes are memoized on exactly what each reads, the
+epic probe on (codomain, values) and the monic probe on (domain, values),
+in lru_caches of ``PROBE_CACHE_SIZE`` entries: the default universe has
+160,991 morphisms but only 6,175 and 3,633 distinct probe inputs.  The
+checked predicates ``is_epic``/``is_monic`` still run on every morphism, as
+a cache on the probe's key would hide a fault that depends on the rest of
+the morphism.  A test that swaps a global the probes call must clear them.
 """
 
 from __future__ import annotations
@@ -67,6 +75,9 @@ UNIVERSE_OBJECT_GUARD = 2000
 
 # morphisms per sampled composition chain in the two_of_three suite
 MAX_CHAIN = 3
+
+# distinct inputs each cancellation probe keeps (see the module docstring)
+PROBE_CACHE_SIZE = 2**13
 
 
 @dataclass(frozen=True)
@@ -270,13 +281,13 @@ def _unit_constants(monoid: Monoid) -> tuple[FactorTuple, Morphism]:
     return embed(monoid, monoid.identity()), identity_morphism(empty_tuple(monoid))
 
 
-def _epic_by_cancellation(m: Morphism) -> bool:
+@lru_cache(maxsize=PROBE_CACHE_SIZE)
+def _epic_probe(codomain: FactorTuple, values: tuple[int, ...]) -> bool:
     """No distinct post-compositions collide on the probe target obtained by
     appending a unit entry to the codomain."""
-    target = tensor_objects(m.codomain, _unit_constants(m.monoid)[0])
-    values = m.values
+    target = tensor_objects(codomain, _unit_constants(codomain.monoid)[0])
     seen = set()
-    for gv in hom_index_tuples(m.codomain, target):
+    for gv in hom_index_tuples(codomain, target):
         c = tuple([values[x - 1] for x in gv])
         if c in seen:
             return False
@@ -284,11 +295,11 @@ def _epic_by_cancellation(m: Morphism) -> bool:
     return True
 
 
-def _monic_by_cancellation(m: Morphism) -> bool:
-    source = tensor_objects(m.domain, _unit_constants(m.monoid)[0])
-    values = m.values
+@lru_cache(maxsize=PROBE_CACHE_SIZE)
+def _monic_probe(domain: FactorTuple, values: tuple[int, ...]) -> bool:
+    source = tensor_objects(domain, _unit_constants(domain.monoid)[0])
     seen = set()
-    for gv in hom_index_tuples(source, m.domain):
+    for gv in hom_index_tuples(source, domain):
         c = tuple([gv[x - 1] for x in values])
         if c in seen:
             return False
@@ -412,9 +423,9 @@ LAWS: dict[str, Law] = {law.name: law for law in (
     _law("hom_count_singleton_target", _count_singleton_target_ok,
          monoid="monoid", element="element", tuple="tuple"),
     # epic_monic and iso
-    _law("epic_agreement", lambda m: _epic_by_cancellation(m) == is_epic(m),
+    _law("epic_agreement", lambda m: _epic_probe(m.codomain, m.values) == is_epic(m),
          morphism="morphism"),
-    _law("monic_agreement", lambda m: _monic_by_cancellation(m) == is_monic(m),
+    _law("monic_agreement", lambda m: _monic_probe(m.domain, m.values) == is_monic(m),
          morphism="morphism"),
     _law("iso_agreement", lambda m: is_isomorphism(m) == _iso_by_bruteforce(m),
          morphism="morphism"),

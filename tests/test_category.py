@@ -87,6 +87,24 @@ class TestValidation:
         with pytest.raises(InvalidMorphismError):
             validate_morphism(zt(2), zt(6), 5)
 
+    def test_string_size_rejected(self):
+        with pytest.raises(InvalidMorphismError, match="size"):
+            IndexFunction("1", 1, (1,))
+        with pytest.raises(InvalidMorphismError, match="size"):
+            IndexFunction(1, "1", (1,))
+
+    def test_bool_size_rejected(self):
+        with pytest.raises(InvalidMorphismError, match="size"):
+            IndexFunction(True, 1, (1,))
+        with pytest.raises(InvalidMorphismError, match="size"):
+            validate_morphism(zt(2), zt(6), IndexFunction(1, True, (1,)))
+
+    def test_float_size_rejected(self):
+        with pytest.raises(InvalidMorphismError, match="size"):
+            IndexFunction(1.0, 1, (1,))
+        with pytest.raises(InvalidMorphismError, match="size"):
+            IndexFunction(1, 1.0, (1,))
+
     def test_monoid_mismatch(self):
         with pytest.raises(InvalidMorphismError):
             Morphism(zt(2), FactorTuple(NAT, (6,)), (1,))

@@ -3,6 +3,7 @@ self-test that a corrupted operation is caught with a usable counterexample."""
 
 import gc
 import random
+import sys
 import weakref
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
@@ -27,6 +28,7 @@ from factorcat import (
     compose,
     decode_morphism,
     decompose_eip,
+    encode_morphism,
     free_monoid,
     hom_index_tuples,
     hom_set,
@@ -203,6 +205,66 @@ def test_corrupted_epic_predicate_is_caught():
     finally:
         oracle.is_epic = true_is_epic
     assert not recheck(report.failures[0])
+
+
+PROBE_UNIVERSE = UniverseSpec(pool=(1, 2, 6), max_len=2)
+
+
+def _clear_probe_caches():
+    oracle._epic_probe.cache_clear()
+    oracle._monic_probe.cache_clear()
+
+
+def test_probe_memo_never_hides_a_broken_fast_path(monkeypatch):
+    # each fast path is wrong only on a part of the morphism its probe's key
+    # leaves out, so morphisms sharing a key get different verdicts
+    true_epic, true_monic = oracle.is_epic, oracle.is_monic
+    monkeypatch.setattr(oracle, "is_epic", lambda m: true_epic(m) != (6 in m.domain))
+    monkeypatch.setattr(oracle, "is_monic", lambda m: true_monic(m) != (6 in m.codomain))
+    monkeypatch.setattr(oracle.SuiteReport, "MAX_STORED", 10**6)
+    u = PROBE_UNIVERSE
+    _clear_probe_caches()
+    try:
+        report = oracle.verify_epic_monic(u)
+        expected, verdicts = [], {}
+        for m in universe_morphisms(u):
+            for law, probe, key, fast in (
+                ("epic_agreement", oracle._epic_probe, m.codomain, oracle.is_epic),
+                ("monic_agreement", oracle._monic_probe, m.domain, oracle.is_monic),
+            ):
+                ok = probe.__wrapped__(key, m.values) == fast(m)
+                verdicts.setdefault((law, key, m.values), set()).add(ok)
+                if not ok:
+                    expected.append({"law": law, "monoid": "zx", "morphism": encode_morphism(m)})
+    finally:
+        _clear_probe_caches()
+    assert report.failures == expected
+    assert {f["law"] for f in expected} == {"epic_agreement", "monic_agreement"}
+    for law in ("epic_agreement", "monic_agreement"):  # a key with both verdicts
+        assert any(k[0] == law and v == {True, False} for k, v in verdicts.items())
+
+
+def test_probe_caches_hold_each_distinct_input_once():
+    u = PROBE_UNIVERSE
+    morphisms = universe_morphisms(u)
+    distinct = {
+        oracle._epic_probe: {(m.codomain, m.values) for m in morphisms},
+        oracle._monic_probe: {(m.domain, m.values) for m in morphisms},
+    }
+    _clear_probe_caches()
+    assert oracle.verify_epic_monic(u).passed
+    for probe, keys in distinct.items():
+        info = probe.cache_info()
+        assert info.maxsize == oracle.PROBE_CACHE_SIZE
+        assert info.currsize == len(keys) < len(morphisms)
+        assert info.misses == info.currsize  # no eviction
+    # the sweep that empties every library cache reaches both probes
+    for name, module in list(sys.modules.items()):
+        if name == "factorcat" or name.startswith("factorcat."):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+    assert [probe.cache_info().currsize for probe in distinct] == [0, 0]
 
 
 # law -> payload keys besides "law" and "monoid"
