@@ -8,6 +8,8 @@ for every n, x_n is below the product of the codomain entries mapped to n
 from codomain positions to domain positions, and composition composes maps
 the opposite way round.  ``underlying_function`` returns the map as an
 ``IndexFunction``, the value of the underlying functor to finite sets.
+The maps of small hom sets are shared immutable tuples, one object per
+distinct map, but equal maps may be distinct objects: never compare by identity.
 
 Index values are 1-based throughout, matching the wire format.
 """
@@ -23,6 +25,8 @@ from .monoids import Element, Monoid, ZX
 
 HOM_ENUMERATION_GUARD = 10**7
 HOM_CACHE_SIZE = 2**17  # hom_index_tuples entries; a default verify fills about 39k
+SHARED_CACHE_SIZE = 2**12  # maps and hom sets kept to share; searched shapes have 1,675 maps
+SHARED_SHAPE_BOUND = 2**8  # most candidates of a shared hom set; larger ones' maps rarely repeat
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -287,6 +291,12 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     return _trusted_morphism(f.domain, g.codomain, tuple([fv[v - 1] for v in g.values]))
 
 
+@lru_cache(maxsize=SHARED_CACHE_SIZE)
+def _shared(value: tuple) -> tuple:
+    """The one object kept for an index tuple equal to value."""
+    return value
+
+
 @lru_cache(maxsize=HOM_CACHE_SIZE)
 def hom_index_tuples(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[int, ...], ...]:
     """All order-constrained index-value tuples domain <- codomain, in
@@ -295,7 +305,10 @@ def hom_index_tuples(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[
     Enumerates the N^M candidate functions depth-first, pruning a branch as
     soon as some fiber can no longer satisfy its constraint.  Requests with
     N^M above the 10^7 guard are rejected.  The HOM_CACHE_SIZE most recent
-    results are cached.
+    results are cached.  Up to SHARED_SHAPE_BOUND candidates, equal maps and
+    equal results are returned as one shared tuple, so the morphisms of a
+    universe hold one map object per distinct map.  Equal maps may still be
+    distinct objects, so never compare them by identity.
     """
     require_same_monoid(domain, codomain, "a hom set")
     monoid = domain.monoid
@@ -306,7 +319,7 @@ def hom_index_tuples(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[
         return ((),) if m == 0 else ()
     if n == 1:
         # the single candidate sends everything to 1; it needs no search
-        return ((1,) * m,) if monoid.leq(xs[0], monoid.product(ys)) else ()
+        return (_shared((1,) * m),) if monoid.leq(xs[0], monoid.product(ys)) else ()
     if n**m > HOM_ENUMERATION_GUARD:
         raise GuardError(f"hom enumeration over {n}^{m} candidates exceeds the 10^7 guard")
     one = monoid.identity()
@@ -339,7 +352,7 @@ def hom_index_tuples(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[
 
     walk(0)
     del walk  # walk holds itself through its cell; drop that cycle here
-    return tuple(out)
+    return tuple(out) if n**m > SHARED_SHAPE_BOUND else _shared(tuple(map(_shared, out)))
 
 
 def hom_set(domain: FactorTuple, codomain: FactorTuple) -> list[Morphism]:

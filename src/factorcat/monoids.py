@@ -34,6 +34,10 @@ FACTORIZATION_DEGREE_BOUND = 256
 
 DIVISOR_CLASS_GUARD = 10**5
 
+# entries of each cache keyed on a monoid or an alphabet; monoids are equal
+# by name, so one rebuilt after eviction equals the evicted one
+MONOID_CACHE_SIZE = 2**8
+
 
 def _is_prime_int(n: int) -> bool:
     """Deterministic trial division on a non-negative integer."""
@@ -517,7 +521,7 @@ NAT = PositiveIntegers()
 INTERVAL = UnitInterval()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MONOID_CACHE_SIZE)
 def _free_cached(gens: tuple[str, ...]) -> FreeCommutative:
     return FreeCommutative(gens)
 
@@ -526,7 +530,8 @@ def free_monoid(alphabet: str | Iterable[str]) -> FreeCommutative:
     """Free commutative monoid over the given generators.
 
     A string alphabet is split on commas when present ("a,b" or "ab" both
-    give generators a and b); instances are cached per alphabet.
+    give generators a and b); the MONOID_CACHE_SIZE most recent instances are
+    cached per alphabet.
     """
     if isinstance(alphabet, str):
         gens = tuple(alphabet.split(",")) if "," in alphabet else tuple(alphabet)

@@ -41,7 +41,7 @@ from itertools import product as iter_product
 from typing import Callable, Iterable, Mapping
 
 from .errors import CapabilityError, GuardError, InvalidMorphismError
-from .monoids import ZX, NAT, Monoid, monoid_by_name
+from .monoids import MONOID_CACHE_SIZE, ZX, NAT, Monoid, monoid_by_name
 from .category import (
     FactorTuple,
     Morphism,
@@ -98,6 +98,10 @@ class UniverseSpec:
     def __post_init__(self):
         pool = dict.fromkeys(map(self.monoid.validate, self.pool))  # keeps first-seen order
         object.__setattr__(self, "pool", tuple(pool))
+        for name in ("max_len", "exhaustive_limit", "sample_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"universe {name} must be an integer, got {value!r}")
         if self.max_len < 0:
             raise ValueError("universe bounds must be positive")
         if self.exhaustive_limit < 1 or self.sample_size < 1:
@@ -274,10 +278,10 @@ def _count_singleton_target_ok(monoid: Monoid, y, t: FactorTuple) -> bool:
     return count == expected
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MONOID_CACHE_SIZE)
 def _unit_constants(monoid: Monoid) -> tuple[FactorTuple, Morphism]:
-    """The 1-tuple (1) and the identity on (), built once per monoid
-    through the public embed, empty_tuple and identity_morphism."""
+    """The 1-tuple (1) and the identity on (), built through the public
+    embed, empty_tuple and identity_morphism once per recently used monoid."""
     return embed(monoid, monoid.identity()), identity_morphism(empty_tuple(monoid))
 
 

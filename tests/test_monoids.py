@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+import factorcat.monoids as monoids
+import factorcat.oracle as oracle
 from factorcat import (
     CapabilityError,
     GuardError,
@@ -14,7 +16,10 @@ from factorcat import (
     NAT,
     PRIMALITY_BOUND,
     ZX,
+    compose,
+    decode_morphism,
     free_monoid,
+    identity_morphism,
     monoid_by_name,
 )
 from factorcat.monoids import FREE_DECODE_BOUND, INTERVAL_EXPONENT_BOUND
@@ -175,6 +180,24 @@ def test_monoid_name_must_be_a_string():
     for name in (1, None, ["zx"]):
         with pytest.raises(ValueError):
             monoid_by_name(name)
+
+
+def test_monoid_keyed_caches_stay_bounded_and_rebuilt_alphabets_still_work():
+    wire = {"monoid": "free:ab", "domain": ["a"], "codomain": ["a", "b"], "map": [1, 1]}
+    before = decode_morphism(wire)
+    for i in range(3000):  # alphabets from caller JSON, each new
+        m = decode_morphism(dict(wire, monoid=f"free:a,b,g{i}")).monoid
+        oracle._unit_constants(m)
+    for cache in (monoids._free_cached, oracle._unit_constants):
+        info = cache.cache_info()
+        assert info.maxsize == monoids.MONOID_CACHE_SIZE
+        assert info.currsize <= monoids.MONOID_CACHE_SIZE
+    after = decode_morphism(wire)
+    assert after.monoid is not before.monoid  # free:ab was evicted and rebuilt
+    assert after == before and hash(after) == hash(before)
+    assert after.domain == before.domain and after.codomain == before.codomain
+    assert compose(identity_morphism(after.codomain), before) == before
+    assert compose(after, identity_morphism(before.domain)) == after
 
 
 # -- algebraic laws, sampled ---------------------------------------------

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import factorcat.category as category
 import factorcat.oracle as oracle
 from factorcat import (
     CapabilityError,
@@ -258,13 +259,18 @@ def test_probe_caches_hold_each_distinct_input_once():
         assert info.maxsize == oracle.PROBE_CACHE_SIZE
         assert info.currsize == len(keys) < len(morphisms)
         assert info.misses == info.currsize  # no eviction
-    # the sweep that empties every library cache reaches both probes
+    sweep_library_caches()  # reaches both probes
+    assert [probe.cache_info().currsize for probe in distinct] == [0, 0]
+
+
+def sweep_library_caches():
+    """Empty every functools cache of the library through its cache_clear,
+    the way a benchmarked verify starts cold."""
     for name, module in list(sys.modules.items()):
         if name == "factorcat" or name.startswith("factorcat."):
             for obj in vars(module).values():
                 if callable(getattr(obj, "cache_clear", None)):
                     obj.cache_clear()
-    assert [probe.cache_info().currsize for probe in distinct] == [0, 0]
 
 
 # law -> payload keys besides "law" and "monoid"
@@ -487,6 +493,16 @@ def test_universe_pool_validation():
     assert dedup.pool == (2, 3)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_len", 2.5), ("max_len", "3"), ("max_len", True), ("exhaustive_limit", 1e6),
+     ("exhaustive_limit", None), ("sample_size", 2.5), ("sample_size", False)],
+)
+def test_universe_numeric_fields_must_be_integers(field, value):
+    with pytest.raises(ValueError, match=field):
+        UniverseSpec(**{field: value})
+
+
 def test_universe_object_guard():
     from factorcat import GuardError
 
@@ -520,6 +536,24 @@ CLOSURE_UNIVERSES = {
     "free_ab": FREE_AB_UNIVERSE,
     "nat": NAT_UNIVERSE,
 }
+
+
+@pytest.mark.parametrize(
+    "u", [*CLOSURE_UNIVERSES.values(), UniverseSpec()], ids=[*CLOSURE_UNIVERSES, "default"]
+)
+def test_morphisms_share_one_map_object_per_distinct_map(u):
+    sweep_library_caches()
+    morphs = universe_morphisms(replace(u))  # a fresh spec builds its tables cold
+    assert len({id(m.values) for m in morphs}) == len({m.values for m in morphs})
+
+
+def test_shared_map_cache_is_bounded_and_swept():
+    shared = category._shared
+    assert shared.cache_info().maxsize == category.SHARED_CACHE_SIZE
+    maps = hom_index_tuples.__wrapped__(FactorTuple(ZX, (2, 3)), FactorTuple(ZX, (6, 6)))
+    assert maps == ((1, 2), (2, 1)) and shared.cache_info().currsize >= 3
+    sweep_library_caches()
+    assert shared.cache_info().currsize == 0
 
 
 def rebuilt(m):
