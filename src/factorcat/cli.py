@@ -220,8 +220,11 @@ def _cmd_graph(args) -> int:
         raise GuardError(f"graph universe has {u.object_count} nodes; guard is {GRAPH_NODE_GUARD}")
     dot = _render_dot(u)
     if args.out and args.out != "-":
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dot)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(dot)
+        except OSError as exc:
+            raise ValueError(f"cannot write the graph: {exc}") from None
     else:
         print(dot, end="")
     return EXIT_OK

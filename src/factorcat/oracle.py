@@ -14,13 +14,14 @@ deterministic for a given UniverseSpec, which builds its objects, hom table
 and morphisms on first use and keeps them for its own lifetime.
 
 Each law is one entry of the ``LAWS`` registry: its name, the payload key
-and wire kind of each predicate argument, and the predicate.  A suite calls
-``rep.check(name, *args)``; a failing case is serialized from the entry and
-:func:`recheck` decodes the same entry to re-run it.  To add a law, add a
-``_law(name, predicate, key=kind, ...)`` line to the registry, with the
-keys in the predicate's argument order, and call ``rep.check`` with it from
-a suite.  Predicates look up library functions as module globals at call
-time, so a test can swap one out and watch the oracle catch it.
+and wire kind of each predicate argument, and the predicate.  A suite is a
+generator in ``SUITES`` that yields each case as ``(name, *args)``, and
+:func:`run_suite` checks every case; a failing case is serialized from the
+entry and :func:`recheck` decodes the same entry to re-run it.  To add a
+law, add a ``_law(name, predicate, key=kind, ...)`` line to the registry,
+with the keys in the predicate's argument order, and yield its cases from a
+suite's generator.  Predicates look up library functions as module globals
+at call time, so a test can swap one out and watch the oracle catch it.
 
 The two cancellation probes are memoized on exactly what each reads, the
 epic probe on (codomain, values) and the monic probe on (domain, values),
@@ -37,8 +38,8 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
-from itertools import product as iter_product
-from typing import Callable, Iterable, Mapping
+from itertools import islice, product as iter_product
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import CapabilityError, GuardError, InvalidMorphismError
 from .monoids import MONOID_CACHE_SIZE, ZX, NAT, Monoid, monoid_by_name
@@ -73,6 +74,10 @@ DEFAULT_POOL = (-1, 1, 2, 3, 5, 6)
 
 UNIVERSE_OBJECT_GUARD = 2000
 
+# candidate index maps over all pairs of objects; the default universe has
+# 1,403,215, and every map kept as a morphism costs memory
+UNIVERSE_CANDIDATE_GUARD = 2_000_000
+
 # morphisms per sampled composition chain in the two_of_three suite
 MAX_CHAIN = 3
 
@@ -84,7 +89,8 @@ PROBE_CACHE_SIZE = 2**13
 class UniverseSpec:
     """A bounded universe: a pool of elements, a tuple-length cap, and the
     determinism knobs (seed, exhaustive limit, sample size).  Construction
-    counts the tuples into ``object_count`` and stops at the object guard.
+    counts the tuples into ``object_count`` and stops at the object guard,
+    then stops at the candidate guard, counted from the tuple lengths alone.
     The objects, hom table and morphisms are built on first use and kept on
     the spec, so they live as long as the spec does."""
 
@@ -106,16 +112,22 @@ class UniverseSpec:
             raise ValueError("universe bounds must be positive")
         if self.exhaustive_limit < 1 or self.sample_size < 1:
             raise ValueError("universe limits must be positive")
-        count = layer = 1
-        for _ in range(self.max_len):
-            layer *= len(self.pool)
-            if not layer:
-                break
-            count += layer
+        count, layers = 1, [1]  # layers: the number of objects of each length
+        for _ in range(self.max_len if self.pool else 0):
+            layers.append(layers[-1] * len(self.pool))
+            count += layers[-1]
             if count > UNIVERSE_OBJECT_GUARD:
                 raise GuardError(
                     f"universe has at least {count} objects; the guard is {UNIVERSE_OBJECT_GUARD}")
         object.__setattr__(self, "object_count", count)
+        candidates = 0  # the maps a -> b are the len(a) ** len(b) index maps
+        for i, a in enumerate(layers):
+            for j, b in enumerate(layers):
+                candidates += a * b * i**j
+                if candidates > UNIVERSE_CANDIDATE_GUARD:
+                    raise GuardError(
+                        f"universe has at least {candidates} candidate maps; "
+                        f"the guard is {UNIVERSE_CANDIDATE_GUARD}")
 
 
 @dataclass
@@ -222,20 +234,24 @@ def _k_tuples(items, k: int, u: UniverseSpec, rng: random.Random):
     return _draws(items, k, rng, u.sample_size)
 
 
+def _walks(u: UniverseSpec, rng: random.Random, k: int, count: int):
+    """count seeded composable chains [f1, ..., fk], drawn step by step."""
+    morphs = universe_morphisms(u)
+    by_dom = _by_domain(u)[0]
+    for _ in range(count):
+        steps = [morphs[rng.randrange(len(morphs))]]
+        for _ in range(k - 1):
+            outs = by_dom[steps[-1].codomain]  # never empty: the identity is there
+            steps.append(outs[rng.randrange(len(outs))])
+        yield steps
+
+
 def _composable_pairs(u: UniverseSpec, rng: random.Random):
     """Pairs (f, g) with g composable after f, exhaustive or sampled."""
-    morphs = universe_morphisms(u)
     by_dom, total = _by_domain(u)
-    if total <= u.exhaustive_limit:
-        for f in morphs:
-            for g in by_dom.get(f.codomain, ()):
-                yield f, g
-    else:
-        size = len(morphs)
-        for _ in range(u.sample_size):
-            f = morphs[rng.randrange(size)]
-            outs = by_dom[f.codomain]  # never empty: the identity is there
-            yield f, outs[rng.randrange(len(outs))]
+    if total > u.exhaustive_limit:
+        return _walks(u, rng, 2, u.sample_size)
+    return ((f, g) for f in universe_morphisms(u) for g in by_dom.get(f.codomain, ()))
 
 
 # -- law predicates ----------------------------------------------------------
@@ -248,11 +264,8 @@ def _count_from_empty_ok(monoid: Monoid, t: FactorTuple) -> bool:
 
 def _count_into_empty_ok(monoid: Monoid, t: FactorTuple) -> bool:
     count = len(hom_index_tuples(t, empty_tuple(monoid)))
-    if count > 1:
-        return False
     one = monoid.identity()
-    expected = 1 if all(monoid.leq(x, one) for x in t.entries) else 0
-    return count == expected
+    return count == (1 if all(monoid.leq(x, one) for x in t.entries) else 0)
 
 
 def _count_singleton_source_ok(monoid: Monoid, y, t: FactorTuple) -> bool:
@@ -479,143 +492,112 @@ LAWS: dict[str, Law] = {law.name: law for law in (
 # -- suites ------------------------------------------------------------------
 
 
-def verify_homset_formulas(u: UniverseSpec) -> SuiteReport:
+def _homset_formulas(u: UniverseSpec, rng: random.Random):
     """Counting formulas for hom sets in and out of the empty tuple and the
     1-tuples, checked against raw enumeration."""
-    rep = SuiteReport("homset_formulas", u.monoid.name)
     monoid = u.monoid
     objs = universe_objects(u)
     for t in objs:
-        rep.check("hom_count_from_empty", monoid, t)
-        rep.check("hom_count_into_empty", monoid, t)
+        yield "hom_count_from_empty", monoid, t
+        yield "hom_count_into_empty", monoid, t
         if monoid.name == "interval":
-            rep.check("hom_count_interval_into_empty", monoid, t)
+            yield "hom_count_interval_into_empty", monoid, t
     for y in u.pool:
         for t in objs:
-            rep.check("hom_count_singleton_source", monoid, y, t)
-            rep.check("hom_count_singleton_target", monoid, y, t)
-    return rep
+            yield "hom_count_singleton_source", monoid, y, t
+            yield "hom_count_singleton_target", monoid, y, t
 
 
-def verify_epic_monic(u: UniverseSpec) -> SuiteReport:
+def _epic_monic(u: UniverseSpec, rng: random.Random):
     """Cancellation-based epic/monic decisions, probed on the universe
     extended by one unit entry, against the injective/surjective predicates."""
-    rep = SuiteReport("epic_monic", u.monoid.name)
     for m in universe_morphisms(u):
-        rep.check("epic_agreement", m)
-        rep.check("monic_agreement", m)
-    return rep
+        yield "epic_agreement", m
+        yield "monic_agreement", m
 
 
-def verify_iso(u: UniverseSpec) -> SuiteReport:
+def _iso(u: UniverseSpec, rng: random.Random):
     """The isomorphism predicate against brute-force two-sided inverse search."""
-    rep = SuiteReport("iso", u.monoid.name)
     for m in universe_morphisms(u):
-        rep.check("iso_agreement", m)
-        rep.check("inverse_roundtrip", m)
-    return rep
+        yield "iso_agreement", m
+        yield "inverse_roundtrip", m
 
 
-def verify_two_of_three(u: UniverseSpec) -> SuiteReport:
+def _two_of_three(u: UniverseSpec, rng: random.Random):
     """The 2-of-3 property of the weak equivalence class on composable
     pairs, membership of every isomorphism, and membership consistency
     along sampled composition chains of MAX_CHAIN morphisms."""
-    rep = SuiteReport("two_of_three", u.monoid.name)
-    for f, g in _composable_pairs(u, _rng(u, "two_of_three")):
-        rep.check("two_of_three", f, g)
-    morphs = universe_morphisms(u)
-    for m in morphs:
-        rep.check("iso_in_w", m)
-    by_dom = _by_domain(u)[0]
-    chain_rng = _rng(u, "two_of_three:chains")
-    for _ in range(min(u.sample_size, 2000)):
-        steps = [morphs[chain_rng.randrange(len(morphs))]]
-        for _ in range(MAX_CHAIN - 1):
-            outs = by_dom[steps[-1].codomain]
-            steps.append(outs[chain_rng.randrange(len(outs))])
-        rep.check("chain_membership", steps)
-    return rep
+    for f, g in _composable_pairs(u, rng):
+        yield "two_of_three", f, g
+    for m in universe_morphisms(u):
+        yield "iso_in_w", m
+    for steps in _walks(u, _rng(u, "two_of_three:chains"), MAX_CHAIN, min(u.sample_size, 2000)):
+        yield "chain_membership", steps
 
 
-def verify_monoidal_laws(u: UniverseSpec) -> SuiteReport:
+def _monoidal_laws(u: UniverseSpec, rng: random.Random):
     """Strict associativity and units, length additivity, braiding
     involution/isomorphism/naturality, the hexagon, and bifunctoriality."""
-    rep = SuiteReport("monoidal_laws", u.monoid.name)
-    rng = _rng(u, "monoidal_laws")
     objs = universe_objects(u)
     for t in objs:
-        rep.check("tensor_unit_object", t)
+        yield "tensor_unit_object", t
     for x, y in _k_tuples(objs, 2, u, rng):
-        rep.check("tensor_length", x, y)
-        rep.check("braiding_involution", x, y)
+        yield "tensor_length", x, y
+        yield "braiding_involution", x, y
         if u.monoid.is_divisibility:
-            rep.check("braiding_iso", x, y)
+            yield "braiding_iso", x, y
     for x, y, z in _k_tuples(objs, 3, u, rng):
-        rep.check("tensor_assoc_objects", x, y, z)
-        rep.check("hexagon", x, y, z)
+        yield "tensor_assoc_objects", x, y, z
+        yield "hexagon", x, y, z
     morphs = universe_morphisms(u)
     for m in morphs:
-        rep.check("tensor_unit_morphism", m)
+        yield "tensor_unit_morphism", m
     for f, g in _k_tuples(morphs, 2, u, rng):
-        rep.check("braiding_naturality", f, g)
-    pair_stream = _composable_pairs(u, rng)
-    pair_stream_2 = _composable_pairs(u, _rng(u, "monoidal_laws:second"))
-    budget = min(u.sample_size, u.exhaustive_limit)
-    for _ in range(budget):
-        try:
-            f, h = next(pair_stream)
-            g, k = next(pair_stream_2)
-        except StopIteration:
-            break
-        rep.check("bifunctoriality", f, h, g, k)
-    return rep
+        yield "braiding_naturality", f, g
+    pairs = zip(_composable_pairs(u, rng), _composable_pairs(u, _rng(u, "monoidal_laws:second")))
+    for (f, h), (g, k) in islice(pairs, min(u.sample_size, u.exhaustive_limit)):
+        yield "bifunctoriality", f, h, g, k
 
 
-def verify_weakdiv(u: UniverseSpec) -> SuiteReport:
+def _weakdiv(u: UniverseSpec, rng: random.Random):
     """Weak divisibility: witness-division against the product-divisibility
     criterion, pre-order laws, minimality of the weak equivalences, and
     well-formedness of the produced squares."""
-    rep = SuiteReport("weakdiv", u.monoid.name)
-    rng = _rng(u, "weakdiv")
     morphs = universe_morphisms(u)
     diagram_budget = 200
     for f, g in _k_tuples(morphs, 2, u, rng):
-        rep.check("weakdiv_agreement", f, g)
+        yield "weakdiv_agreement", f, g
         if diagram_budget and weakly_divides(f, g):
             diagram_budget -= 1
-            rep.check("weakdiv_diagram", f, g)
+            yield "weakdiv_diagram", f, g
     for f in morphs[:: max(1, len(morphs) // 500)]:
-        rep.check("weakdiv_reflexive", f)
-        rep.check("weakdiv_weq_minimal", f)
+        yield "weakdiv_reflexive", f
+        yield "weakdiv_weq_minimal", f
     for f, g, h in _draws(morphs, 3, rng, min(u.sample_size, 2000)):
-        rep.check("weakdiv_transitive", f, g, h)
-    return rep
+        yield "weakdiv_transitive", f, g, h
 
 
-def verify_adjunction(u: UniverseSpec) -> SuiteReport:
+def _adjunction(u: UniverseSpec, rng: random.Random):
     """Adjunction cardinalities: hom from a 1-tuple matches the order
     relation of the underlying monoid, and product-after-embed is the identity."""
-    rep = SuiteReport("adjunction", u.monoid.name)
     monoid = u.monoid
     objs = universe_objects(u)
     for y in u.pool:
-        rep.check("adjunction_roundtrip", monoid, y)
+        yield "adjunction_roundtrip", monoid, y
         for t in objs:
-            rep.check("adjunction_count", monoid, y, t)
-    return rep
+            yield "adjunction_count", monoid, y, t
 
 
-SUITES: dict[str, Callable[[UniverseSpec], SuiteReport]] = {
-    "homset_formulas": verify_homset_formulas,
-    "epic_monic": verify_epic_monic,
-    "iso": verify_iso,
-    "two_of_three": verify_two_of_three,
-    "monoidal_laws": verify_monoidal_laws,
-    "weakdiv": verify_weakdiv,
-    "adjunction": verify_adjunction,
+# name -> (case generator, whether the suite needs a divisibility monoid)
+SUITES: dict[str, tuple[Callable[..., Iterator[tuple]], bool]] = {
+    "homset_formulas": (_homset_formulas, False),
+    "epic_monic": (_epic_monic, True),
+    "iso": (_iso, True),
+    "two_of_three": (_two_of_three, True),
+    "monoidal_laws": (_monoidal_laws, False),
+    "weakdiv": (_weakdiv, True),
+    "adjunction": (_adjunction, False),
 }
-
-_DIVISIBILITY_ONLY = frozenset({"epic_monic", "iso", "two_of_three", "weakdiv"})
 
 
 def run_suite(u: UniverseSpec, names: Iterable[str] | None = None) -> list[SuiteReport]:
@@ -623,20 +605,21 @@ def run_suite(u: UniverseSpec, names: Iterable[str] | None = None) -> list[Suite
     return their reports in order.  Unknown names raise ValueError, and a
     divisibility-only suite on another monoid raises CapabilityError."""
     if names is None:
-        selected = [
-            n for n in SUITES
-            if u.monoid.is_divisibility or n not in _DIVISIBILITY_ONLY
-        ]
-    else:
-        selected = list(names)
-        for n in selected:
-            if n not in SUITES:
-                raise ValueError(f"unknown suite {n!r}")
+        names = [n for n, (_, div) in SUITES.items() if u.monoid.is_divisibility or not div]
+    names = list(names)
+    for n in names:
+        if n not in SUITES:
+            raise ValueError(f"unknown suite {n!r}")
     reports = []
-    for n in selected:
-        if n in _DIVISIBILITY_ONLY:
+    for n in names:
+        cases, needs_divisibility = SUITES[n]
+        if needs_divisibility:
             u.monoid.require_divisibility(f"suite {n!r}")
-        reports.append(SUITES[n](u))
+        rep = SuiteReport(n, u.monoid.name)
+        check = rep.check
+        for case in cases(u, _rng(u, n)):
+            check(*case)
+        reports.append(rep)
     return reports
 
 

@@ -114,7 +114,7 @@ def decompose_eip(m: Morphism) -> EIPDecomposition:
     )
     delta = _trusted_morphism(kept, scaled, tuple(range(1, p_count + 1)))
     phi = _trusted_morphism(scaled, m.codomain, tuple(position[v] for v in values))
-    dropped = monoid.product(xs[n - 1] for n in range(1, len(xs) + 1) if n not in position)
+    dropped = monoid.product(x for n, x in enumerate(xs, 1) if n not in position)
     return EIPDecomposition(epsilon, delta, phi, ratios, dropped)
 
 

@@ -284,6 +284,16 @@ class TestGraph:
         assert code == 0 and out == ""
         assert target.read_text().startswith("digraph factorization")
 
+    def test_out_file_in_a_missing_directory_is_a_parse_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "g.dot"
+        code, out, err = run(
+            capsys, "graph", "--monoid", "zx", "--pool", "[2,3]", "--max-len", "1",
+            "--out", str(target),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write the graph") and "Traceback" not in err
+        assert not target.parent.exists()
+
 
 class TestVerify:
     def test_named_suites_pass(self, capsys):

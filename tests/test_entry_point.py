@@ -7,19 +7,22 @@ so a regression fails instead of hanging the suite.
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def factorcat(*argv, timeout=60):
+def factorcat(*argv, timeout=60, **run_kwargs):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "factorcat", *argv],
-        env=env, capture_output=True, text=True, timeout=timeout,
+        env=env, capture_output=True, text=True, timeout=timeout, **run_kwargs,
     )
 
 
@@ -66,3 +69,19 @@ def test_a_large_pool_reaches_the_object_guard_quickly():
     pool = json.dumps([f"1/{k}" for k in range(1, 12_001)])
     proc = factorcat("graph", "--monoid", "interval", "--pool", pool, "--max-len", "1", timeout=10)
     assert proc.returncode == 3, proc.stderr
+
+
+def _cap_address_space():
+    limit = 256 * 2**20  # a universe built past the guard needs far more
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--pool", "[1,-1]", "--max-len", "5"),  # 4,234,971 candidate maps
+    ("verify", "--pool", "[1,-1]", "--max-len", "6"),  # 249,295,003
+    ("graph", "--monoid", "zx", "--pool", "[1,-1]", "--max-len", "6"),  # 127 nodes
+], ids=["verify-len5", "verify-len6", "graph-len6"])
+def test_a_universe_past_the_candidate_guard_is_refused_in_bounded_memory(argv):
+    proc = factorcat(*argv, timeout=20, preexec_fn=_cap_address_space)
+    assert proc.returncode == 3, proc.stderr
+    assert "candidate maps" in proc.stderr

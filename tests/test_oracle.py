@@ -2,9 +2,12 @@
 self-test that a corrupted operation is caught with a usable counterexample."""
 
 import gc
+import hashlib
+import json
 import random
 import sys
 import weakref
+import zlib
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
@@ -134,6 +137,33 @@ def test_interval_universe_runs_compatible_suites():
     assert all_passed(reports)
 
 
+# SHA-256 of every failure payload, in order, when each law is forced to
+# fail on a fixed fifth of its cases (see the test below)
+FORCED_FAILURES_DIGEST = "ae8f27481ad1c20d858df9619370a378bfa00f8b82b1061a3a0825ee411d72a2"
+
+
+def test_forced_failures_keep_their_cases_and_order(monkeypatch):
+    # a case fails when the CRC of its law name and arguments is 0 mod 5, so
+    # the failure payloads pin which cases each suite runs and in what order
+    ran = set()
+    for name, law in oracle.LAWS.items():
+        def predicate(*args, name=name, holds=law.predicate):
+            ran.add(name)
+            return holds(*args) and zlib.crc32((name + repr(args)).encode()) % 5 != 0
+
+        monkeypatch.setitem(oracle.LAWS, name, replace(law, predicate=predicate))
+    monkeypatch.setattr(oracle.SuiteReport, "MAX_STORED", 10**6)
+    free_ab = replace(FREE_AB_UNIVERSE, exhaustive_limit=20_000, sample_size=2_000)
+    runs = []
+    for key, u in (("small", SMALL), ("degenerate", DEGENERATE),
+                   ("interval", INTERVAL_UNIVERSE), ("free_ab", free_ab)):
+        reports = run_suite(u)
+        assert {r.suite: r.cases for r in reports} == CASE_COUNTS[key]
+        runs += [[r.suite, r.cases, r.failures] for r in reports]
+    assert ran == set(oracle.LAWS)  # no registered law goes unchecked
+    assert hashlib.sha256(json.dumps(runs).encode()).hexdigest() == FORCED_FAILURES_DIGEST
+
+
 def test_divisibility_suite_on_interval_raises():
     with pytest.raises(CapabilityError):
         run_suite(INTERVAL_UNIVERSE, ["epic_monic"])
@@ -182,7 +212,7 @@ def test_corrupted_compose_is_caught_with_counterexample():
     u = UniverseSpec(pool=(1, 2), max_len=2)
     oracle.compose = corrupt
     try:
-        report = oracle.verify_iso(u)
+        report = run_suite(u, ["iso"])[0]
         assert not report.passed
         failure = report.failures[0]
         assert failure["law"] == "iso_agreement"
@@ -191,7 +221,7 @@ def test_corrupted_compose_is_caught_with_counterexample():
     finally:
         oracle.compose = true_compose
     assert not recheck(failure)
-    assert oracle.verify_iso(u).passed
+    assert run_suite(u, ["iso"])[0].passed
 
 
 def test_corrupted_epic_predicate_is_caught():
@@ -199,7 +229,7 @@ def test_corrupted_epic_predicate_is_caught():
     oracle.is_epic = lambda m: not true_is_epic(m)
     try:
         u = UniverseSpec(pool=(1, 2), max_len=2)
-        report = oracle.verify_epic_monic(u)
+        report = run_suite(u, ["epic_monic"])[0]
         assert not report.passed
         assert report.failures[0]["law"] == "epic_agreement"
         assert recheck(report.failures[0])
@@ -226,7 +256,7 @@ def test_probe_memo_never_hides_a_broken_fast_path(monkeypatch):
     u = PROBE_UNIVERSE
     _clear_probe_caches()
     try:
-        report = oracle.verify_epic_monic(u)
+        report = run_suite(u, ["epic_monic"])[0]
         expected, verdicts = [], {}
         for m in universe_morphisms(u):
             for law, probe, key, fast in (
@@ -253,7 +283,7 @@ def test_probe_caches_hold_each_distinct_input_once():
         oracle._monic_probe: {(m.domain, m.values) for m in morphisms},
     }
     _clear_probe_caches()
-    assert oracle.verify_epic_monic(u).passed
+    assert run_suite(u, ["epic_monic"])[0].passed
     for probe, keys in distinct.items():
         info = probe.cache_info()
         assert info.maxsize == oracle.PROBE_CACHE_SIZE

@@ -151,11 +151,12 @@ class TestDecomposition:
         assert d.phi == identity_morphism(zt(6))
 
     def test_dropped_unit_folds_into_witness(self):
-        m = zm([6, -1, 35], [2, 7, 33, 65], [1, 3, 1, 3])
-        d = decompose_eip(m)
-        assert d.dropped_unit == -1
-        r = total_witness(m)
-        assert r == ZX.product((d.dropped_unit, *d.ratios))
+        # the dropped unit sits inside the domain, then at its end
+        for m in (zm([6, -1, 35], [2, 7, 33, 65], [1, 3, 1, 3]), zm([6, -1], [12], [1])):
+            d = decompose_eip(m)
+            assert d.dropped_unit == -1
+            r = total_witness(m)
+            assert r == ZX.product((d.dropped_unit, *d.ratios))
 
     def test_empty_tuples_rejected(self):
         with pytest.raises(ValueError):
