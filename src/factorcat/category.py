@@ -24,6 +24,7 @@ from .errors import GuardError, InvalidMorphismError
 from .monoids import Element, Monoid, ZX
 
 HOM_ENUMERATION_GUARD = 10**7
+HOM_RESULT_GUARD = 10**5  # most maps one hom set may hold; the largest default one has 27
 HOM_CACHE_SIZE = 2**17  # hom_index_tuples entries; a default verify fills about 39k
 SHARED_CACHE_SIZE = 2**12  # maps and hom sets kept to share; searched shapes have 1,675 maps
 SHARED_SHAPE_BOUND = 2**8  # most candidates of a shared hom set; larger ones' maps rarely repeat
@@ -89,14 +90,36 @@ def require_same_monoid(a, b, what: str) -> None:
         raise InvalidMorphismError(f"{what} needs both arguments over the same monoid")
 
 
+def _checked_map(dom_size, cod_size, values) -> tuple:
+    """The values of a total function [dom_size] -> [cod_size] as a tuple; the one
+    check of a map from caller data, run by IndexFunction and public Morphism."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise InvalidMorphismError(f"index values {values!r} are not a sequence") from None
+    for n in (dom_size, cod_size):
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise InvalidMorphismError(f"index set size {n!r} is not an integer")
+    if dom_size < 0 or cod_size < 0:
+        raise InvalidMorphismError("index set sizes must be non-negative")
+    if dom_size > 0 and cod_size == 0:
+        raise InvalidMorphismError("no function from a non-empty index set to the empty one")
+    if len(values) != dom_size:
+        raise InvalidMorphismError(f"expected {dom_size} values, got {len(values)}")
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int) or not 1 <= v <= cod_size:
+            raise InvalidMorphismError(f"value {v!r} outside the 1-based range [{cod_size}]")
+    return values
+
+
 @dataclass(frozen=True, slots=True)
 class IndexFunction:
     """A total function [dom_size] -> [cod_size], stored 1-based.
 
     dom_size > 0 with cod_size == 0 is unrepresentable: there is no
-    function from a non-empty index set into the empty one.  This is what
-    ``underlying_function`` returns, and its checks are the ones public
-    Morphism construction applies to the map.
+    function from a non-empty index set into the empty one.  This is the
+    view ``underlying_function`` returns; construction checks the map with
+    ``_checked_map``, as public Morphism construction does.
     """
 
     dom_size: int
@@ -104,26 +127,7 @@ class IndexFunction:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "values", tuple(self.values))
-        except TypeError:
-            raise InvalidMorphismError(f"index values {self.values!r} are not a sequence") from None
-        for n in (self.dom_size, self.cod_size):
-            if isinstance(n, bool) or not isinstance(n, int):
-                raise InvalidMorphismError(f"index set size {n!r} is not an integer")
-        if self.dom_size < 0 or self.cod_size < 0:
-            raise InvalidMorphismError("index set sizes must be non-negative")
-        if self.dom_size > 0 and self.cod_size == 0:
-            raise InvalidMorphismError("no function from a non-empty index set to the empty one")
-        if len(self.values) != self.dom_size:
-            raise InvalidMorphismError(
-                f"expected {self.dom_size} values, got {len(self.values)}"
-            )
-        for v in self.values:
-            if isinstance(v, bool) or not isinstance(v, int) or not 1 <= v <= self.cod_size:
-                raise InvalidMorphismError(
-                    f"value {v!r} outside the 1-based range [{self.cod_size}]"
-                )
+        object.__setattr__(self, "values", _checked_map(self.dom_size, self.cod_size, self.values))
 
     @staticmethod
     def identity(n: int) -> "IndexFunction":
@@ -146,8 +150,8 @@ class Morphism:
     ``values`` is the 1-based map from codomain positions to domain
     positions, one value per codomain entry.  Every Morphism in existence is
     valid.  Public construction (``Morphism(...)``, ``validate_morphism``,
-    decoding) checks the map once by building
-    ``IndexFunction(len(codomain), len(domain), values)``, then checks the
+    decoding) checks the map once, with
+    ``_checked_map(len(codomain), len(domain), values)``, then checks the
     order constraint fiber by fiber and reports the first failing domain
     index.  Internal construction goes through ``_trusted_morphism``, which
     skips the checks, and happens only where validity holds by theorem: the
@@ -168,8 +172,8 @@ class Morphism:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        fn = IndexFunction(len(self.codomain), len(self.domain), self.values)
-        object.__setattr__(self, "values", fn.values)
+        values = _checked_map(len(self.codomain), len(self.domain), self.values)
+        object.__setattr__(self, "values", values)
         require_same_monoid(self.domain, self.codomain, "a morphism")
         monoid = self.domain.monoid
         fibers = fiber_products(self)
@@ -304,11 +308,13 @@ def hom_index_tuples(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[
 
     Enumerates the N^M candidate functions depth-first, pruning a branch as
     soon as some fiber can no longer satisfy its constraint.  Requests with
-    N^M above the 10^7 guard are rejected.  The HOM_CACHE_SIZE most recent
-    results are cached.  Up to SHARED_SHAPE_BOUND candidates, equal maps and
-    equal results are returned as one shared tuple, so the morphisms of a
-    universe hold one map object per distinct map.  Equal maps may still be
-    distinct objects, so never compare them by identity.
+    N^M above the 10^7 guard are rejected, and so is a hom set of more than
+    HOM_RESULT_GUARD maps, as soon as the walk finds one map too many.  The
+    HOM_CACHE_SIZE most recent results are cached.  Up to SHARED_SHAPE_BOUND
+    candidates, equal maps and equal results are returned as one shared
+    tuple, so the morphisms of a universe hold one map object per distinct
+    map.  Equal maps may still be distinct objects, so never compare them
+    by identity.
     """
     require_same_monoid(domain, codomain, "a hom set")
     monoid = domain.monoid
@@ -335,6 +341,8 @@ def hom_index_tuples(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[
     def walk(pos: int) -> None:
         if pos == m:
             if all(leq(xs[i], fibers[i]) for i in range(n)):
+                if len(out) == HOM_RESULT_GUARD:
+                    raise GuardError(f"hom set over {n}^{m} candidates has more than 10^5 maps")
                 out.append(tuple(assign))
             return
         rest = suffix[pos]
@@ -350,8 +358,10 @@ def hom_index_tuples(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[
             assign.pop()
             fibers[target] = before
 
-    walk(0)
-    del walk  # walk holds itself through its cell; drop that cycle here
+    try:
+        walk(0)
+    finally:
+        del walk  # walk holds itself through its cell; drop that cycle here
     return tuple(out) if n**m > SHARED_SHAPE_BOUND else _shared(tuple(map(_shared, out)))
 
 
@@ -475,7 +485,7 @@ class MonoidHom:
 def map_tuple(hom: MonoidHom, t: FactorTuple) -> FactorTuple:
     if t.monoid != hom.source:
         raise ValueError(f"tuple lives in {t.monoid.name}, not {hom.source.name}")
-    return FactorTuple(hom.target, tuple(hom(a) for a in t.entries))
+    return _trusted_tuple(hom.target, tuple([hom(a) for a in t.entries]))  # hom validates
 
 
 def map_morphism(hom: MonoidHom, m: Morphism) -> Morphism:

@@ -132,6 +132,8 @@ class Monoid:
         raise NotImplementedError
 
     def decode(self, value) -> Element:
+        """Return the validated, normalized element a wire value encodes, or
+        raise ValueError; decoded tuples trust this and skip ``validate``."""
         raise NotImplementedError
 
     # -- divisibility-only operations -------------------------------------
@@ -299,8 +301,6 @@ class NonzeroIntegers(DivisibilityMonoid):
         return a
 
     def decode(self, value):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{self.name}: expected a JSON integer, got {value!r}")
         return self.validate(value)
 
 

@@ -6,7 +6,8 @@ predicates against cancellation probes built by appending a unit entry,
 the isomorphism predicate against a brute-force inverse search, weak
 divisibility against the product-divisibility criterion, and so on.
 Failures are reported in-band with serialized counterexamples that can be
-re-run through :func:`recheck`.
+re-run through :func:`recheck`; a case whose predicate raises one of
+``CASE_ERRORS`` is a failure too.
 
 Suites are exhaustive while the case count stays within the universe's
 limit and fall back to seeded sampling beyond it, so every report is
@@ -84,6 +85,10 @@ MAX_CHAIN = 3
 # distinct inputs each cancellation probe keeps (see the module docstring)
 PROBE_CACHE_SIZE = 2**13
 
+# what a predicate raises on the values of a bad case, so the case fails; any
+# other exception (a TypeError from miswired code, a GuardError) propagates
+CASE_ERRORS = (ArithmeticError, LookupError, ValueError)
+
 
 @dataclass(frozen=True)
 class UniverseSpec:
@@ -142,12 +147,20 @@ class SuiteReport:
     MAX_STORED = 50
 
     def check(self, law: str, *args) -> None:
-        """Run one case of the named law and record it if it fails."""
+        """Run one case of the named law and record it if it fails.  A case
+        whose predicate raises one of CASE_ERRORS fails too, and its payload
+        names the exception type under "raised"."""
         self.cases += 1
         entry = LAWS[law]
-        if not entry.predicate(*args) and len(self.failures) < self.MAX_STORED:
+        try:
+            holds, raised = entry.predicate(*args), None
+        except CASE_ERRORS as exc:
+            holds, raised = False, type(exc).__name__
+        if not holds and len(self.failures) < self.MAX_STORED:
             failure = {"law": law, "monoid": self.monoid}
             failure.update(entry.encode(monoid_by_name(self.monoid), args))
+            if raised:
+                failure["raised"] = raised
             self.failures.append(failure)
 
     @property
@@ -629,9 +642,13 @@ def all_passed(reports: Iterable[SuiteReport]) -> bool:
 
 def recheck(failure: Mapping) -> bool:
     """Deserialize a reported counterexample and re-run its law; returns
-    True when the failure reproduces."""
+    True when the failure reproduces, by a false result or by a raise."""
     law = LAWS[failure["law"]]
-    return not law.predicate(*law.decode(monoid_by_name(failure["monoid"]), failure))
+    args = law.decode(monoid_by_name(failure["monoid"]), failure)
+    try:
+        return not law.predicate(*args)
+    except CASE_ERRORS:
+        return True
 
 
 # -- seeded morphism sampling (used by probes and acceptance checks) ---------

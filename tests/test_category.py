@@ -36,7 +36,8 @@ from factorcat import (
     underlying_function,
     validate_morphism,
 )
-from factorcat.category import HOM_CACHE_SIZE
+import factorcat.category as category
+from factorcat.category import HOM_CACHE_SIZE, HOM_RESULT_GUARD
 
 FREE = free_monoid("ab")
 
@@ -200,6 +201,30 @@ class TestHomSets:
     def test_enumeration_guard(self):
         with pytest.raises(GuardError):
             hom_index_tuples(zt(*([1] * 2)), zt(*([1] * 25)))
+
+    def test_result_guard_admits_its_bound_and_refuses_one_more(self):
+        # over units every candidate is a map: ten 1s <- five 1s has exactly 10^5
+        enumerate_uncached = hom_index_tuples.__wrapped__
+        assert len(enumerate_uncached(zt(*[1] * 10), zt(*[1] * 5))) == HOM_RESULT_GUARD == 10**5
+        with pytest.raises(GuardError, match="more than 10\\^5 maps"):
+            enumerate_uncached(zt(*[1] * 10), zt(*[1] * 6))
+
+    def test_result_guard_is_read_at_call_time_and_leaves_no_cycle(self, monkeypatch):
+        monkeypatch.setattr(category, "HOM_RESULT_GUARD", 3)
+        enumerate_uncached = hom_index_tuples.__wrapped__
+        assert len(enumerate_uncached(zt(1, 1, 1), zt(1))) == 3
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                enumerate_uncached(zt(2, 1), zt(2, 1, 1))  # 4 maps
+            except GuardError:
+                pass
+            else:
+                pytest.fail("a fourth map passed a guard of 3")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def brute_hom_maps(domain, codomain):
@@ -370,6 +395,15 @@ class TestFunctors:
         src = validate_morphism(FactorTuple(NAT, (2,)), FactorTuple(NAT, (6,)), [1])
         image = map_morphism(hom, src)
         assert image.monoid == ZX and image.values == (1,)
+
+    def test_map_validates_each_image_once(self, monkeypatch):
+        src = validate_morphism(FactorTuple(NAT, (2, 3)), FactorTuple(NAT, (2, 3, 1)), [1, 2, 2])
+        expected = zm([2, 3], [2, 3, 1], [1, 2, 2])
+        calls = []
+        validate = type(ZX).validate
+        monkeypatch.setattr(type(ZX), "validate", lambda self, a: calls.append(a) or validate(self, a))
+        assert map_morphism(MonoidHom.naturals_into_integers(), src) == expected
+        assert calls == [2, 3, 2, 3, 1]  # once per image entry, in zx
 
     def test_identity_hom_is_identity(self):
         hom = MonoidHom.identity(ZX)

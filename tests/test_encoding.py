@@ -1,13 +1,16 @@
 """Wire-format round trips for tuples and morphisms."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from factorcat import (
     FactorTuple,
+    GuardError,
     INTERVAL,
     InvalidMorphismError,
+    NAT,
     ZX,
     decode_morphism,
     decode_tuple,
@@ -96,3 +99,74 @@ def test_decode_free_morphism():
     m = decode_morphism(obj)
     assert m.monoid == FREE
     assert encode_morphism(m) == obj
+
+
+MONOIDS = [ZX, NAT, INTERVAL, FREE]
+WIRE_ENTRIES = {
+    "zx": [6, -35, 1, -1],
+    "nat": [6, 35, 1, 4],
+    "interval": ["1/2", "2/4", 1, "3/7"],
+    "free:a,b": ["a^2*b", "b", "b*a", "a"],
+}
+
+
+@pytest.mark.parametrize("monoid", MONOIDS, ids=lambda m: m.name)
+def test_decoding_validates_each_entry_once(monoid, monkeypatch):
+    values = WIRE_ENTRIES[monoid.name]
+    obj = {"monoid": monoid.name, "domain": values, "codomain": values,
+           "map": list(range(1, len(values) + 1))}  # the identity
+    cls = type(monoid)
+    calls = []
+    validate = cls.validate
+    monkeypatch.setattr(cls, "validate", lambda self, a: calls.append(a) or validate(self, a))
+    m = decode_morphism(obj)
+    assert len(calls) == len(m.domain) + len(m.codomain) == 2 * len(values)
+
+
+@pytest.mark.parametrize("monoid", MONOIDS, ids=lambda m: m.name)
+def test_decoded_tuple_equals_the_validated_one(monoid):
+    values = WIRE_ENTRIES[monoid.name] + [monoid.encode(monoid.identity())]
+    t = decode_tuple(monoid, values)
+    assert t == FactorTuple(monoid, tuple(monoid.decode(v) for v in values))
+    assert type(t.entries) is tuple
+    assert [monoid.encode(e) for e in t.entries] == [monoid.encode(monoid.validate(e)) for e in t]
+
+
+def _obj(**fields):
+    obj = {"monoid": "zx", "domain": [2], "codomain": [6], "map": [1]}
+    obj.update(fields)
+    return obj
+
+
+# (morphism object, exception, exit code of `factorcat decompose`)
+MALFORMED = {
+    "bool-entry": (_obj(codomain=[True]), ValueError, 2),
+    "float-entry": (_obj(domain=[2.0]), ValueError, 2),
+    "zero-entry": (_obj(codomain=[0]), ValueError, 2),
+    "nat-negative-entry": (_obj(monoid="nat", domain=[-2]), ValueError, 2),
+    "free-unknown-generator": (_obj(monoid="free:a,b", domain=["c"], codomain=["a"]), ValueError, 2),
+    "interval-huge-exponent": (
+        _obj(monoid="interval", domain=["1e-99999"], codomain=["1/2"]), GuardError, 3),
+    "entries-not-a-list": (_obj(domain=2), ValueError, 2),
+    "map-not-a-list": (_obj(map=1), ValueError, 2),
+    "map-an-object": (_obj(map={"1": 1}), ValueError, 2),
+    "map-bool": (_obj(map=[True]), ValueError, 2),
+    "map-string": (_obj(map=["1"]), ValueError, 2),
+    "map-float": (_obj(map=[1.0]), ValueError, 2),
+    "map-out-of-range": (_obj(map=[2]), ValueError, 2),
+    "map-zero": (_obj(map=[0]), ValueError, 2),
+    "map-too-long": (_obj(map=[1, 1]), ValueError, 2),
+    "map-too-short": (_obj(map=[]), ValueError, 2),
+    "map-string-and-too-long": (_obj(map=["1", 1]), ValueError, 2),
+    "order-constraint": (_obj(domain=[4]), InvalidMorphismError, 2),
+}
+
+
+@pytest.mark.parametrize("obj, error, code", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_morphisms_are_still_refused(obj, error, code, capsys):
+    from factorcat.cli import main
+
+    with pytest.raises(error):
+        decode_morphism(obj)
+    assert main(["decompose", json.dumps(obj)]) == code
+    assert capsys.readouterr().err.startswith("error: ")

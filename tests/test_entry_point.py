@@ -85,3 +85,13 @@ def test_a_universe_past_the_candidate_guard_is_refused_in_bounded_memory(argv):
     proc = factorcat(*argv, timeout=20, preexec_fn=_cap_address_space)
     assert proc.returncode == 3, proc.stderr
     assert "candidate maps" in proc.stderr
+
+
+@pytest.mark.parametrize("codomain_len", [6, 7], ids=["10^6-maps", "10^7-maps"])
+def test_a_hom_set_past_the_result_guard_is_refused_in_bounded_memory(codomain_len):
+    # over units every candidate is a map, and both requests pass the 10^7 candidate guard
+    ones = lambda k: json.dumps([1] * k)
+    proc = factorcat("hom", "--monoid", "zx", ones(10), ones(codomain_len),
+                     timeout=20, preexec_fn=_cap_address_space)
+    assert proc.returncode == 3, proc.stderr
+    assert "more than 10^5 maps" in proc.stderr

@@ -238,6 +238,55 @@ def test_corrupted_epic_predicate_is_caught():
     assert not recheck(report.failures[0])
 
 
+def _braiding_off_by_one(s, t):
+    # the mutant range(0, n + 1) for range(1, n + 1): one value too many, and a 0
+    xs, ys = s.entries, t.entries
+    n, m = len(xs), len(ys)
+    return category._trusted_morphism(
+        category._trusted_tuple(s.monoid, xs + ys),
+        category._trusted_tuple(s.monoid, ys + xs),
+        tuple(range(n + 1, n + m + 1)) + tuple(range(0, n + 1)),
+    )
+
+
+def test_a_predicate_that_raises_is_a_counterexample(monkeypatch, capsys):
+    import factorcat.monoidal as monoidal
+    from factorcat.cli import main
+
+    monkeypatch.setattr(monoidal, "braiding", _braiding_off_by_one)
+    monkeypatch.setattr(oracle, "braiding", _braiding_off_by_one)
+    argv = ["verify", "--suite", "monoidal_laws", "--pool", "[1,2]", "--max-len", "2"]
+    assert main(argv) == 1
+    assert "counterexample: " in capsys.readouterr().out
+    assert main(argv + ["--json"]) == 1
+    failures = json.loads(capsys.readouterr().out)[0]["failures"]
+    assert failures and all(recheck(f) for f in failures)
+    # past the first 50 failures, braiding_is_natural indexes with the 0 and raises
+    monkeypatch.setattr(oracle.SuiteReport, "MAX_STORED", 10**6)
+    report = run_suite(UniverseSpec(pool=(1, 2), max_len=2), ["monoidal_laws"])[0]
+    raised = [f for f in report.failures if "raised" in f]
+    assert raised and {(f["law"], f["raised"]) for f in raised} == {("braiding_naturality", "IndexError")}
+    assert all(recheck(f) for f in raised)
+    monkeypatch.undo()
+    assert not any(recheck(f) for f in raised)
+    assert run_suite(UniverseSpec(pool=(1, 2), max_len=2), ["monoidal_laws"])[0].passed
+
+
+def test_a_guard_inside_a_predicate_is_still_a_refusal(monkeypatch):
+    from factorcat import GuardError
+
+    def refuse(m):
+        raise GuardError("refused")
+
+    t = FactorTuple(ZX, (2,))
+    failure = {"law": "iso_agreement", "monoid": "zx", "morphism": encode_morphism(identity_morphism(t))}
+    monkeypatch.setattr(oracle, "is_isomorphism", refuse)
+    with pytest.raises(GuardError):
+        oracle.SuiteReport("iso", "zx").check("iso_agreement", identity_morphism(t))
+    with pytest.raises(GuardError):
+        recheck(failure)
+
+
 PROBE_UNIVERSE = UniverseSpec(pool=(1, 2, 6), max_len=2)
 
 
