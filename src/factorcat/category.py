@@ -27,7 +27,7 @@ HOM_ENUMERATION_GUARD = 10**7
 HOM_RESULT_GUARD = 10**5  # most maps one hom set may hold; the largest default one has 27
 HOM_CACHE_SIZE = 2**17  # hom_index_tuples entries; a default verify fills about 39k
 SHARED_CACHE_SIZE = 2**12  # maps and hom sets kept to share; searched shapes have 1,675 maps
-SHARED_SHAPE_BOUND = 2**8  # most candidates of a shared hom set; larger ones' maps rarely repeat
+SHARED_SHAPE_BOUND = 2**8  # most max(N, 2)^max(M, 1) of a cached, shared hom set of N to M entries
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -301,7 +301,13 @@ def _shared(value: tuple) -> tuple:
     return value
 
 
-@lru_cache(maxsize=HOM_CACHE_SIZE)
+def _small_shape(n: int, m: int) -> bool:
+    """Whether hom sets from n entries to m are cached and shared, that is
+    max(n, 2) ** max(m, 1) <= SHARED_SHAPE_BOUND; every hom_index_tuples
+    call asks, and max() would more than double the cost of a cache hit."""
+    return (n if n > 2 else 2) ** (m if m > 1 else 1) <= SHARED_SHAPE_BOUND
+
+
 def hom_index_tuples(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[int, ...], ...]:
     """All order-constrained index-value tuples domain <- codomain, in
     lexicographic order of the value sequence.
@@ -309,23 +315,33 @@ def hom_index_tuples(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[
     Enumerates the N^M candidate functions depth-first, pruning a branch as
     soon as some fiber can no longer satisfy its constraint.  Requests with
     N^M above the 10^7 guard are rejected, and so is a hom set of more than
-    HOM_RESULT_GUARD maps, as soon as the walk finds one map too many.  The
-    HOM_CACHE_SIZE most recent results are cached.  Up to SHARED_SHAPE_BOUND
-    candidates, equal maps and equal results are returned as one shared
-    tuple, so the morphisms of a universe hold one map object per distinct
-    map.  Equal maps may still be distinct objects, so never compare them
-    by identity.
+    HOM_RESULT_GUARD maps, as soon as the walk finds one map too many.  Only
+    small shapes, max(N, 2)^max(M, 1) <= SHARED_SHAPE_BOUND (at most 2^8 maps
+    of at most 8 entries), are cached, the HOM_CACHE_SIZE most recent, and
+    they return equal maps and equal results as one shared tuple, so the
+    morphisms of a universe hold one map object per distinct map.  Other
+    hom sets are built afresh, so the caches stay bounded in bytes.  Equal
+    maps may still be distinct objects: never compare them by identity.
     """
+    if _small_shape(len(domain.entries), len(codomain.entries)):
+        return _cached_hom(domain, codomain)
+    return _enumerate_hom(domain, codomain)
+
+
+def _enumerate_hom(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[int, ...], ...]:
     require_same_monoid(domain, codomain, "a hom set")
     monoid = domain.monoid
     xs, ys = domain.entries, codomain.entries
     n, m = len(xs), len(ys)
+    small = _small_shape(n, m)
     if n == 0:
         # no functions into the empty index set except from itself
         return ((),) if m == 0 else ()
     if n == 1:
         # the single candidate sends everything to 1; it needs no search
-        return (_shared((1,) * m),) if monoid.leq(xs[0], monoid.product(ys)) else ()
+        if not monoid.leq(xs[0], monoid.product(ys)):
+            return ()
+        return (_shared((1,) * m) if small else (1,) * m,)
     if n**m > HOM_ENUMERATION_GUARD:
         raise GuardError(f"hom enumeration over {n}^{m} candidates exceeds the 10^7 guard")
     one = monoid.identity()
@@ -362,7 +378,13 @@ def hom_index_tuples(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[
         walk(0)
     finally:
         del walk  # walk holds itself through its cell; drop that cycle here
-    return tuple(out) if n**m > SHARED_SHAPE_BOUND else _shared(tuple(map(_shared, out)))
+    return _shared(tuple(map(_shared, out))) if small else tuple(out)
+
+
+_cached_hom = lru_cache(maxsize=HOM_CACHE_SIZE)(_enumerate_hom)
+hom_index_tuples.cache_info = _cached_hom.cache_info
+hom_index_tuples.cache_clear = _cached_hom.cache_clear
+hom_index_tuples.__wrapped__ = _enumerate_hom
 
 
 def hom_set(domain: FactorTuple, codomain: FactorTuple) -> list[Morphism]:
@@ -485,7 +507,8 @@ class MonoidHom:
 def map_tuple(hom: MonoidHom, t: FactorTuple) -> FactorTuple:
     if t.monoid != hom.source:
         raise ValueError(f"tuple lives in {t.monoid.name}, not {hom.source.name}")
-    return _trusted_tuple(hom.target, tuple([hom(a) for a in t.entries]))  # hom validates
+    validate, apply = hom.target.validate, hom._elem_map  # t's entries are valid in the source
+    return _trusted_tuple(hom.target, tuple([validate(apply(a)) for a in t.entries]))
 
 
 def map_morphism(hom: MonoidHom, m: Morphism) -> Morphism:

@@ -5,6 +5,12 @@ weakdiv, divisors, factorizations, graph, verify.  Tuples on the command line
 are JSON arrays of element encodings and the empty tuple is []; morphisms are
 JSON objects with monoid/domain/codomain/map keys and 1-based maps.
 
+Every ``_cmd_*`` handler returns ``(payload, text, ok)`` and prints nothing:
+``main`` alone prints ``json.dumps(payload)`` under ``--json`` and ``text``
+otherwise, and maps ``ok`` to exit code 0 or 1.  A payload of None means the
+text is printed in both modes (the DOT of ``graph``); a text of None means
+there is nothing to print (``graph --out`` wrote a file).
+
 Exit codes: 0 ok or true, 1 false or suite failure, 2 parse or validation
 error, 3 resource guard exceeded, 4 capability error.
 """
@@ -35,7 +41,8 @@ from .divisibility import (
     weak_divisor_classes,
     weakly_divides,
 )
-from .oracle import SUITES, UniverseSpec, all_passed, run_suite, universe_morphisms, universe_objects
+from .oracle import (DEFAULT_POOL, SUITES, UniverseSpec, all_passed, run_suite, universe_morphisms,
+                     universe_objects)
 from .encoding import decode_morphism, decode_tuple, encode_morphism, encode_tuple
 
 EXIT_OK = 0
@@ -53,10 +60,6 @@ def _monoid_arg(args) -> Monoid:
     return monoid_by_name(args.monoid)
 
 
-def _opt_monoid(args) -> Monoid | None:
-    return monoid_by_name(args.monoid) if args.monoid else None
-
-
 def _json_arg(text: str):
     """Parse a JSON command-line argument.  Nesting too deep for the parser
     is a parse error like any other malformed input, not a crash."""
@@ -67,14 +70,11 @@ def _json_arg(text: str):
 
 
 def _load_morphism(args, attr="morphism"):
-    return decode_morphism(_json_arg(getattr(args, attr)), _opt_monoid(args))
+    monoid = monoid_by_name(args.monoid) if args.monoid else None
+    return decode_morphism(_json_arg(getattr(args, attr)), monoid)
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    print(json.dumps(payload) if args.json else text)
-
-
-def _cmd_hom(args) -> int:
+def _cmd_hom(args):
     monoid = _monoid_arg(args)
     domain = decode_tuple(monoid, _json_arg(args.domain))
     codomain = decode_tuple(monoid, _json_arg(args.codomain))
@@ -82,50 +82,35 @@ def _cmd_hom(args) -> int:
     payload = {"count": len(morphisms), "morphisms": [encode_morphism(m) for m in morphisms]}
     lines = [f"count {len(morphisms)}"]
     lines += [f"map {list(m.values)}" for m in morphisms]
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK
+    return payload, "\n".join(lines), True
 
 
-def _cmd_compose(args) -> int:
+def _cmd_compose(args):
     g = _load_morphism(args, "second")
     f = _load_morphism(args, "first")
     out = compose(g, f)
-    _emit(args, encode_morphism(out), str(out))
-    return EXIT_OK
+    return encode_morphism(out), str(out), True
 
 
-_CHECKS = ("iso", "epic", "monic", "weq", "wirr", "wprime")
-
-
-def _cmd_check(args) -> int:
+def _cmd_check(args):
     m = _load_morphism(args)
-    kind = next(k for k in _CHECKS if getattr(args, k))
-    monoid = m.monoid
+    kind = args.check
     payload: dict = {"check": kind}
-    if kind == "iso":
-        result = is_isomorphism(m)
-        if result:
-            payload["units"] = [monoid.encode(r) for r in quotient_witnesses(m).per_index]
-    elif kind == "epic":
-        result = is_epic(m)
-        payload["injective"] = result
-    elif kind == "monic":
-        result = is_monic(m)
-        payload["surjective"] = result
-    else:
-        r = total_witness(m)
-        payload["witness_r"] = monoid.encode(r)
-        result = {"weq": is_weak_equivalence, "wirr": is_weakly_irreducible,
-                  "wprime": is_weakly_prime}[kind](m)
+    witness = ""
+    if kind in ("weq", "wirr", "wprime"):
+        payload["witness_r"] = m.monoid.encode(total_witness(m))
+        witness = f" (r = {payload['witness_r']})"
+    result = {"iso": is_isomorphism, "epic": is_epic, "monic": is_monic, "weq": is_weak_equivalence,
+              "wirr": is_weakly_irreducible, "wprime": is_weakly_prime}[kind](m)
+    if kind == "iso" and result:
+        payload["units"] = [m.monoid.encode(r) for r in quotient_witnesses(m).per_index]
+    elif kind in ("epic", "monic"):
+        payload["injective" if kind == "epic" else "surjective"] = result
     payload["result"] = result
-    text = f"{kind}: {str(result).lower()}"
-    if "witness_r" in payload:
-        text += f" (r = {payload['witness_r']})"
-    _emit(args, payload, text)
-    return EXIT_OK if result else EXIT_FALSE
+    return payload, f"{kind}: {str(result).lower()}{witness}", result
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args):
     m = _load_morphism(args)
     d = decompose_eip(m)
     monoid = m.monoid
@@ -136,20 +121,12 @@ def _cmd_decompose(args) -> int:
         "ratios": [monoid.encode(a) for a in d.ratios],
         "dropped_unit": monoid.encode(d.dropped_unit),
     }
-    text = "\n".join(
-        [
-            f"epsilon {d.epsilon}",
-            f"delta   {d.delta}",
-            f"phi     {d.phi}",
-            f"ratios  {payload['ratios']}",
-            f"unit    {payload['dropped_unit']}",
-        ]
-    )
-    _emit(args, payload, text)
-    return EXIT_OK
+    rows = {"epsilon": d.epsilon, "delta": d.delta, "phi": d.phi,
+            "ratios": payload["ratios"], "unit": payload["dropped_unit"]}
+    return payload, "\n".join(f"{name:<7} {value}" for name, value in rows.items()), True
 
 
-def _cmd_chain(args) -> int:
+def _cmd_chain(args):
     m = _load_morphism(args)
     chain = atomic_chain(m)
     payload = {
@@ -159,33 +136,30 @@ def _cmd_chain(args) -> int:
     }
     lines = [f"{tag:<19} {step}" for tag, step in zip(chain.tags, chain.steps)]
     lines.append(f"weakly irreducible steps: {chain.irr_count}")
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK
+    return payload, "\n".join(lines), True
 
 
-def _cmd_tensor(args) -> int:
+def _cmd_tensor(args):
     f = _load_morphism(args, "first")
     g = _load_morphism(args, "second")
     out = tensor_morphisms(f, g)
-    _emit(args, encode_morphism(out), str(out))
-    return EXIT_OK
+    return encode_morphism(out), str(out), True
 
 
-def _cmd_weakdiv(args) -> int:
+def _cmd_weakdiv(args):
     f = _load_morphism(args, "first")
     g = _load_morphism(args, "second")
-    monoid = f.monoid
     divides = weakly_divides(f, g)
     payload = {
         "divides": divides,
-        "s": monoid.encode(total_witness(f)),
-        "r": monoid.encode(total_witness(g)),
+        "s": f.monoid.encode(total_witness(f)),
+        "r": f.monoid.encode(total_witness(g)),
     }
-    _emit(args, payload, f"divides: {str(divides).lower()} (s = {payload['s']}, r = {payload['r']})")
-    return EXIT_OK if divides else EXIT_FALSE
+    text = f"divides: {str(divides).lower()} (s = {payload['s']}, r = {payload['r']})"
+    return payload, text, divides
 
 
-def _cmd_divisors(args) -> int:
+def _cmd_divisors(args):
     m = _load_morphism(args)
     monoid = m.monoid
     classes = weak_divisor_classes(m)
@@ -194,11 +168,11 @@ def _cmd_divisors(args) -> int:
         "classes": [monoid.encode(d) for d in classes],
         "count": len(classes),
     }
-    _emit(args, payload, f"r = {payload['witness_r']}: {payload['count']} classes {payload['classes']}")
-    return EXIT_OK
+    text = f"r = {payload['witness_r']}: {payload['count']} classes {payload['classes']}"
+    return payload, text, True
 
 
-def _cmd_factorizations(args) -> int:
+def _cmd_factorizations(args):
     monoid = _monoid_arg(args)
     element = monoid.decode(_json_arg(args.element))
     found = enumerate_irreducible_factorizations(monoid, element, max_count=args.max_count)
@@ -208,26 +182,24 @@ def _cmd_factorizations(args) -> int:
         "truncated": found.truncated,
     }
     text = f"{len(found.classes)} class(es)" + (" [truncated]" if found.truncated else "")
-    _emit(args, payload, text + "\n" + "\n".join(str(c) for c in payload["classes"]))
-    return EXIT_OK
+    return payload, text + "\n" + "\n".join(str(c) for c in payload["classes"]), True
 
 
-def _cmd_graph(args) -> int:
+def _cmd_graph(args):
     monoid = _monoid_arg(args)
-    pool = tuple(monoid.decode(v) for v in _json_arg(args.pool))
+    pool = decode_tuple(monoid, _json_arg(args.pool)).entries
     u = UniverseSpec(monoid=monoid, pool=pool, max_len=args.max_len)
     if u.object_count > GRAPH_NODE_GUARD:
         raise GuardError(f"graph universe has {u.object_count} nodes; guard is {GRAPH_NODE_GUARD}")
     dot = _render_dot(u)
-    if args.out and args.out != "-":
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(dot)
-        except OSError as exc:
-            raise ValueError(f"cannot write the graph: {exc}") from None
-    else:
-        print(dot, end="")
-    return EXIT_OK
+    if not args.out or args.out == "-":
+        return None, dot, True
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(dot + "\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write the graph: {exc}") from None
+    return None, None, True
 
 
 def _dot_id(t: FactorTuple) -> str:
@@ -250,31 +222,23 @@ def _render_dot(u: UniverseSpec) -> str:
                 attrs.append("style=bold")
         lines.append(f"  {_dot_id(m.domain)} -> {_dot_id(m.codomain)} [{', '.join(attrs)}];")
     lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     monoid = monoid_by_name(args.monoid or "zx")
-    pool = tuple(monoid.decode(v) for v in _json_arg(args.pool)) if args.pool else None
-    spec_kwargs = {"monoid": monoid, "max_len": args.max_len, "seed": args.seed}
-    if pool is not None:
-        spec_kwargs["pool"] = pool
-    elif monoid.name != "zx":
+    if not args.pool and monoid.name != "zx":
         raise ValueError("--pool is required for non-default monoids")
-    u = UniverseSpec(**spec_kwargs)
-    reports = run_suite(u, args.suite or None)
-    if args.json:
-        print(json.dumps([
-            {"suite": r.suite, "cases": r.cases, "failures": r.failures}
-            for r in reports
-        ]))
-    else:
-        for r in reports:
-            status = "PASS" if r.passed else f"FAIL ({len(r.failures)} counterexamples)"
-            print(f"{r.suite}: {r.cases} cases, {status}")
-            for failure in r.failures[:3]:
-                print(f"  counterexample: {json.dumps(failure)}")
-    return EXIT_OK if all_passed(reports) else EXIT_FALSE
+    pool = decode_tuple(monoid, _json_arg(args.pool)).entries if args.pool else DEFAULT_POOL
+    u = UniverseSpec(monoid=monoid, pool=pool, max_len=args.max_len, seed=args.seed)
+    reports = run_suite(u, args.suite or None)  # a module global: benchmarks patch cli.run_suite
+    payload = [{"suite": r.suite, "cases": r.cases, "failures": r.failures} for r in reports]
+    lines = []
+    for r in reports:
+        status = "PASS" if r.passed else f"FAIL ({len(r.failures)} counterexamples)"
+        lines.append(f"{r.suite}: {r.cases} cases, {status}")
+        lines += [f"  counterexample: {json.dumps(failure)}" for failure in r.failures[:3]]
+    return payload, "\n".join(lines), all_passed(reports)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("wirr", "weakly irreducible"),
         ("wprime", "weakly prime"),
     ):
-        group.add_argument(f"--{kind}", action="store_true", help=helptext)
+        group.add_argument(f"--{kind}", dest="check", action="store_const", const=kind, help=helptext)
     add("decompose", "drop-units / divisibility / refactor decomposition", _cmd_decompose, morphism)
     add("chain", "atomic chain of a morphism", _cmd_chain, morphism)
     add("tensor", "tensor two morphisms", _cmd_tensor, *pair)
@@ -335,10 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        payload, text, ok = args.handler(args)
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
@@ -348,6 +311,9 @@ def main(argv=None) -> int:
     except (InvalidMorphismError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    if text is not None:
+        print(text if payload is None or not args.json else json.dumps(payload))
+    return EXIT_OK if ok else EXIT_FALSE
 
 
 if __name__ == "__main__":

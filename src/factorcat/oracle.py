@@ -288,19 +288,14 @@ def _count_singleton_source_ok(monoid: Monoid, y, t: FactorTuple) -> bool:
 
 
 def _count_singleton_target_ok(monoid: Monoid, y, t: FactorTuple) -> bool:
+    # a morphism t -> (y) sends y to one pivot p, so x_p <= y and every other
+    # entry is below the empty product 1 (over a divisibility monoid: a unit)
     count = len(hom_index_tuples(t, embed(monoid, y)))
-    bound = sum(1 for x in t.entries if monoid.leq(x, y))
-    if count > bound:
-        return False
-    if not monoid.is_divisibility:
-        return True
-    expected = 0
-    for pivot, x in enumerate(t.entries):
-        others_invertible = all(
-            monoid.is_invertible(e) for i, e in enumerate(t.entries) if i != pivot
-        )
-        if others_invertible and monoid.leq(x, y):
-            expected += 1
+    one, xs = monoid.identity(), t.entries
+    expected = sum(
+        1 for p, x in enumerate(xs)
+        if monoid.leq(x, y) and all(monoid.leq(e, one) for i, e in enumerate(xs) if i != p)
+    )
     return count == expected
 
 

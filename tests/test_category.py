@@ -405,6 +405,27 @@ class TestFunctors:
         assert map_morphism(MonoidHom.naturals_into_integers(), src) == expected
         assert calls == [2, 3, 2, 3, 1]  # once per image entry, in zx
 
+    def test_map_skips_the_source_check_of_a_valid_tuple(self, monkeypatch):
+        src = validate_morphism(FactorTuple(NAT, (2, 3)), FactorTuple(NAT, (2, 3, 5)), [1, 2, 2])
+        expected = zm([2, 3], [2, 3, 5], [1, 2, 2])
+        calls = {"nat": 0, "zx": 0}
+
+        def counting(monoid):
+            validate = type(monoid).validate
+
+            def counted(self, a):
+                calls[monoid.name] += 1
+                return validate(self, a)
+            return counted
+
+        for monoid in (NAT, ZX):
+            monkeypatch.setattr(type(monoid), "validate", counting(monoid))
+        hom = MonoidHom.naturals_into_integers()
+        assert map_morphism(hom, src) == expected
+        assert calls == {"nat": 0, "zx": 5}
+        with pytest.raises(ValueError):
+            hom(0)  # a raw value is still checked in the source
+
     def test_identity_hom_is_identity(self):
         hom = MonoidHom.identity(ZX)
         m = zm([2], [6], [1])
@@ -441,6 +462,21 @@ def test_every_cache_on_caller_data_is_bounded():
                     offenders.append(f"{path.name}:{node.lineno} {node.name}")
     assert offenders == []
     assert hom_index_tuples.cache_info().maxsize == HOM_CACHE_SIZE
+
+
+def test_only_small_shapes_are_cached_and_shared():
+    hom_index_tuples.cache_clear()
+    small = hom_index_tuples(zt(1, 1), zt(*[1] * 8))  # 2^8 candidates
+    assert hom_index_tuples.cache_info().currsize == 1
+    assert hom_index_tuples(zt(1, 1), zt(*[1] * 8)) is small
+    large = hom_index_tuples(zt(1, 1), zt(*[1] * 9))  # 2^9
+    assert hom_index_tuples.cache_info().currsize == 1
+    again = hom_index_tuples(zt(1, 1), zt(*[1] * 9))
+    assert again == large and again is not large and again[0] is not large[0]
+    long_ones = hom_index_tuples(zt(1), zt(*[1] * 9))  # one map, but 9 entries long
+    assert long_ones == ((1,) * 9,) and hom_index_tuples.cache_info().currsize == 1
+    assert hom_index_tuples(zt(1), zt(*[1] * 9))[0] is not long_ones[0]
+    assert hom_index_tuples.__wrapped__(zt(1, 1), zt(*[1] * 8)) is small
 
 
 def test_a_cold_enumeration_is_freed_without_the_cycle_collector():

@@ -284,6 +284,12 @@ class TestGraph:
         assert code == 0 and out == ""
         assert target.read_text().startswith("digraph factorization")
 
+    @pytest.mark.parametrize("pool", ['"ab"', "{}"])
+    def test_a_pool_that_is_not_an_array_is_a_parse_error(self, capsys, pool):
+        code, out, err = run(capsys, "graph", "--monoid", "free:ab", "--pool", pool, "--max-len", "1")
+        assert code == 2 and out == ""
+        assert "expected a JSON array of elements" in err
+
     def test_out_file_in_a_missing_directory_is_a_parse_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "g.dot"
         code, out, err = run(
@@ -322,6 +328,11 @@ class TestVerify:
     def test_interval_without_pool_is_parse_error(self, capsys):
         code, _, _ = run(capsys, "verify", "--monoid", "interval")
         assert code == 2
+
+    def test_a_pool_that_is_not_an_array_is_a_parse_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--pool", "5")
+        assert code == 2 and out == ""
+        assert "expected a JSON array of elements" in err and "iterable" not in err
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

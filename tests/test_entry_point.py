@@ -17,13 +17,17 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def factorcat(*argv, timeout=60, **run_kwargs):
+def python(*argv, timeout=60, **run_kwargs):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "factorcat", *argv],
+        [sys.executable, *argv],
         env=env, capture_output=True, text=True, timeout=timeout, **run_kwargs,
     )
+
+
+def factorcat(*argv, **run_kwargs):
+    return python("-m", "factorcat", *argv, **run_kwargs)
 
 
 def test_verify_json_through_the_module_entry_point():
@@ -71,8 +75,8 @@ def test_a_large_pool_reaches_the_object_guard_quickly():
     assert proc.returncode == 3, proc.stderr
 
 
-def _cap_address_space():
-    limit = 256 * 2**20  # a universe built past the guard needs far more
+def _cap_address_space(megabytes=256):
+    limit = megabytes * 2**20  # by default: a universe built past the guard needs far more
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
@@ -95,3 +99,22 @@ def test_a_hom_set_past_the_result_guard_is_refused_in_bounded_memory(codomain_l
                      timeout=20, preexec_fn=_cap_address_space)
     assert proc.returncode == 3, proc.stderr
     assert "more than 10^5 maps" in proc.stderr
+
+
+HOM_SETS_INTO_LONG_TUPLES = """
+from factorcat import ZX, FactorTuple, hom_index_tuples
+one = FactorTuple(ZX, (1,))
+for k in range(40):
+    codomain = FactorTuple(ZX, (1,) * (100_000 + k))
+    assert hom_index_tuples(one, codomain) == ((1,) * (100_000 + k),)
+print(hom_index_tuples.cache_info().currsize)
+"""
+
+
+def test_hom_sets_of_large_shape_are_not_kept():
+    # each hom set is one map of 10^5 entries; kept with its codomain as the
+    # cache key, forty of them need about 60 MB more than one does
+    proc = python("-c", HOM_SETS_INTO_LONG_TUPLES, timeout=20,
+                  preexec_fn=lambda: _cap_address_space(64))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]

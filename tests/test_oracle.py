@@ -164,6 +164,21 @@ def test_forced_failures_keep_their_cases_and_order(monkeypatch):
     assert hashlib.sha256(json.dumps(runs).encode()).hexdigest() == FORCED_FAILURES_DIGEST
 
 
+def test_singleton_target_counts_are_exact_beyond_divisibility(monkeypatch):
+    # an enumerator that drops the last map of every hom set from two or more
+    # entries into a 1-tuple must fail the count on interval too
+    enumerate_homs = oracle.hom_index_tuples
+
+    def dropping(domain, codomain):
+        maps = enumerate_homs(domain, codomain)
+        return maps[:-1] if len(codomain) == 1 and len(domain) >= 2 else maps
+
+    monkeypatch.setattr(oracle, "hom_index_tuples", dropping)
+    [report] = run_suite(INTERVAL_UNIVERSE, ["homset_formulas"])
+    assert report.failures
+    assert {f["law"] for f in report.failures} == {"hom_count_singleton_target"}
+
+
 def test_divisibility_suite_on_interval_raises():
     with pytest.raises(CapabilityError):
         run_suite(INTERVAL_UNIVERSE, ["epic_monic"])
