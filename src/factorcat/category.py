@@ -156,9 +156,10 @@ class Morphism:
     index.  Internal construction goes through ``_trusted_morphism``, which
     skips the checks, and happens only where validity holds by theorem: the
     category is closed under identities, composition, inverses, tensor and
-    braiding, and the EIP and atomic-chain steps are morphisms by
-    construction.  The closure tests in tests/test_oracle.py re-validate the
-    output of each such operation.
+    braiding; the EIP and atomic-chain steps, the legs of the weak
+    divisibility square, the Ore square, the right-cancellation witness and
+    the UFD wedge are morphisms by construction.  The closure tests in
+    tests/test_oracle.py re-validate the output of each such operation.
 
     Instances are slotted and immutable.  Two morphisms are equal when their
     values, domain entries and codomain entries agree and their domains live
@@ -244,6 +245,13 @@ def _trusted_morphism(domain: FactorTuple, codomain: FactorTuple, values: tuple)
     m.values = values
     m.__class__ = Morphism
     return m
+
+
+def _from_element(a: Element, t: FactorTuple) -> Morphism:
+    """The unique morphism (a) -> t, which sends every position of t to 1,
+    built without checks.  Precondition: a <= prod t, the order constraint of
+    its one fiber, and a is a normalized element of t's monoid."""
+    return _trusted_morphism(_trusted_tuple(t.monoid, (a,)), t, (1,) * len(t.entries))
 
 
 def fiber_products(m: Morphism) -> list:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .errors import CapabilityError, GuardError, InvalidMorphismError
 from .monoids import Monoid, monoid_by_name
@@ -227,9 +228,9 @@ def _render_dot(u: UniverseSpec) -> str:
 
 def _cmd_verify(args):
     monoid = monoid_by_name(args.monoid or "zx")
-    if not args.pool and monoid.name != "zx":
+    if args.pool is None and monoid.name != "zx":
         raise ValueError("--pool is required for non-default monoids")
-    pool = decode_tuple(monoid, _json_arg(args.pool)).entries if args.pool else DEFAULT_POOL
+    pool = DEFAULT_POOL if args.pool is None else decode_tuple(monoid, _json_arg(args.pool)).entries
     u = UniverseSpec(monoid=monoid, pool=pool, max_len=args.max_len, seed=args.seed)
     reports = run_suite(u, args.suite or None)  # a module global: benchmarks patch cli.run_suite
     payload = [{"suite": r.suite, "cases": r.cases, "failures": r.failures} for r in reports]
@@ -241,6 +242,7 @@ def _cmd_verify(args):
     return payload, "\n".join(lines), all_passed(reports)
 
 
+@lru_cache(maxsize=1)  # built on the first main call, not at import, then reused
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="factorcat",

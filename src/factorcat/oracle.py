@@ -42,7 +42,7 @@ from functools import lru_cache, wraps
 from itertools import islice, product as iter_product
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .errors import CapabilityError, GuardError, InvalidMorphismError
+from .errors import CapabilityError, GuardError
 from .monoids import MONOID_CACHE_SIZE, ZX, NAT, Monoid, monoid_by_name
 from .category import (
     FactorTuple,
@@ -393,11 +393,15 @@ def _weakdiv_agreement_ok(f: Morphism, g: Morphism) -> bool:
 def _weakdiv_diagram_ok(f: Morphism, g: Morphism) -> bool:
     if not weakly_divides(f, g):
         return True
-    try:
-        weak_div_diagram(f, g)  # construction validates all six morphisms
-    except (InvalidMorphismError, RuntimeError):
-        return False
-    return True
+    d = weak_div_diagram(f, g)
+    for leg in (d.mu, d.alpha, d.beta, d.eta, d.left, d.right):
+        Morphism(leg.domain, leg.codomain, leg.values)  # raises unless the leg is valid
+    return (
+        d.mu.domain == d.alpha.domain and d.beta.domain == d.eta.domain
+        and (d.mu.codomain, d.beta.codomain) == (d.left.domain, d.left.codomain)
+        and (d.alpha.codomain, d.eta.codomain) == (d.right.domain, d.right.codomain)
+        and is_weak_equivalence(d.mu) and is_weak_equivalence(d.eta)
+    )
 
 
 # -- the law registry ----------------------------------------------------------

@@ -108,7 +108,7 @@ def test_criterion_3_weak_divisibility_golden():
         assert total_witness(f) == 3
         assert total_witness(g) == 21
         assert not weakly_divides(g, f)
-        diagram = weak_div_diagram(f, g)  # all six legs validate on construction
+        diagram = weak_div_diagram(f, g)  # the weakdiv_diagram law checks the six legs
         assert is_weak_equivalence(diagram.mu)
         assert is_weak_equivalence(diagram.eta)
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: every subcommand, the JSON mode, and the exit
 code contract (0 ok/true, 1 false/fail, 2 parse, 3 guard, 4 capability)."""
 
+import argparse
 import json
 from pathlib import Path
 
@@ -334,10 +335,28 @@ class TestVerify:
         assert code == 2 and out == ""
         assert "expected a JSON array of elements" in err and "iterable" not in err
 
+    @pytest.mark.parametrize("monoid", ["zx", "nat"])
+    def test_an_empty_pool_is_the_parse_error_graph_gives(self, capsys, monoid):
+        # '' is malformed JSON, not a missing --pool that falls back to the default
+        _, _, graph_err = run(capsys, "graph", "--monoid", monoid, "--pool", "")
+        code, out, err = run(capsys, "verify", "--monoid", monoid, "--pool", "", "--suite", "adjunction")
+        assert code == 2 and out == ""
+        assert err == graph_err == "error: Expecting value: line 1 column 1 (char 0)\n"
+
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "bogus"])
         assert exc.value.code == 2
+
+
+def test_a_second_main_call_builds_no_parser(capsys, monkeypatch):
+    argv = ["weakdiv", F_2_6, G_5_105]
+    assert main(argv) == 0
+    built, init = [], argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    assert main(argv) == 0 and built == []
+    assert capsys.readouterr().out == "divides: true (s = 3, r = 21)\n" * 2
 
 
 def test_round_trip_every_emitted_morphism(capsys):

@@ -167,6 +167,15 @@ class TestWeaklyIrreduciblePrime:
         assert not is_weakly_irreducible_tuple(empty_tuple(ZX))
         assert not is_weakly_prime_tuple(empty_tuple(ZX))
 
+    @pytest.mark.parametrize("classify", [is_weakly_irreducible_tuple, is_weakly_prime_tuple])
+    def test_tuples_over_the_interval_are_a_capability_refusal(self, classify):
+        # (1) -> (1/2) is no morphism, as 1 is not below 1/2: the refusal comes first
+        half = Fraction(1, 2)
+        for entries in ((half,), (1,), (), (1, half)):
+            with pytest.raises(CapabilityError) as exc:
+                classify(FactorTuple(INTERVAL, entries))
+            assert str(exc.value) == f"{classify.__name__} is only available over divisibility monoids"
+
 
 class TestAtomicChain:
     def test_divisibility_step_count(self):

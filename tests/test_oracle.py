@@ -38,14 +38,22 @@ from factorcat import (
     hom_set,
     identity_morphism,
     inverse,
+    is_weak_equivalence,
+    is_weakly_irreducible,
+    is_weakly_irreducible_tuple,
+    ore_square,
     recheck,
+    right_cancel_witness,
     run_suite,
     tensor_morphisms,
     tensor_objects,
+    ufd_wedge,
     underlying_function,
     universe_morphisms,
     universe_objects,
     validate_morphism,
+    weak_div_diagram,
+    weakly_divides,
 )
 from factorcat.oracle import universe_homs
 
@@ -466,6 +474,25 @@ def test_bad_square_is_a_weakdiv_diagram_counterexample(monkeypatch):
     assert {f["law"] for f in report.failures} == {"weakdiv_diagram"}
 
 
+def _mu_over_the_codomain(f, g):
+    # the mutant a * prod(cod g) for a * prod(dom g) as mu's element: a leg
+    # built without checks that breaks its order constraint
+    d = weak_div_diagram(f, g)
+    return replace(d, mu=category._from_element(f.monoid.op(d.a, g.codomain.product()), d.mu.codomain))
+
+
+def test_an_invalid_leg_is_a_weakdiv_diagram_counterexample(monkeypatch, capsys):
+    from factorcat.cli import main
+
+    monkeypatch.setattr(oracle, "weak_div_diagram", _mu_over_the_codomain)
+    assert main(["verify", "--suite", "weakdiv", "--pool", "[1,2]", "--max-len", "2", "--json"]) == 1
+    failures = json.loads(capsys.readouterr().out)[0]["failures"]
+    assert failures and {f["law"] for f in failures} == {"weakdiv_diagram"}
+    assert all(recheck(f) for f in failures)
+    monkeypatch.undo()
+    assert not any(recheck(f) for f in failures)
+
+
 def test_programming_error_in_weak_div_diagram_propagates(monkeypatch):
     def broken(f, g):
         raise TypeError("broken")
@@ -614,10 +641,12 @@ def test_universe_morphisms_cover_worked_counts():
 
 # -- closure: the operations that skip re-checking build valid morphisms --------
 #
-# Identities, composition, inverses, hom enumeration, tensor, braiding and the
-# decomposition and chain steps build their outputs without the checks in
-# __post_init__, because validity holds there by theorem.  These tests rebuild
-# every such output through the public, checking constructors instead.
+# Identities, composition, inverses, hom enumeration, tensor, braiding, the
+# decomposition and chain steps, the weak divisibility square, the Ore square,
+# the right-cancellation witness and the UFD wedge build their outputs without
+# the checks in __post_init__, because validity holds there by theorem.  These
+# tests rebuild every such output through the public, checking constructors
+# instead.
 
 FREE_AB_UNIVERSE = UniverseSpec(
     monoid=free_monoid("ab"), pool=((), ("a",), ("b",), ("a", "b")), max_len=2
@@ -708,6 +737,57 @@ def test_closed_operations_build_valid_morphisms(u):
                 assert_valid(g)
             if len(m.domain) and len(m.codomain):
                 assert_steps_valid(m)
+
+
+DIVISIBILITY_UNIVERSES = {k: u for k, u in CLOSURE_UNIVERSES.items() if u.monoid.is_divisibility}
+
+
+@pytest.mark.parametrize("u", DIVISIBILITY_UNIVERSES.values(), ids=DIVISIBILITY_UNIVERSES.keys())
+def test_constructions_by_theorem_build_valid_morphisms(u):
+    morphs = universe_morphisms(u)
+    weqs = [m for m in morphs if is_weak_equivalence(m)]
+    by_codomain, parallel = {}, {}
+    for m in morphs:
+        by_codomain.setdefault(m.codomain, []).append(m)
+        parallel.setdefault((m.domain, m.codomain), []).append(m)
+    rng = random.Random(0)
+    for _ in range(1500):
+        f, g = rng.choice(morphs), rng.choice(morphs)
+        if weakly_divides(f, g):
+            d = weak_div_diagram(f, g)
+            for leg in (d.mu, d.alpha, d.beta, d.eta, d.left, d.right):
+                assert_valid(leg)
+            assert is_weak_equivalence(d.mu) and is_weak_equivalence(d.eta)
+    for f in weqs:
+        for g in by_codomain[f.codomain]:
+            f_prime, g_prime = ore_square(f, g)
+            assert_valid(f_prime)
+            assert_valid(g_prime)
+            assert is_weak_equivalence(f_prime)
+            assert compose(f, g_prime) == compose(g, f_prime)
+    for g in weqs:
+        for f in by_codomain.get(g.domain, ()):
+            for f2 in parallel[f.domain, f.codomain]:
+                if compose(g, f) == compose(g, f2):
+                    h = right_cancel_witness(f, f2, g)
+                    assert_valid(h)
+                    assert is_weak_equivalence(h) and compose(f, h) == compose(f2, h)
+    for group in by_codomain.values():
+        sources = [m for m in group if is_weakly_irreducible_tuple(m.domain)]
+        for f in sources:
+            for g in sources:
+                out = ufd_wedge(f, g)
+                if isinstance(out, Morphism):
+                    assert_valid(out)
+                    assert (out.domain, out.codomain) == (f.domain, g.domain)
+                    assert is_weak_equivalence(out)
+                    continue
+                for leg in (out.from_left, out.from_right, out.to_target):
+                    assert_valid(leg)
+                assert (out.from_left.domain, out.from_right.domain) == (f.domain, g.domain)
+                assert out.from_left.codomain == out.from_right.codomain == out.apex
+                assert (out.to_target.domain, out.to_target.codomain) == (out.apex, f.codomain)
+                assert is_weakly_irreducible(out.from_left) and is_weakly_irreducible(out.from_right)
 
 
 @pytest.mark.parametrize("u", CLOSURE_UNIVERSES.values(), ids=CLOSURE_UNIVERSES.keys())
