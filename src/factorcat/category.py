@@ -25,7 +25,7 @@ from .monoids import Element, Monoid, ZX
 
 HOM_ENUMERATION_GUARD = 10**7
 HOM_RESULT_GUARD = 10**5  # most maps one hom set may hold; the largest default one has 27
-HOM_CACHE_SIZE = 2**17  # hom_index_tuples entries; a default verify fills about 39k
+HOM_CACHE_SIZE = 2**17  # hom_index_tuples entries; a default verify fills about 7k
 SHARED_CACHE_SIZE = 2**12  # maps and hom sets kept to share; searched shapes have 1,675 maps
 SHARED_SHAPE_BOUND = 2**8  # most max(N, 2)^max(M, 1) of a cached, shared hom set of N to M entries
 
@@ -356,27 +356,29 @@ def _enumerate_hom(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[in
     suffix = [one] * (m + 1)
     for pos in range(m - 1, -1, -1):
         suffix[pos] = monoid.op(ys[pos], suffix[pos + 1])
-    feasible = monoid.fiber_feasible
-    leq = monoid.leq
+    feasible, leq, op = monoid.fiber_feasible, monoid.leq, monoid.op
+    entries = list(enumerate(xs))
     out: list[tuple[int, ...]] = []
     assign: list[int] = []
     fibers = [one] * n
 
     def walk(pos: int) -> None:
         if pos == m:
-            if all(leq(xs[i], fibers[i]) for i in range(n)):
-                if len(out) == HOM_RESULT_GUARD:
-                    raise GuardError(f"hom set over {n}^{m} candidates has more than 10^5 maps")
-                out.append(tuple(assign))
+            for i, x in entries:
+                if not leq(x, fibers[i]):
+                    return
+            if len(out) == HOM_RESULT_GUARD:
+                raise GuardError(f"hom set over {n}^{m} candidates has more than 10^5 maps")
+            out.append(tuple(assign))
             return
         rest = suffix[pos]
-        for i in range(n):
-            if not feasible(xs[i], fibers[i], rest):
+        for i, x in entries:
+            if not feasible(x, fibers[i], rest):
                 return
         y = ys[pos]
         for target in range(n):
             before = fibers[target]
-            fibers[target] = monoid.op(before, y)
+            fibers[target] = op(before, y)
             assign.append(target + 1)
             walk(pos + 1)
             assign.pop()

@@ -233,6 +233,9 @@ class NonzeroIntegers(DivisibilityMonoid):
     def leq(self, a, b):
         return b % a == 0
 
+    def fiber_feasible(self, x, partial, rest):
+        return partial * rest % x == 0  # leq(x, op(partial, rest)) in one expression
+
     def is_invertible(self, a):
         return a in (1, -1)
 

@@ -14,6 +14,14 @@ limit and fall back to seeded sampling beyond it, so every report is
 deterministic for a given UniverseSpec, which builds its objects, hom table
 and morphisms on first use and keeps them for its own lifetime.
 
+The morphisms are built codomain first, without the hom-set enumerator: a
+codomain and a map fix every fiber product, and the domains with that map
+are the tuples of pool elements below them (see ``_by_domain``).  So the
+enumerator is checked against an independent construction, and a build
+leaves nothing in its cache.  The brute-force inverse search skips a
+morphism whose codomain product is not below its domain product, since the
+product is a functor and no morphism can then run back.
+
 Each law is one entry of the ``LAWS`` registry: its name, the payload key
 and wire kind of each predicate argument, and the predicate.  A suite is a
 generator in ``SUITES`` that yields each case as ``(name, *args)``, and
@@ -39,12 +47,13 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
-from itertools import islice, product as iter_product
+from itertools import chain, islice, product as iter_product
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import CapabilityError, GuardError
 from .monoids import MONOID_CACHE_SIZE, ZX, NAT, Monoid, monoid_by_name
 from .category import (
+    HOM_RESULT_GUARD,
     FactorTuple,
     Morphism,
     compose,
@@ -57,6 +66,7 @@ from .category import (
     is_epic,
     is_isomorphism,
     is_monic,
+    _trusted_morphism,
 )
 from .monoidal import (
     braiding,
@@ -96,8 +106,9 @@ class UniverseSpec:
     determinism knobs (seed, exhaustive limit, sample size).  Construction
     counts the tuples into ``object_count`` and stops at the object guard,
     then stops at the candidate guard, counted from the tuple lengths alone.
-    The objects, hom table and morphisms are built on first use and kept on
-    the spec, so they live as long as the spec does."""
+    The objects and morphisms are built on first use, the morphisms by one
+    codomain-first walk over the index maps, and kept on the spec with the
+    hom table grouped from them, so they live as long as the spec does."""
 
     monoid: Monoid = ZX
     pool: tuple = DEFAULT_POOL
@@ -192,41 +203,95 @@ def universe_objects(u: UniverseSpec) -> tuple[FactorTuple, ...]:
     return tuple(out)
 
 
-def _hom_pairs(u: UniverseSpec):
-    """The pairs (a, b) of universe objects that may have a morphism a -> b:
-    one forces prod a <= prod b, since the product is a functor."""
-    leq = u.monoid.leq
-    objs = [(t, t.product()) for t in universe_objects(u)]
-    for a, pa in objs:
-        for b, pb in objs:
-            if leq(pa, pb):
-                yield a, b
+@_per_spec
+def _by_domain(u: UniverseSpec) -> tuple[dict, int]:
+    """Every morphism of the universe grouped by domain, in object order,
+    and the number of composable pairs.
+
+    Built codomain first: once a codomain b and a map [len b] -> [n] are
+    fixed, so is each fiber product, and the morphisms with that map are the
+    domains whose k-th entry is a pool element below the k-th fiber product.
+    So for each b, in object order, and each domain length n, the walk runs
+    over the n^len(b) maps in lexicographic order, updating the fiber
+    products position by position, and appends one morphism per such domain
+    to that domain's row.  Each row thus lists its morphisms by codomain,
+    then by map, and equal maps share one tuple.
+
+    A hom set of more than HOM_RESULT_GUARD maps raises GuardError, as the
+    enumerator's does, as soon as the walk finds one map too many; only the
+    passes with n^len(b) above the guard count.  The candidate guard keeps
+    every n^len(b) under the enumerator's other guard, 10^7."""
+    monoid, pool = u.monoid, u.pool
+    leq, op = monoid.leq, monoid.op
+    objs = universe_objects(u)
+    rows = {t.entries: (t, []) for t in objs}
+    below: dict = {}  # fiber product -> the pool elements below it, in pool order
+    sources: dict = {}  # fiber products -> the (domain, row) pairs of the domains below them
+    maps: dict = {}  # map -> the one tuple kept for it
+    incoming = []  # the number of morphisms into each object, in object order
+    assign: list[int] = []  # walk also reads b, ys, m, n, fibers and counts, set by the loop below
+
+    def below_of(f) -> list:
+        xs = below.get(f)
+        if xs is None:
+            xs = below[f] = [x for x in pool if leq(x, f)]
+        return xs
+
+    def walk(pos: int) -> int:
+        """Append the morphisms into b whose map extends assign; return how many."""
+        if pos < m:
+            y, made = ys[pos], 0
+            for target in range(n):
+                before = fibers[target]
+                fibers[target] = op(before, y)
+                assign.append(target + 1)
+                made += walk(pos + 1)
+                assign.pop()
+                fibers[target] = before
+            return made
+        key = tuple(fibers)
+        domains = sources.get(key)
+        if domains is None:
+            domains = sources[key] = [rows[e] for e in iter_product(*map(below_of, key))]
+        if domains:
+            if counts is not None:  # a hom set of this pass may pass the result guard
+                for a, _ in domains:
+                    if counts[a] == HOM_RESULT_GUARD:
+                        raise GuardError(f"hom set over {n}^{m} candidates has more than 10^5 maps")
+                    counts[a] += 1
+            values = tuple(assign)
+            values = maps.setdefault(values, values)
+            for a, row in domains:
+                row.append(_trusted_morphism(a, b, values))
+        return len(domains)
+
+    try:
+        for b in objs:
+            ys, m, made = b.entries, len(b.entries), 0
+            for n in range(u.max_len + 1 if pool else 1):
+                fibers = [monoid.identity()] * n
+                counts = defaultdict(int) if n**m > HOM_RESULT_GUARD else None
+                made += walk(0)
+            incoming.append(made)
+    finally:
+        del walk  # walk holds itself through its cell; drop that cycle here
+    by_dom = dict(rows.values())
+    return by_dom, sum(k * len(by_dom[t]) for k, t in zip(incoming, objs))
+
+
+@_per_spec
+def universe_morphisms(u: UniverseSpec) -> tuple[Morphism, ...]:
+    """Every morphism of the universe, by domain, then codomain, then map."""
+    return tuple(chain.from_iterable(_by_domain(u)[0].values()))
 
 
 @_per_spec
 def universe_homs(u: UniverseSpec) -> dict:
     """Map (domain, codomain) -> index tuples, for non-empty hom sets only."""
-    homs = {}
-    for a, b in _hom_pairs(u):
-        fns = hom_index_tuples(a, b)
-        if fns:
-            homs[(a, b)] = fns
-    return homs
-
-
-@_per_spec
-def universe_morphisms(u: UniverseSpec) -> tuple[Morphism, ...]:
-    return tuple(m for a, b in _hom_pairs(u) for m in hom_set(a, b))
-
-
-@_per_spec
-def _by_domain(u: UniverseSpec) -> tuple[dict, int]:
-    """The morphisms grouped by domain, and the number of composable pairs."""
-    morphs = universe_morphisms(u)
-    by_dom = defaultdict(list)
-    for m in morphs:
-        by_dom[m.domain].append(m)
-    return dict(by_dom), sum(len(by_dom[m.codomain]) for m in morphs)
+    homs = defaultdict(list)
+    for m in universe_morphisms(u):
+        homs[m.domain, m.codomain].append(m.values)
+    return {pair: tuple(fns) for pair, fns in homs.items()}
 
 
 def _rng(u: UniverseSpec, suite: str) -> random.Random:
@@ -333,6 +398,8 @@ def _monic_probe(domain: FactorTuple, values: tuple[int, ...]) -> bool:
 
 
 def _iso_by_bruteforce(m: Morphism) -> bool:
+    if not m.monoid.leq(m.codomain.product(), m.domain.product()):
+        return False  # the product is a functor, so there is no morphism back
     candidates = hom_set(m.codomain, m.domain)
     if not candidates:  # the usual case; it needs no identities
         return False

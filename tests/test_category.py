@@ -2,6 +2,7 @@
 
 import ast
 import gc
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,6 +39,7 @@ from factorcat import (
 )
 import factorcat.category as category
 from factorcat.category import HOM_CACHE_SIZE, HOM_RESULT_GUARD
+from factorcat.monoids import Monoid
 
 FREE = free_monoid("ab")
 
@@ -487,3 +489,54 @@ def test_a_cold_enumeration_is_freed_without_the_cycle_collector():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize(
+    "monoid, grid",
+    [(ZX, [x for x in range(-12, 13) if x]), (NAT, range(1, 13))],
+    ids=["zx", "nat"],
+)
+def test_integer_fiber_feasible_is_leq_of_the_full_product(monoid, grid):
+    for x, partial, rest in itertools.product(grid, repeat=3):
+        expected = monoid.leq(x, monoid.op(partial, rest))
+        assert monoid.fiber_feasible(x, partial, rest) == expected, (x, partial, rest)
+
+
+class Additive(Monoid):
+    """The non-negative integers under addition with the usual order; it
+    keeps the base fiber_feasible, which prunes nothing."""
+
+    name = "additive"
+
+    def validate(self, a):
+        if isinstance(a, bool) or not isinstance(a, int) or a < 0:
+            raise ValueError(f"{self.name}: expected a non-negative int, got {a!r}")
+        return a
+
+    def identity(self):
+        return 0
+
+    def op(self, a, b):
+        return a + b
+
+    def leq(self, a, b):
+        return a <= b
+
+
+def test_default_fiber_feasible_enumerates_exactly_the_valid_maps():
+    monoid = Additive()
+    tuples = [
+        FactorTuple(monoid, entries)
+        for k in range(4) for entries in itertools.product((0, 1, 3), repeat=k)
+    ]
+    for dom in tuples:
+        n = len(dom)
+        for cod in tuples:
+            expected = []
+            for values in itertools.product(range(1, n + 1), repeat=len(cod)):
+                fibers = [0] * n
+                for y, v in zip(cod.entries, values):
+                    fibers[v - 1] += y
+                if all(x <= f for x, f in zip(dom.entries, fibers)):
+                    expected.append(values)
+            assert hom_index_tuples.__wrapped__(dom, cod) == tuple(expected), (dom, cod)

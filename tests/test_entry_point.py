@@ -101,6 +101,16 @@ def test_a_hom_set_past_the_result_guard_is_refused_in_bounded_memory(codomain_l
     assert "more than 10^5 maps" in proc.stderr
 
 
+def test_a_universe_with_a_hom_set_past_the_result_guard_is_refused_in_bounded_memory():
+    # 1,419,768 candidate maps pass the candidate guard, and over a unit every
+    # candidate is a map: (1)^7 -> (1)^6 has 7^6 = 117,649 of them.  Built
+    # whole before a guard refuses, the universe peaks near 245 MB resident
+    proc = factorcat("verify", "--pool", "[1]", "--max-len", "7",
+                     timeout=20, preexec_fn=lambda: _cap_address_space(128))
+    assert proc.returncode == 3, proc.stderr
+    assert "more than 10^5 maps" in proc.stderr
+
+
 HOM_SETS_INTO_LONG_TUPLES = """
 from factorcat import ZX, FactorTuple, hom_index_tuples
 one = FactorTuple(ZX, (1,))

@@ -807,15 +807,67 @@ def test_underlying_function_is_a_functor(u):
             assert composite == tuple(fv[v - 1] for v in underlying_function(g).values)
 
 
-@pytest.mark.parametrize("u", CLOSURE_UNIVERSES.values(), ids=CLOSURE_UNIVERSES.keys())
+# universes whose codomain-first build is checked against the enumerator too
+BUILD_UNIVERSES = {
+    **CLOSURE_UNIVERSES,
+    "default": UniverseSpec(),
+    "signed_units": UniverseSpec(pool=(1, -1), max_len=3),
+    "units": UniverseSpec(pool=(1,), max_len=4),
+    "empty_pool": UniverseSpec(pool=(), max_len=3),
+}
+
+
+@pytest.mark.parametrize("u", BUILD_UNIVERSES.values(), ids=BUILD_UNIVERSES.keys())
 def test_product_prefilter_keeps_every_non_empty_hom_set(u):
-    # the universe build skips pairs with prod a not below prod b; the walk
-    # over every pair must give the same table in the same order
+    # the codomain-first build never calls the enumerator; the enumerator's
+    # walk over every pair must give the same table in the same order
     objs = universe_objects(u)
     unfiltered = {(a, b): hom_index_tuples(a, b) for a in objs for b in objs}
     unfiltered = {pair: fns for pair, fns in unfiltered.items() if fns}
     assert list(universe_homs(u).items()) == list(unfiltered.items())
     assert universe_morphisms(u) == tuple(m for a, b in unfiltered for m in hom_set(a, b))
+
+
+@pytest.mark.parametrize("u", BUILD_UNIVERSES.values(), ids=BUILD_UNIVERSES.keys())
+def test_a_cold_build_does_not_call_the_enumerator(u):
+    sweep_library_caches()
+    before = hom_index_tuples.cache_info()
+    fresh = replace(u)  # a fresh spec builds its tables cold
+    assert universe_morphisms(fresh) and universe_homs(fresh)
+    assert hom_index_tuples.cache_info() == before
+
+
+def test_the_build_refuses_a_hom_set_past_the_result_guard(monkeypatch):
+    # (1)^3 -> (1)^3 is the largest hom set of the unit universe, with 3^3 maps
+    from factorcat import GuardError
+
+    u, ones = UniverseSpec(pool=(1,), max_len=3), FactorTuple(ZX, (1, 1, 1))
+    monkeypatch.setattr(oracle, "HOM_RESULT_GUARD", 27)
+    assert len(universe_homs(replace(u))[ones, ones]) == 27
+    monkeypatch.setattr(oracle, "HOM_RESULT_GUARD", 26)
+    with pytest.raises(GuardError, match=r"hom set over 3\^3 candidates"):
+        universe_morphisms(replace(u))
+
+
+def test_a_cold_default_verify_misses_the_hom_cache_at_most_7239_times():
+    # one-sided: a change that needs fewer enumerations lowers the bound
+    sweep_library_caches()
+    assert all_passed(run_suite(UniverseSpec()))
+    assert hom_index_tuples.cache_info().misses <= 7239
+
+
+def iso_by_unfiltered_search(m):
+    id_dom, id_cod = identity_morphism(m.domain), identity_morphism(m.codomain)
+    return any(
+        compose(g, m) == id_dom and compose(m, g) == id_cod
+        for g in hom_set(m.codomain, m.domain)
+    )
+
+
+@pytest.mark.parametrize("u", CLOSURE_UNIVERSES.values(), ids=CLOSURE_UNIVERSES.keys())
+def test_iso_bruteforce_prefilter_agrees_with_the_unfiltered_search(u):
+    for m in universe_morphisms(u):
+        assert oracle._iso_by_bruteforce(m) == iso_by_unfiltered_search(m), str(m)
 
 
 def test_universe_tables_live_as_long_as_their_spec():
