@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 from typing import Callable, Mapping, Sequence
 
 from .errors import GuardError, InvalidMorphismError
@@ -504,14 +505,9 @@ class MonoidHom:
             if not ZX.is_prime(assignment[g]):
                 raise ValueError(f"image of {g!r} must be a prime integer")
 
-        def apply(a):
-            out = 1
-            for g in a:
-                out *= assignment[g]
-            return out
-
+        primes = [assignment[g] for g in generators]  # aligned with each exponent vector
         label = source.name + "->zx[" + ",".join(f"{g}:{assignment[g]}" for g in generators) + "]"
-        return cls(source, ZX, apply, label)
+        return cls(source, ZX, lambda a: prod(map(pow, primes, a)), label)
 
 
 def map_tuple(hom: MonoidHom, t: FactorTuple) -> FactorTuple:

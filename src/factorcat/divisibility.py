@@ -191,8 +191,9 @@ def zeta_obj(t: FactorTuple) -> int:
 
 def divisor_class_representatives(monoid: Monoid, r: Element) -> list:
     """One canonical representative per associate class of divisors of r:
-    positive divisors ascending over the integers, sub-multisets ordered by
-    size then name over free monoids.
+    positive divisors ascending over the integers and, over free monoids,
+    exponent vectors aligned with ``generators`` that are entrywise below
+    r's, by degree and then with more copies of earlier generators first.
 
     Integers beyond the 2**31 trial-division bound, and free-monoid elements
     with more than 10^5 divisor classes, raise GuardError before any work."""

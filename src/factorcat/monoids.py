@@ -3,21 +3,24 @@
 Four instances are provided: the nonzero integers and the positive integers
 under the divisibility order, the rational unit interval (0, 1] under the
 numeric order, and free commutative monoids over a finite generator alphabet.
-Elements are plain Python values (int, Fraction, or a sorted tuple of
-generator names); each instance interprets and validates them.  Everything
-here is pure and immutable, so instances are safe to share across threads.
+Elements are plain Python values (int, Fraction, or a free monoid's exponent
+vector aligned with ``generators``); each instance interprets and validates
+them.  Everything is pure and immutable, so instances are thread-safe.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product as iter_product
 from math import isqrt, prod
+from operator import add, le, sub
 from typing import Iterable, Iterator
 
 from .errors import CapabilityError, GuardError
 
-Element = object  # int | Fraction | tuple[str, ...] depending on the instance
+Element = object  # int | Fraction | tuple[int, ...] depending on the instance
 
 PRIMALITY_BOUND = 2**31
 
@@ -359,7 +362,11 @@ class UnitInterval(Monoid):
         return x <= partial
 
     def encode(self, a):
-        return f"{a.numerator}/{a.denominator}"
+        try:
+            return f"{a.numerator}/{a.denominator}"
+        except ValueError:  # more digits than str() converts, as near 10^-INTERVAL_EXPONENT_BOUND
+            limit = sys.get_int_max_str_digits()
+            raise GuardError(f"{self.name}: element has over {limit} digits to print") from None
 
     def decode(self, value):
         if isinstance(value, bool):
@@ -384,11 +391,11 @@ class UnitInterval(Monoid):
 class FreeCommutative(DivisibilityMonoid):
     """Free commutative monoid over a finite alphabet.
 
-    Elements are finite multisets of generator names stored as sorted
-    tuples; the operation is multiset union and divisibility is multiset
-    inclusion.  Generators are the irreducibles, and they are prime.
-    Decoding raises GuardError for an element of more than 10^4 generator
-    copies, before building it.
+    An element is its exponent vector aligned with ``generators``, the tuple
+    of each generator's copy count, which ``validate`` also builds from an
+    iterable of names.  The operation adds vectors and divisibility compares
+    them entrywise, so neither costs the degree.  Generators are the prime
+    irreducibles.  Decoding raises GuardError past 10^4 generator copies.
     """
 
     is_ufd = True
@@ -401,122 +408,113 @@ class FreeCommutative(DivisibilityMonoid):
             if not isinstance(g, str) or not g.isidentifier():
                 raise ValueError(f"bad generator name {g!r}")
         self.generators = gens
-        self._genset = frozenset(gens)
+        self._index = {g: i for i, g in enumerate(gens)}
         self.name = "free:" + ",".join(gens)
+        self._identity = (0,) * len(gens)
+        self._units = tuple(self.validate((g,)) for g in gens)  # one copy of each generator
 
     def validate(self, a):
+        if type(a) is tuple and len(a) == len(self._identity) and all(
+                type(k) is int and k >= 0 for k in a):
+            return a  # already an exponent vector
         if isinstance(a, str):
-            raise ValueError(
-                f"{self.name}: elements are iterables of generator names, not strings"
-            )
+            raise ValueError(f"{self.name}: elements are iterables of generator names, not strings")
+        counts = list(self._identity)
         try:
-            items = tuple(a)
-        except TypeError:
-            raise ValueError(f"{self.name}: expected a multiset of generators, got {a!r}")
-        for g in items:
-            if g not in self._genset:
-                raise ValueError(f"{self.name}: unknown generator {g!r}")
-        return tuple(sorted(items))
+            for g in a:
+                counts[self._index[g]] += 1
+        except KeyError as exc:
+            raise ValueError(f"{self.name}: unknown generator {exc.args[0]!r}") from None
+        except TypeError:  # not iterable, or an unhashable item
+            raise ValueError(f"{self.name}: expected a multiset of generators, got {a!r}") from None
+        return tuple(counts)
 
     def identity(self):
-        return ()
+        return self._identity
 
     def op(self, a, b):
-        return tuple(sorted(a + b))
+        return tuple(map(add, a, b))
+
+    def product(self, elems):  # folded from the first element: one element is its own product
+        elems = iter(elems)
+        out = next(elems, self._identity)
+        for a in elems:
+            out = tuple(map(add, out, a))
+        return out
+
+    def leq(self, a, b):
+        return all(map(le, a, b))
 
     def is_invertible(self, a):
-        return a == ()
+        return not any(a)
 
     def exact_divide(self, a, b):
-        rest = list(b)
-        for g in a:
-            try:
-                rest.remove(g)
-            except ValueError:
-                return None
-        return tuple(rest)
+        q = tuple(map(sub, b, a))
+        return q if min(q) >= 0 else None
 
     def is_irreducible(self, a):
-        return len(a) == 1
+        return sum(a) == 1
 
-    def is_prime(self, a):
-        return len(a) == 1
+    is_prime = is_irreducible  # a generator is prime
 
     def factor_irreducibles(self, a):
-        return (), tuple((g,) for g in a)
+        return self._identity, tuple(u for u, k in zip(self._units, a) for _ in range(k))
 
     def fresh_non_divisor(self, a):
-        g = self.generators[0]
-        return (g,) * (a.count(g) + 1)
+        return (a[0] + 1,) + self._identity[1:]
 
     def divisor_class_representatives(self, a):
-        # every sub-multiset, ordered by size and then by name
-        counts = {g: a.count(g) for g in sorted(set(a))}
-        classes = prod(c + 1 for c in counts.values())
+        # every sub-vector, by degree and then with more of the earlier generators first
+        classes = prod(k + 1 for k in a)
         if classes > DIVISOR_CLASS_GUARD:
             raise GuardError(f"{classes} divisor classes of {self.encode(a)} exceed the 10^5 guard")
-        subsets: list[tuple] = [()]
-        for g, count in counts.items():
-            subsets = [s + (g,) * k for s in subsets for k in range(count + 1)]
-        return sorted(set(tuple(sorted(s)) for s in subsets), key=lambda s: (len(s), s))
+        divisors = iter_product(*[range(k + 1) for k in a])
+        return sorted(divisors, key=lambda d: (sum(d), [-k for k in d]))
 
     def irreducible_factorizations(self, a):
-        if len(a) > FACTORIZATION_DEGREE_BOUND:
-            raise GuardError(
-                f"factorization enumeration over {len(a)} generator copies "
-                f"exceeds the degree bound {FACTORIZATION_DEGREE_BOUND}"
-            )
-        return self._factorizations(a, "")
+        if sum(a) > FACTORIZATION_DEGREE_BOUND:
+            raise GuardError(f"factorization enumeration over {sum(a)} generator copies "
+                             f"exceeds the degree bound {FACTORIZATION_DEGREE_BOUND}")
+        return self._factorizations(a, 0)
 
-    @classmethod
-    def _factorizations(cls, rest: tuple, start: str):
-        if not rest:
+    def _factorizations(self, rest: tuple, start: int):
+        if any(rest[:start]):  # a generator before start is left, and can no longer be placed
+            return
+        if not any(rest):
             yield ()
             return
-        if rest[0] < start:
-            # rest is sorted: its first generator can no longer be placed
-            return
-        for g in sorted(set(rest)):
-            if g >= start:
-                reduced = list(rest)
-                reduced.remove(g)
-                for tail in cls._factorizations(tuple(reduced), g):
-                    yield ((g,),) + tail
+        for i in range(start, len(rest)):
+            if rest[i]:
+                reduced = rest[:i] + (rest[i] - 1,) + rest[i + 1:]
+                for tail in self._factorizations(reduced, i):
+                    yield (self._units[i],) + tail
 
     def encode(self, a):
-        if not a:
-            return "1"
-        parts = []
-        for g in sorted(set(a)):
-            k = a.count(g)
-            parts.append(g if k == 1 else f"{g}^{k}")
-        return "*".join(parts)
+        parts = [g if k == 1 else f"{g}^{k}" for g, k in zip(self.generators, a) if k]
+        return "*".join(parts) or "1"
 
     def decode(self, value):
         if not isinstance(value, str):
             raise ValueError(f"{self.name}: expected a string, got {value!r}")
         if value in ("1", ""):
-            return ()
-        items: list[str] = []
+            return self._identity
+        counts, copies = list(self._identity), 0
         for part in value.split("*"):
             name, _, power = part.partition("^")
-            k = 1
-            if power:
-                try:
-                    k = int(power)
-                except ValueError:
-                    raise ValueError(f"{self.name}: bad exponent in {part!r}")
-                if k < 1:
-                    raise ValueError(f"{self.name}: bad exponent in {part!r}")
-            if name not in self._genset:
+            try:
+                k = int(power) if power else 1
+            except ValueError:
+                k = 0
+            if k < 1:
+                raise ValueError(f"{self.name}: bad exponent in {part!r}")
+            if name not in self._index:
                 raise ValueError(f"{self.name}: unknown generator {name!r}")
-            if len(items) + k > FREE_DECODE_BOUND:
-                raise GuardError(
-                    f"{self.name}: element has more than {FREE_DECODE_BOUND} "
-                    f"generator copies"
-                )
-            items.extend([name] * k)
-        return self.validate(items)
+            copies += k
+            if copies > FREE_DECODE_BOUND:
+                raise GuardError(f"{self.name}: element has more than {FREE_DECODE_BOUND} "
+                                 f"generator copies")
+            counts[self._index[name]] += k
+        return self.validate(tuple(counts))
 
 
 ZX = NonzeroIntegers()

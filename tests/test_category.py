@@ -351,7 +351,7 @@ class TestInitialTerminal:
     def test_refute_terminal_free(self):
         t = FactorTuple(FREE, (("a",),))
         witness = refute_terminal(t)
-        assert witness.entries == (("a", "a"),)
+        assert witness.entries == (FREE.validate(("a", "a")),)
         assert len(hom_set(witness, t)) == 0
 
     def test_capability_gate(self):

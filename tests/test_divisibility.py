@@ -279,19 +279,19 @@ class TestDivisorClasses:
     def test_free_guard(self):
         ten = free_monoid("abcdefghij")
         with pytest.raises(GuardError):  # 7**10 classes
-            divisor_class_representatives(ten, tuple(sorted(ten.generators * 6)))
-        assert len(divisor_class_representatives(ten, ten.generators)) == 2**10
+            divisor_class_representatives(ten, ten.validate(ten.generators * 6))
+        assert len(divisor_class_representatives(ten, ten.validate(ten.generators))) == 2**10
 
     def test_free_multiset_classes(self):
-        reps = divisor_class_representatives(FREE, ("a", "a", "b"))
-        assert reps == [
+        reps = divisor_class_representatives(FREE, FREE.validate(("a", "a", "b")))
+        assert reps == [FREE.validate(names) for names in (
             (),
             ("a",),
             ("b",),
             ("a", "a"),
             ("a", "b"),
             ("a", "a", "b"),
-        ]
+        )]
 
     def test_integers_match_a_plain_scan(self):
         for monoid, witnesses in ((ZX, range(-2000, 2001)), (NAT, range(1, 2001))):
@@ -306,8 +306,8 @@ class TestDivisorClasses:
         abc = free_monoid("abc")
         for r in free_elements(abc, 6):
             subs = {c for k in range(len(r) + 1) for c in combinations(r, k)}
-            expected = sorted(subs, key=lambda s: (len(s), s))
-            assert divisor_class_representatives(abc, r) == expected, r
+            expected = [abc.validate(s) for s in sorted(subs, key=lambda s: (len(s), s))]
+            assert divisor_class_representatives(abc, abc.validate(r)) == expected, r
 
 
 class TestChainStabilization:
@@ -355,7 +355,7 @@ class TestFactorizationEnumeration:
 
     def test_free_multiset(self):
         out = enumerate_irreducible_factorizations(FREE, ("a", "a", "b"))
-        assert out.classes == ((("a",), ("a",), ("b",)),)
+        assert out.classes == (tuple(FREE.validate((g,)) for g in "aab"),)
 
     def test_truncation_flag(self):
         out = enumerate_irreducible_factorizations(ZX, 12, max_count=0)
@@ -372,7 +372,7 @@ class TestFactorizationEnumeration:
     def test_free_degree_guard(self):
         at_bound = ("a",) * 255 + ("b",)
         out = enumerate_irreducible_factorizations(FREE, at_bound)
-        assert out.classes == (tuple((g,) for g in at_bound),)
+        assert out.classes == (tuple(FREE.validate((g,)) for g in at_bound),)
         with pytest.raises(GuardError):
             enumerate_irreducible_factorizations(FREE, at_bound + ("b",))
 
@@ -405,7 +405,7 @@ class TestFactorizationEnumeration:
         abc = free_monoid("abc")
         for a in free_elements(abc, 6):
             out = enumerate_irreducible_factorizations(abc, a)
-            assert out.classes == (tuple((g,) for g in a),) and not out.truncated, a
+            assert out.classes == (tuple(abc.validate((g,)) for g in a),) and not out.truncated, a
 
     def test_ufd_uniqueness_sampled(self):
         rng = random.Random(11)
@@ -464,7 +464,7 @@ class TestUfdWedge:
         g = validate_morphism(ft(("b",)), target, [1, 1])
         out = ufd_wedge(f, g)
         assert isinstance(out, WedgeDiagram)
-        assert out.apex.entries == (("a", "b"),)
+        assert out.apex.entries == (FREE.validate(("a", "b")),)
 
 
 def test_capability_refusals_have_one_message_form_each():

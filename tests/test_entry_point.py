@@ -128,3 +128,106 @@ def test_hom_sets_of_large_shape_are_not_kept():
                   preexec_fn=lambda: _cap_address_space(64))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0"]
+
+
+# -- every subcommand at the edge of the element and size bounds ---------------
+
+def _limit_child(megabytes=256, cpu_seconds=5):
+    def limit():
+        _cap_address_space(megabytes)
+        resource.setrlimit(resource.RLIMIT_CPU, (cpu_seconds, cpu_seconds))
+    return limit
+
+
+def _free_a(domain, codomain, values):
+    return json.dumps({"monoid": "free:a", "domain": domain, "codomain": codomain, "map": values})
+
+
+def _one_into(monoid, element):
+    return json.dumps({"monoid": monoid, "domain": ["1"] if monoid.startswith("free") else [1],
+                       "codomain": [element], "map": [1]})
+
+
+BIG = "a^9999"  # the free degree of the repros; FREE_DECODE_BOUND admits 10^4 copies
+AT_BOUND = "a^10000"
+IDENTITY_200 = _free_a([BIG] * 200, [BIG] * 200, list(range(1, 201)))
+ZX_AT_BOUND = 2**31  # PRIMALITY_BOUND, the largest |a| trial division accepts
+INTERVAL_AT_BOUND = "1e-10000"  # INTERVAL_EXPONENT_BOUND
+# its 10,001-digit denominator prints unless str() has a smaller digit limit (3.10.7 on)
+STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+UNPRINTABLE = 3 if 0 < STR_DIGITS <= 10_000 else 0
+
+# (argv, exit code); each case runs under _limit_child's 256 MB and 5 s of CPU
+GUARD_EDGE_CASES = {
+    # a verify costs its universe, whatever the degree: these 15 objects take
+    # as long with a^2, so this case alone gets more CPU time
+    "free-verify-repro": (("verify", "--monoid", "free:a", "--pool", '["a^999","a"]',
+                           "--max-len", "3"), 0),
+    # free monoids: 10^4 copies, 10^5 divisor classes, degree 256
+    "free-hom-repro": (("hom", "--monoid", "free:a", json.dumps([BIG] * 2), json.dumps([BIG] * 8)), 0),
+    "free-hom-at-bound": (("hom", "--monoid", "free:a", json.dumps([AT_BOUND]),
+                           json.dumps([AT_BOUND] * 3)), 0),
+    "free-hom-past-bound": (("hom", "--monoid", "free:a", '["a^10001"]', '["a"]'), 3),
+    "free-verify-iso-repro": (("verify", "--monoid", "free:a", "--pool", json.dumps([BIG, "a"]),
+                               "--max-len", "3", "--suite", "iso"), 0),
+    "free-divisors-repro": (("divisors", _one_into("free:a", BIG)), 0),
+    "free-divisors-at-class-guard": (("divisors", _one_into("free:ab", "a^249*b^399")), 0),  # 250 * 400
+    "free-divisors-past-class-guard": (("divisors", _one_into("free:ab", "a^250*b^399")), 3),
+    "free-chain-repro": (("chain", _one_into("free:a", BIG)), 0),
+    "free-check-iso-repro": (("check", "--iso", IDENTITY_200), 0),
+    "free-check-weq-at-bound": (("check", "--weq", _free_a([AT_BOUND], [AT_BOUND], [1])), 0),
+    "free-check-wirr-at-bound": (("check", "--wirr", _one_into("free:a", AT_BOUND)), 1),
+    "free-check-wprime-at-bound": (("check", "--wprime", _one_into("free:a", AT_BOUND)), 1),
+    "free-check-epic-at-bound": (("check", "--epic", _free_a([AT_BOUND], [BIG, "a"], [1, 1])), 1),
+    "free-classify-monic-at-bound": (("classify", "--monic",
+                                      _free_a([AT_BOUND], [BIG, "a"], [1, 1])), 0),
+    "free-decompose-at-bound": (("decompose", _free_a(["1", "a"], [AT_BOUND, "a"], [1, 2])), 0),
+    "free-tensor-at-bound": (("tensor", _one_into("free:a", AT_BOUND), _one_into("free:a", BIG)), 0),
+    "free-weakdiv-at-bound": (("weakdiv", _one_into("free:a", BIG), _one_into("free:a", AT_BOUND)), 0),
+    "free-weakdiv-false-at-bound": (("weakdiv", _one_into("free:a", AT_BOUND),
+                                     _one_into("free:a", BIG)), 1),
+    "free-compose-at-bound": (("compose", _free_a([AT_BOUND], [AT_BOUND], [1]),
+                               _one_into("free:a", AT_BOUND)), 0),
+    "free-factorizations-at-degree-bound": (("factorizations", "--monoid", "free:ab", '"a^255*b"'), 0),
+    "free-factorizations-past-degree-bound": (("factorizations", "--monoid", "free:ab", '"a^256*b"'), 3),
+    "free-factorizations-at-bound": (("factorizations", "--monoid", "free:a", json.dumps(AT_BOUND)), 3),
+    "free-graph-at-bound": (("graph", "--monoid", "free:a", "--pool", json.dumps([AT_BOUND, "a"]),
+                             "--max-len", "3"), 0),
+    # the unit interval: decimal exponent 10^4
+    "interval-hom-at-bound": (("hom", "--monoid", "interval", json.dumps([INTERVAL_AT_BOUND] * 2),
+                               json.dumps([INTERVAL_AT_BOUND] * 16)), 0),
+    "interval-hom-json-at-bound": (("hom", "--monoid", "interval", json.dumps([INTERVAL_AT_BOUND]),
+                                    json.dumps([INTERVAL_AT_BOUND]), "--json"), UNPRINTABLE),
+    "interval-hom-past-bound": (("hom", "--monoid", "interval", '["1e-10001"]', '["1/2"]'), 3),
+    "interval-verify-at-bound": (("verify", "--monoid", "interval", "--pool",
+                                  json.dumps([INTERVAL_AT_BOUND, "1/2"]), "--max-len", "2"), 0),
+    "interval-graph-at-bound": (("graph", "--monoid", "interval", "--pool",
+                                 json.dumps([INTERVAL_AT_BOUND, "1/2"]), "--max-len", "2"), UNPRINTABLE),
+    # the integers: |a| = 2^31, 10^6 for the divisor recursion, 10^7 hom candidates
+    "zx-check-wirr-at-bound": (("check", "--wirr", _one_into("zx", ZX_AT_BOUND - 1)), 0),
+    "zx-check-wprime-at-bound": (("check", "--wprime", _one_into("zx", ZX_AT_BOUND)), 1),
+    "zx-check-wirr-past-bound": (("check", "--wirr", _one_into("zx", ZX_AT_BOUND + 1)), 3),
+    "zx-divisors-at-bound": (("divisors", _one_into("zx", ZX_AT_BOUND)), 0),
+    "zx-divisors-past-bound": (("divisors", _one_into("zx", ZX_AT_BOUND + 1)), 3),
+    "zx-chain-at-bound": (("chain", _one_into("zx", ZX_AT_BOUND)), 0),
+    "zx-chain-past-bound": (("chain", _one_into("zx", ZX_AT_BOUND + 1)), 3),
+    "zx-factorizations-at-bound": (("factorizations", "--monoid", "zx", str(10**6)), 0),
+    "zx-factorizations-past-bound": (("factorizations", "--monoid", "zx", str(10**6 + 1)), 3),
+    "zx-hom-at-candidate-guard": (("hom", "--monoid", "zx", json.dumps([2] * 10),
+                                   json.dumps([3] * 7)), 0),  # 10^7, each branch cut at once
+    "zx-hom-past-candidate-guard": (("hom", "--monoid", "zx", json.dumps([2] * 10),
+                                     json.dumps([3] * 8)), 3),
+    "zx-graph-past-candidate-guard": (("graph", "--monoid", "zx", "--pool", "[1,2,3]",
+                                       "--max-len", "4"), 3),  # 2,045,947 candidate maps
+}
+
+
+CPU_SECONDS = {"free-verify-repro": 30}
+
+
+@pytest.mark.parametrize("case", GUARD_EDGE_CASES)
+def test_every_subcommand_at_the_edge_of_a_bound_answers_or_refuses(case):
+    argv, code = GUARD_EDGE_CASES[case]
+    proc = factorcat(*argv, timeout=60, preexec_fn=_limit_child(cpu_seconds=CPU_SECONDS.get(case, 5)))
+    assert proc.returncode == code, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr

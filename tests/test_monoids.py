@@ -1,6 +1,8 @@
 """Element algebra of the four shipped monoid instances."""
 
 import ast
+import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,44 +28,52 @@ from factorcat.monoids import FREE_DECODE_BOUND, INTERVAL_EXPONENT_BOUND
 
 FREE = free_monoid("ab")
 
+
+def free(*names):
+    """The element of FREE holding the given generator copies."""
+    return FREE.validate(names)
+
+
 nonzero_ints = st.integers(-200, 200).filter(lambda n: n != 0)
 positive_ints = st.integers(1, 200)
 unit_fractions = st.fractions(min_value=Fraction(1, 64), max_value=1)
-multisets = st.lists(st.sampled_from(("a", "b")), max_size=5).map(
-    lambda items: tuple(sorted(items))
+multisets = st.lists(st.sampled_from(("a", "b")), max_size=5).map(FREE.validate)
+# exponent vectors of any degree the wire format admits, split between a and b
+large_elements = st.integers(0, FREE_DECODE_BOUND).flatmap(
+    lambda degree: st.integers(0, degree).map(lambda k: (k, degree - k))
 )
 
 
 def test_identities():
     assert ZX.identity() == 1
     assert INTERVAL.identity() == Fraction(1, 1)
-    assert FREE.identity() == ()
+    assert FREE.identity() == free()
 
 
 def test_op_examples():
     assert ZX.op(6, 35) == 210
     assert INTERVAL.op(Fraction(1, 2), Fraction(1, 3)) == Fraction(1, 6)
-    assert FREE.op(("a",), ("a", "b")) == ("a", "a", "b")
+    assert FREE.op(free("a"), free("a", "b")) == free("a", "a", "b")
 
 
 def test_leq_examples():
     assert ZX.leq(2, 6) and not ZX.leq(5, 2)
     assert INTERVAL.leq(Fraction(1, 2), Fraction(1))
-    assert FREE.leq(("a",), ("a", "b"))
+    assert FREE.leq(free("a"), free("a", "b"))
 
 
 def test_invertibility():
     assert ZX.is_invertible(-1) and not ZX.is_invertible(6)
     assert not INTERVAL.is_invertible(Fraction(1, 2))
     assert INTERVAL.is_invertible(Fraction(1))
-    assert FREE.is_invertible(()) and not FREE.is_invertible(("a",))
+    assert FREE.is_invertible(free()) and not FREE.is_invertible(free("a"))
     assert NAT.is_invertible(1) and not NAT.is_invertible(2)
 
 
 def test_exact_divide_examples():
     assert ZX.exact_divide(6, 66) == 11
     assert ZX.exact_divide(5, 2) is None
-    assert FREE.exact_divide(("a",), ("a", "b")) == ("b",)
+    assert FREE.exact_divide(free("a"), free("a", "b")) == free("b")
     with pytest.raises(CapabilityError):
         INTERVAL.exact_divide(Fraction(1, 2), Fraction(1, 4))
 
@@ -72,8 +82,8 @@ def test_irreducible_and_prime_examples():
     assert ZX.is_irreducible(3) and ZX.is_irreducible(-7)
     assert not ZX.is_irreducible(6) and not ZX.is_irreducible(1)
     assert ZX.is_prime(5) and not ZX.is_prime(4)
-    assert FREE.is_irreducible(("a",)) and FREE.is_prime(("b",))
-    assert not FREE.is_irreducible(("a", "b"))
+    assert FREE.is_irreducible(free("a")) and FREE.is_prime(free("b"))
+    assert not FREE.is_irreducible(free("a", "b"))
     with pytest.raises(CapabilityError):
         INTERVAL.is_irreducible(Fraction(1, 2))
 
@@ -83,13 +93,15 @@ def test_factor_examples():
     assert ZX.factor_irreducibles(-6) == (-1, (2, 3))
     assert ZX.factor_irreducibles(1) == (1, ())
     assert NAT.factor_irreducibles(12) == (1, (2, 2, 3))
-    assert FREE.factor_irreducibles(("a", "a", "b")) == ((), (("a",), ("a",), ("b",)))
+    assert FREE.factor_irreducibles(free("a", "a", "b")) == (
+        free(), (free("a"), free("a"), free("b"))
+    )
 
 
 def test_associates():
     assert ZX.are_associates(6, -6)
     assert not ZX.are_associates(2, 6)
-    assert FREE.are_associates(("a",), ("a",))
+    assert FREE.are_associates(free("a"), free("a"))
     assert not NAT.are_associates(2, 6)
 
 
@@ -113,7 +125,7 @@ def test_validation_rejects_bad_elements():
     with pytest.raises(ValueError):
         INTERVAL.validate(Fraction(0))
     with pytest.raises(ValueError):
-        FREE.validate(("c",))
+        free("c")
 
 
 def test_monoid_registry():
@@ -130,7 +142,7 @@ def test_multicharacter_generators():
     words = free_monoid("alpha,beta")
     assert words.generators == ("alpha", "beta")
     e = words.validate(["beta", "alpha", "alpha"])
-    assert e == ("alpha", "alpha", "beta")
+    assert e == (2, 1)
     assert words.encode(e) == "alpha^2*beta"
     assert words.decode("alpha^2*beta") == e
     assert monoid_by_name("free:alpha,beta") == words
@@ -140,10 +152,10 @@ def test_element_wire_formats():
     assert ZX.decode(ZX.encode(-7)) == -7
     assert INTERVAL.encode(Fraction(1)) == "1/1"
     assert INTERVAL.decode("2/4") == Fraction(1, 2)
-    assert FREE.encode(("a", "a", "b")) == "a^2*b"
-    assert FREE.decode("a^2*b") == ("a", "a", "b")
-    assert FREE.encode(()) == "1"
-    assert FREE.decode("1") == ()
+    assert FREE.encode(free("a", "a", "b")) == "a^2*b"
+    assert FREE.decode("a^2*b") == free("a", "a", "b")
+    assert FREE.encode(free()) == "1"
+    assert FREE.decode("1") == free()
     with pytest.raises(ValueError):
         INTERVAL.decode("3/2")
     with pytest.raises(ValueError):
@@ -151,7 +163,7 @@ def test_element_wire_formats():
 
 
 def test_free_decode_bounds_the_element_size():
-    assert len(FREE.decode("a^5000*b^5000")) == FREE_DECODE_BOUND
+    assert sum(FREE.decode("a^5000*b^5000")) == FREE_DECODE_BOUND
     for text in ("a^5000*b^5001", "a^3000000", "a*" * FREE_DECODE_BOUND + "b"):
         with pytest.raises(GuardError):
             FREE.decode(text)
@@ -168,6 +180,16 @@ def test_interval_decode_bounds_the_decimal_exponent():
             INTERVAL.decode(text)
     with pytest.raises(ValueError):
         INTERVAL.decode("1e-x")
+
+
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() <= 10_000,
+                    reason="str() prints a 10,001-digit int when it has no smaller digit limit")
+def test_interval_elements_past_the_printable_digits_are_refused_on_encoding():
+    # the exponent bound admits 10^-10000, whose p/q form str() will not print
+    at_bound = INTERVAL.decode(f"1e-{INTERVAL_EXPONENT_BOUND}")
+    with pytest.raises(GuardError, match="digits to print"):
+        INTERVAL.encode(at_bound)
+    assert INTERVAL.decode(INTERVAL.encode(INTERVAL.decode("1e-4000"))) == Fraction(1, 10**4000)
 
 
 def test_free_decode_rejects_an_unknown_generator_before_the_size_bound():
@@ -267,6 +289,35 @@ def test_interval_wire_round_trip(q):
 @given(multisets)
 def test_free_wire_round_trip(e):
     assert FREE.decode(FREE.encode(e)) == e
+
+
+def expand(e):
+    """One generator name per copy in e."""
+    return [g for g, k in zip(FREE.generators, e) for _ in range(k)]
+
+
+@given(large_elements, large_elements, large_elements)
+def test_free_laws_hold_at_large_degree(a, b, c):
+    assert FREE.op(a, b) == FREE.op(b, a)
+    assert FREE.op(FREE.op(a, b), c) == FREE.op(a, FREE.op(b, c))
+    assert FREE.exact_divide(a, FREE.op(a, b)) == b
+    if FREE.leq(a, b):
+        assert FREE.leq(FREE.op(a, c), FREE.op(b, c))
+    assert FREE.decode(FREE.encode(a)) == a
+    # against multisets of names, with a pair that divides and two that may not
+    for x, y in ((a, FREE.op(c, a)), (a, b), (b, a)):
+        cx, cy = Counter(expand(x)), Counter(expand(y))
+        assert FREE.leq(x, y) == (cx <= cy)
+        assert FREE.exact_divide(x, y) == (FREE.validate((cy - cx).elements()) if cx <= cy else None)
+
+
+def test_free_validate_takes_names_or_a_normalized_vector():
+    e = free("b", "a", "b")
+    assert e == (1, 2) and FREE.validate(e) is e
+    assert FREE.validate(["b", "a", "b"]) == FREE.validate(iter("bab")) == e
+    for bad in ((1,), (1, 2, 0), (1, -1), (True, 0), (1.0, 0), [1, 2], "ab", 5):
+        with pytest.raises(ValueError):
+            FREE.validate(bad)
 
 
 def test_factor_reassembles_exhaustively():

@@ -5,7 +5,6 @@ import gc
 import hashlib
 import json
 import random
-import sys
 import weakref
 import zlib
 from dataclasses import FrozenInstanceError, replace
@@ -56,6 +55,8 @@ from factorcat import (
     weakly_divides,
 )
 from factorcat.oracle import universe_homs
+
+from conftest import sweep_library_caches
 
 SMALL = UniverseSpec(pool=(-1, 1, 2, 6), max_len=2, exhaustive_limit=40_000, sample_size=4_000)
 DEGENERATE = UniverseSpec(pool=(1,), max_len=2)
@@ -147,17 +148,20 @@ def test_interval_universe_runs_compatible_suites():
 
 # SHA-256 of every failure payload, in order, when each law is forced to
 # fail on a fixed fifth of its cases (see the test below)
-FORCED_FAILURES_DIGEST = "ae8f27481ad1c20d858df9619370a378bfa00f8b82b1061a3a0825ee411d72a2"
+FORCED_FAILURES_DIGEST = "b367be25154ca9547581c76b083fcc7b25be684adb287c8c2d4be85b0a65375c"
 
 
 def test_forced_failures_keep_their_cases_and_order(monkeypatch):
-    # a case fails when the CRC of its law name and arguments is 0 mod 5, so
-    # the failure payloads pin which cases each suite runs and in what order
+    # a case fails when the CRC of its law name and wire payload is 0 mod 5,
+    # so the failure payloads pin which cases each suite runs and in what
+    # order, whatever the in-memory form of the elements
     ran = set()
+    universe = {}
     for name, law in oracle.LAWS.items():
-        def predicate(*args, name=name, holds=law.predicate):
+        def predicate(*args, name=name, law=law):
             ran.add(name)
-            return holds(*args) and zlib.crc32((name + repr(args)).encode()) % 5 != 0
+            wire = json.dumps(law.encode(universe["monoid"], args))
+            return law.predicate(*args) and zlib.crc32((name + wire).encode()) % 5 != 0
 
         monkeypatch.setitem(oracle.LAWS, name, replace(law, predicate=predicate))
     monkeypatch.setattr(oracle.SuiteReport, "MAX_STORED", 10**6)
@@ -165,6 +169,7 @@ def test_forced_failures_keep_their_cases_and_order(monkeypatch):
     runs = []
     for key, u in (("small", SMALL), ("degenerate", DEGENERATE),
                    ("interval", INTERVAL_UNIVERSE), ("free_ab", free_ab)):
+        universe["monoid"] = u.monoid
         reports = run_suite(u)
         assert {r.suite: r.cases for r in reports} == CASE_COUNTS[key]
         runs += [[r.suite, r.cases, r.failures] for r in reports]
@@ -363,16 +368,6 @@ def test_probe_caches_hold_each_distinct_input_once():
         assert info.misses == info.currsize  # no eviction
     sweep_library_caches()  # reaches both probes
     assert [probe.cache_info().currsize for probe in distinct] == [0, 0]
-
-
-def sweep_library_caches():
-    """Empty every functools cache of the library through its cache_clear,
-    the way a benchmarked verify starts cold."""
-    for name, module in list(sys.modules.items()):
-        if name == "factorcat" or name.startswith("factorcat."):
-            for obj in vars(module).values():
-                if callable(getattr(obj, "cache_clear", None)):
-                    obj.cache_clear()
 
 
 # law -> payload keys besides "law" and "monoid"
@@ -849,11 +844,11 @@ def test_the_build_refuses_a_hom_set_past_the_result_guard(monkeypatch):
         universe_morphisms(replace(u))
 
 
-def test_a_cold_default_verify_misses_the_hom_cache_at_most_7239_times():
-    # one-sided: a change that needs fewer enumerations lowers the bound
-    sweep_library_caches()
-    assert all_passed(run_suite(UniverseSpec()))
-    assert hom_index_tuples.cache_info().misses <= 7239
+def test_a_cold_default_verify_misses_the_hom_cache_at_most_7239_times(cold_default_verify):
+    # one-sided: a change that needs fewer enumerations lowers the bound; the
+    # session fixture swept the caches and ran the default verify
+    assert all_passed(cold_default_verify.reports)
+    assert cold_default_verify.hom_cache.misses <= 7239
 
 
 def iso_by_unfiltered_search(m):
