@@ -423,10 +423,11 @@ def is_isomorphism(m: Morphism) -> bool:
     values, xs, ys = m.values, m.domain.entries, m.codomain.entries
     if len(values) != len(xs) or len(set(values)) != len(values):
         return False
-    return all(
-        monoid.are_associates(xs[target - 1], ys[pos])
-        for pos, target in enumerate(values)
-    )
+    associates = monoid.are_associates
+    for y, target in zip(ys, values):
+        if not associates(xs[target - 1], y):
+            return False
+    return True
 
 
 def inverse(m: Morphism) -> Morphism | None:

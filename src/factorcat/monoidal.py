@@ -4,10 +4,16 @@ The tensor of objects is tuple concatenation, strictly associative with the
 empty tuple as a two-sided unit.  On morphisms f: (x)->(w) and g: (y)->(z)
 the tensor glues the maps side by side, shifting g's values past the length
 of f's domain; the same formula covers empty tuples with the relevant size
-set to zero, so there are no special-case data paths.
+set to zero (a shift by zero reuses g's map instead of copying it).
+
+A braiding's map depends only on the two lengths: braidings of at most
+BRAID_SHAPE_BOUND entries share one map per shape from a bounded cache
+that ``cache_clear`` empties, and longer ones build theirs afresh.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .category import (
     FactorTuple,
@@ -18,6 +24,8 @@ from .category import (
     identity_morphism,
     require_same_monoid,
 )
+
+BRAID_SHAPE_BOUND = 2**4  # most entries in all of a braiding whose map is shared
 
 
 def tensor_objects(s: FactorTuple, t: FactorTuple) -> FactorTuple:
@@ -33,8 +41,13 @@ def tensor_morphisms(f: Morphism, g: Morphism) -> Morphism:
     return _trusted_morphism(
         _trusted_tuple(monoid, fdom.entries + gdom.entries),
         _trusted_tuple(monoid, fcod.entries + gcod.entries),
-        f.values + tuple([n + v for v in g.values]),
+        f.values + (tuple(map(n.__add__, g.values)) if n else g.values),
     )
+
+
+@lru_cache(maxsize=(BRAID_SHAPE_BOUND + 1) * (BRAID_SHAPE_BOUND + 2) // 2)  # every shape
+def _swap_map(n: int, m: int) -> tuple[int, ...]:
+    return tuple(range(n + 1, n + m + 1)) + tuple(range(1, n + 1))
 
 
 def braiding(s: FactorTuple, t: FactorTuple) -> Morphism:
@@ -46,10 +59,9 @@ def braiding(s: FactorTuple, t: FactorTuple) -> Morphism:
     require_same_monoid(s, t, "braiding")
     xs, ys = s.entries, t.entries
     n, m = len(xs), len(ys)
+    swap = _swap_map if n + m <= BRAID_SHAPE_BOUND else _swap_map.__wrapped__
     return _trusted_morphism(
-        _trusted_tuple(s.monoid, xs + ys),
-        _trusted_tuple(s.monoid, ys + xs),
-        tuple(range(n + 1, n + m + 1)) + tuple(range(1, n + 1)),
+        _trusted_tuple(s.monoid, xs + ys), _trusted_tuple(s.monoid, ys + xs), swap(n, m)
     )
 
 

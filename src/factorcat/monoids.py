@@ -233,6 +233,9 @@ class NonzeroIntegers(DivisibilityMonoid):
     def op(self, a, b):
         return a * b
 
+    def product(self, elems):
+        return prod(elems)
+
     def leq(self, a, b):
         return b % a == 0
 
@@ -304,6 +307,10 @@ class NonzeroIntegers(DivisibilityMonoid):
             d += 1
 
     def encode(self, a):
+        if a.bit_length() > 2126:  # up to 2126 bits: at most 640 digits, which str() always prints
+            limit = sys.get_int_max_str_digits()
+            if limit and abs(a) >= 10**limit:
+                raise GuardError(f"{self.name}: element has over {limit} digits to print")
         return a
 
     def decode(self, value):

@@ -24,11 +24,12 @@ product is a functor and no morphism can then run back.
 
 Each law is one entry of the ``LAWS`` registry: its name, the payload key
 and wire kind of each predicate argument, and the predicate.  A suite is a
-generator in ``SUITES`` that yields each case as ``(name, *args)``, and
-:func:`run_suite` checks every case; a failing case is serialized from the
-entry and :func:`recheck` decodes the same entry to re-run it.  To add a
-law, add a ``_law(name, predicate, key=kind, ...)`` line to the registry,
-with the keys in the predicate's argument order, and yield its cases from a
+generator in ``SUITES`` that yields each case as ``(name, args)``, and
+:meth:`SuiteReport.run` binds every registered predicate once per suite, so
+a passing case costs one call; only a failing case is looked up again, to
+be serialized from its entry, and :func:`recheck` decodes the same entry to
+re-run it.  To add a law, add a ``_law(name, predicate, key=kind, ...)``
+line, keys in the predicate's argument order, and yield its cases from a
 suite's generator.  Predicates look up library functions as module globals
 at call time, so a test can swap one out and watch the oracle catch it.
 
@@ -157,22 +158,27 @@ class SuiteReport:
 
     MAX_STORED = 50
 
+    def run(self, cases: Iterable[tuple[str, tuple]]) -> None:
+        """Check each (law name, arguments) case, every predicate bound once.
+        A false result or a raise of CASE_ERRORS fails the case; the first
+        MAX_STORED failures keep a payload ("raised" names the exception)."""
+        predicates = {name: law.predicate for name, law in LAWS.items()}
+        count = self.cases
+        for count, (law, args) in enumerate(cases, count + 1):
+            try:
+                if predicates[law](*args):
+                    continue
+                raised = {}
+            except CASE_ERRORS as exc:
+                raised = {"raised": type(exc).__name__}
+            if len(self.failures) < self.MAX_STORED:
+                payload = LAWS[law].encode(monoid_by_name(self.monoid), args)
+                self.failures.append({"law": law, "monoid": self.monoid, **payload, **raised})
+        self.cases = count
+
     def check(self, law: str, *args) -> None:
-        """Run one case of the named law and record it if it fails.  A case
-        whose predicate raises one of CASE_ERRORS fails too, and its payload
-        names the exception type under "raised"."""
-        self.cases += 1
-        entry = LAWS[law]
-        try:
-            holds, raised = entry.predicate(*args), None
-        except CASE_ERRORS as exc:
-            holds, raised = False, type(exc).__name__
-        if not holds and len(self.failures) < self.MAX_STORED:
-            failure = {"law": law, "monoid": self.monoid}
-            failure.update(entry.encode(monoid_by_name(self.monoid), args))
-            if raised:
-                failure["raised"] = raised
-            self.failures.append(failure)
+        """Run one case of the named law and record it if it fails."""
+        self.run([(law, args)])
 
     @property
     def passed(self) -> bool:
@@ -577,65 +583,65 @@ def _homset_formulas(u: UniverseSpec, rng: random.Random):
     monoid = u.monoid
     objs = universe_objects(u)
     for t in objs:
-        yield "hom_count_from_empty", monoid, t
-        yield "hom_count_into_empty", monoid, t
+        yield "hom_count_from_empty", (monoid, t)
+        yield "hom_count_into_empty", (monoid, t)
         if monoid.name == "interval":
-            yield "hom_count_interval_into_empty", monoid, t
+            yield "hom_count_interval_into_empty", (monoid, t)
     for y in u.pool:
         for t in objs:
-            yield "hom_count_singleton_source", monoid, y, t
-            yield "hom_count_singleton_target", monoid, y, t
+            yield "hom_count_singleton_source", (monoid, y, t)
+            yield "hom_count_singleton_target", (monoid, y, t)
 
 
 def _epic_monic(u: UniverseSpec, rng: random.Random):
     """Cancellation-based epic/monic decisions, probed on the universe
     extended by one unit entry, against the injective/surjective predicates."""
-    for m in universe_morphisms(u):
-        yield "epic_agreement", m
-        yield "monic_agreement", m
+    for args in zip(universe_morphisms(u)):
+        yield "epic_agreement", args
+        yield "monic_agreement", args
 
 
 def _iso(u: UniverseSpec, rng: random.Random):
     """The isomorphism predicate against brute-force two-sided inverse search."""
-    for m in universe_morphisms(u):
-        yield "iso_agreement", m
-        yield "inverse_roundtrip", m
+    for args in zip(universe_morphisms(u)):
+        yield "iso_agreement", args
+        yield "inverse_roundtrip", args
 
 
 def _two_of_three(u: UniverseSpec, rng: random.Random):
     """The 2-of-3 property of the weak equivalence class on composable
     pairs, membership of every isomorphism, and membership consistency
     along sampled composition chains of MAX_CHAIN morphisms."""
-    for f, g in _composable_pairs(u, rng):
-        yield "two_of_three", f, g
-    for m in universe_morphisms(u):
-        yield "iso_in_w", m
-    for steps in _walks(u, _rng(u, "two_of_three:chains"), MAX_CHAIN, min(u.sample_size, 2000)):
-        yield "chain_membership", steps
+    for pair in _composable_pairs(u, rng):
+        yield "two_of_three", pair
+    for args in zip(universe_morphisms(u)):
+        yield "iso_in_w", args
+    for args in zip(_walks(u, _rng(u, "two_of_three:chains"), MAX_CHAIN, min(u.sample_size, 2000))):
+        yield "chain_membership", args
 
 
 def _monoidal_laws(u: UniverseSpec, rng: random.Random):
     """Strict associativity and units, length additivity, braiding
     involution/isomorphism/naturality, the hexagon, and bifunctoriality."""
     objs = universe_objects(u)
-    for t in objs:
-        yield "tensor_unit_object", t
-    for x, y in _k_tuples(objs, 2, u, rng):
-        yield "tensor_length", x, y
-        yield "braiding_involution", x, y
+    for args in zip(objs):
+        yield "tensor_unit_object", args
+    for pair in _k_tuples(objs, 2, u, rng):
+        yield "tensor_length", pair
+        yield "braiding_involution", pair
         if u.monoid.is_divisibility:
-            yield "braiding_iso", x, y
-    for x, y, z in _k_tuples(objs, 3, u, rng):
-        yield "tensor_assoc_objects", x, y, z
-        yield "hexagon", x, y, z
+            yield "braiding_iso", pair
+    for triple in _k_tuples(objs, 3, u, rng):
+        yield "tensor_assoc_objects", triple
+        yield "hexagon", triple
     morphs = universe_morphisms(u)
-    for m in morphs:
-        yield "tensor_unit_morphism", m
-    for f, g in _k_tuples(morphs, 2, u, rng):
-        yield "braiding_naturality", f, g
+    for args in zip(morphs):
+        yield "tensor_unit_morphism", args
+    for pair in _k_tuples(morphs, 2, u, rng):
+        yield "braiding_naturality", pair
     pairs = zip(_composable_pairs(u, rng), _composable_pairs(u, _rng(u, "monoidal_laws:second")))
     for (f, h), (g, k) in islice(pairs, min(u.sample_size, u.exhaustive_limit)):
-        yield "bifunctoriality", f, h, g, k
+        yield "bifunctoriality", (f, h, g, k)
 
 
 def _weakdiv(u: UniverseSpec, rng: random.Random):
@@ -644,16 +650,16 @@ def _weakdiv(u: UniverseSpec, rng: random.Random):
     well-formedness of the produced squares."""
     morphs = universe_morphisms(u)
     diagram_budget = 200
-    for f, g in _k_tuples(morphs, 2, u, rng):
-        yield "weakdiv_agreement", f, g
-        if diagram_budget and weakly_divides(f, g):
+    for pair in _k_tuples(morphs, 2, u, rng):
+        yield "weakdiv_agreement", pair
+        if diagram_budget and weakly_divides(*pair):
             diagram_budget -= 1
-            yield "weakdiv_diagram", f, g
-    for f in morphs[:: max(1, len(morphs) // 500)]:
-        yield "weakdiv_reflexive", f
-        yield "weakdiv_weq_minimal", f
-    for f, g, h in _draws(morphs, 3, rng, min(u.sample_size, 2000)):
-        yield "weakdiv_transitive", f, g, h
+            yield "weakdiv_diagram", pair
+    for args in zip(morphs[:: max(1, len(morphs) // 500)]):
+        yield "weakdiv_reflexive", args
+        yield "weakdiv_weq_minimal", args
+    for triple in _draws(morphs, 3, rng, min(u.sample_size, 2000)):
+        yield "weakdiv_transitive", triple
 
 
 def _adjunction(u: UniverseSpec, rng: random.Random):
@@ -662,9 +668,9 @@ def _adjunction(u: UniverseSpec, rng: random.Random):
     monoid = u.monoid
     objs = universe_objects(u)
     for y in u.pool:
-        yield "adjunction_roundtrip", monoid, y
+        yield "adjunction_roundtrip", (monoid, y)
         for t in objs:
-            yield "adjunction_count", monoid, y, t
+            yield "adjunction_count", (monoid, y, t)
 
 
 # name -> (case generator, whether the suite needs a divisibility monoid)
@@ -695,9 +701,7 @@ def run_suite(u: UniverseSpec, names: Iterable[str] | None = None) -> list[Suite
         if needs_divisibility:
             u.monoid.require_divisibility(f"suite {n!r}")
         rep = SuiteReport(n, u.monoid.name)
-        check = rep.check
-        for case in cases(u, _rng(u, n)):
-            check(*case)
+        rep.run(cases(u, _rng(u, n)))
         reports.append(rep)
     return reports
 

@@ -63,11 +63,16 @@ def total_witness(m: Morphism) -> Element:
 
 
 def is_weak_equivalence(m: Morphism) -> bool:
-    m.monoid.require_divisibility("is_weak_equivalence")
-    if len(m.codomain) == 0:
+    """Decided from the fiber products, up to the first non-invertible r_n."""
+    monoid = m.domain.monoid
+    monoid.require_divisibility("is_weak_equivalence")
+    if not m.codomain.entries:
         return True
-    w = quotient_witnesses(m)
-    return all(m.monoid.is_invertible(r) for r in w.per_index)
+    divide, invertible = monoid.exact_divide, monoid.is_invertible
+    for x, fiber in zip(m.domain.entries, fiber_products(m)):
+        if not invertible(divide(x, fiber)):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

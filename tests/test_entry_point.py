@@ -219,6 +219,10 @@ GUARD_EDGE_CASES = {
                                      json.dumps([3] * 8)), 3),
     "zx-graph-past-candidate-guard": (("graph", "--monoid", "zx", "--pool", "[1,2,3]",
                                        "--max-len", "4"), 3),  # 2,045,947 candidate maps
+    # two 4,001-digit entries parse; their product, the witness, has 8,001 digits to print
+    "zx-check-weq-past-digit-limit": (("check", "--weq", json.dumps(
+        {"monoid": "zx", "domain": [1], "codomain": [10**4000] * 2, "map": [1, 1]})),
+        3 if 0 < STR_DIGITS <= 8000 else 1),
 }
 
 

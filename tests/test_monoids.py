@@ -192,6 +192,28 @@ def test_interval_elements_past_the_printable_digits_are_refused_on_encoding():
     assert INTERVAL.decode(INTERVAL.encode(INTERVAL.decode("1e-4000"))) == Fraction(1, 10**4000)
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="str() has no digit limit before 3.10.7")
+@pytest.mark.parametrize("monoid", [ZX, NAT], ids=["zx", "nat"])
+def test_integers_past_the_printable_digits_are_refused_on_encoding(monoid):
+    limit = sys.get_int_max_str_digits()
+    try:
+        for digits in (640, 4300):  # the least limit str() accepts, and the default
+            sys.set_int_max_str_digits(digits)
+            for a in (10**digits - 1, 2**2126 - 1, 7):
+                assert monoid.encode(a) == a and len(str(a)) <= digits
+            with pytest.raises(GuardError, match=f"over {digits} digits to print"):
+                monoid.encode(10**digits)
+            if monoid is ZX:
+                assert monoid.encode(-(10**digits - 1)) == -(10**digits - 1)  # the sign is no digit
+                with pytest.raises(GuardError):
+                    monoid.encode(-(10**digits))
+        sys.set_int_max_str_digits(0)  # no limit: everything prints
+        assert monoid.encode(10**5000) == 10**5000
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_free_decode_rejects_an_unknown_generator_before_the_size_bound():
     for text in ("z^20000", "a*z^20000", "a^5000*z^5001"):
         with pytest.raises(ValueError, match="unknown generator 'z'"):

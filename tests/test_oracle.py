@@ -962,3 +962,177 @@ def test_value_types_are_frozen_and_slotted():
             with pytest.raises(FrozenInstanceError):
                 setattr(obj, field_name, None)
             assert not hasattr(obj, "__dict__")
+
+
+# -- the fast paths of the hot constructions against their reference forms ----
+
+def _sampled_pairs(items, count=2000):
+    rng = random.Random(0)
+    return [(rng.choice(items), rng.choice(items)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("u", CLOSURE_UNIVERSES.values(), ids=CLOSURE_UNIVERSES.keys())
+def test_weak_equivalence_agrees_with_the_quotient_witnesses(u):
+    from factorcat import quotient_witnesses
+
+    monoid = u.monoid
+    for m in universe_morphisms(u):
+        if not monoid.is_divisibility:
+            for predicate in (is_weak_equivalence, quotient_witnesses):
+                with pytest.raises(CapabilityError):
+                    predicate(m)
+            continue
+        witnesses = quotient_witnesses(m).per_index
+        assert is_weak_equivalence(m) == all(monoid.is_invertible(r) for r in witnesses), str(m)
+
+
+@pytest.mark.parametrize("u", CLOSURE_UNIVERSES.values(), ids=CLOSURE_UNIVERSES.keys())
+def test_isomorphism_agrees_with_the_inverse_search(u):
+    from factorcat import is_isomorphism
+
+    for m in universe_morphisms(u):
+        if not u.monoid.is_divisibility:
+            with pytest.raises(CapabilityError):
+                is_isomorphism(m)
+            continue
+        assert is_isomorphism(m) == oracle._iso_by_bruteforce(m), str(m)
+
+
+def reference_tensor(f, g):
+    n = len(f.domain)
+    return (f.domain.entries + g.domain.entries, f.codomain.entries + g.codomain.entries,
+            f.values + tuple(v + n for v in g.values))
+
+
+def reference_swap(n, m):
+    return tuple(n + k for k in range(1, m + 1)) + tuple(range(1, n + 1))
+
+
+@pytest.mark.parametrize("u", CLOSURE_UNIVERSES.values(), ids=CLOSURE_UNIVERSES.keys())
+def test_tensor_and_braid_maps_follow_their_closed_formulas(u):
+    morphs = universe_morphisms(u)
+    unit = identity_morphism(FactorTuple(u.monoid, ()))  # the empty domain: a shift by zero
+    pairs = _sampled_pairs(morphs) + [(unit, m) for m in morphs] + [(m, unit) for m in morphs]
+    for f, g in pairs:
+        out = tensor_morphisms(f, g)
+        assert (out.domain.entries, out.codomain.entries, out.values) == reference_tensor(f, g)
+    objs = universe_objects(u)
+    for s in objs:
+        for t in objs:
+            out = braiding(s, t)
+            assert out.domain.entries == s.entries + t.entries
+            assert out.codomain.entries == t.entries + s.entries
+            assert out.values == reference_swap(len(s), len(t))
+
+
+def test_braid_maps_are_shared_only_within_the_shape_bound():
+    import factorcat.monoidal as monoidal
+
+    bound = monoidal.BRAID_SHAPE_BOUND
+    cache = monoidal._swap_map
+    sweep_library_caches()
+    at = FactorTuple(ZX, (1,) * (bound - 3)), FactorTuple(ZX, (2, 3, 5))
+    assert braiding(*at).values is braiding(*at).values == reference_swap(bound - 3, 3)
+    assert cache.cache_info().currsize == 1
+    past = FactorTuple(ZX, (1,) * (bound - 2)), FactorTuple(ZX, (2, 3, 5))
+    first, second = braiding(*past).values, braiding(*past).values
+    assert first == second == reference_swap(bound - 2, 3) and first is not second
+    assert cache.cache_info().currsize == 1  # the shape past the bound was not cached
+    assert cache.cache_info().maxsize >= (bound + 1) * (bound + 2) // 2  # every shape within it fits
+    sweep_library_caches()
+    assert cache.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("u", CLOSURE_UNIVERSES.values(), ids=CLOSURE_UNIVERSES.keys())
+def test_product_is_the_fold_of_op(u):
+    from functools import reduce
+
+    monoid = u.monoid
+    for t in universe_objects(u):
+        folded = reduce(monoid.op, t.entries, monoid.identity())
+        assert monoid.product(t.entries) == folded
+        assert monoid.product(iter(t.entries)) == folded  # any iterable, consumed once
+        assert t.product() == folded
+
+
+# -- verify still catches faults in the fast paths ------------------------------
+
+MUTANT_UNIVERSE = UniverseSpec(pool=(1, 2), max_len=2)
+
+
+def _assert_caught_and_reproduced(monkeypatch):
+    report = run_suite(MUTANT_UNIVERSE, ["monoidal_laws"])[0]
+    assert report.failures
+    assert all(recheck(f) for f in report.failures)
+    monkeypatch.undo()
+    assert not any(recheck(f) for f in report.failures)
+    return report
+
+
+def test_an_off_by_one_tensor_shift_fails_the_monoidal_laws(monkeypatch):
+    import factorcat.monoidal as monoidal
+
+    def shifted_one_too_far(f, g):
+        n = len(f.domain.entries)
+        return category._trusted_morphism(
+            category._trusted_tuple(f.monoid, f.domain.entries + g.domain.entries),
+            category._trusted_tuple(f.monoid, f.codomain.entries + g.codomain.entries),
+            f.values + (tuple(map((n + 1).__add__, g.values)) if n else g.values),
+        )
+
+    monkeypatch.setattr(monoidal, "tensor_morphisms", shifted_one_too_far)
+    monkeypatch.setattr(oracle, "tensor_morphisms", shifted_one_too_far)
+    report = _assert_caught_and_reproduced(monkeypatch)
+    assert "hexagon" in {f["law"] for f in report.failures}
+
+
+def test_a_swapped_entry_in_a_shared_braid_map_fails_the_monoidal_laws(monkeypatch):
+    import factorcat.monoidal as monoidal
+
+    true_swap = monoidal._swap_map
+
+    def swapped(n, m):
+        v = true_swap(n, m)
+        return (v[1], v[0]) + v[2:] if (n, m) == (1, 2) else v
+
+    monkeypatch.setattr(monoidal, "_swap_map", swapped)
+    report = _assert_caught_and_reproduced(monkeypatch)
+    assert {f["law"] for f in report.failures} >= {"braiding_involution", "braiding_iso"}
+
+
+# -- the case loop --------------------------------------------------------------
+
+def test_cases_past_the_stored_failures_are_still_counted(monkeypatch):
+    calls = {"false": 0, "raise": 0}
+
+    def false(t):
+        calls["false"] += 1
+        return False
+
+    def raises(x, y):
+        calls["raise"] += 1
+        raise ValueError("bad case")
+
+    monkeypatch.setitem(oracle.LAWS, "tensor_unit_object",
+                        replace(oracle.LAWS["tensor_unit_object"], predicate=false))
+    monkeypatch.setitem(oracle.LAWS, "tensor_length",
+                        replace(oracle.LAWS["tensor_length"], predicate=raises))
+    monkeypatch.setattr(oracle.SuiteReport, "MAX_STORED", 2)
+    [report] = run_suite(DEGENERATE, ["monoidal_laws"])
+    objs = universe_objects(DEGENERATE)
+    assert calls == {"false": len(objs), "raise": len(objs) ** 2}  # 3 and 9: past the 2 stored
+    assert report.cases == CASE_COUNTS["degenerate"]["monoidal_laws"]
+    assert [f["law"] for f in report.failures] == ["tensor_unit_object"] * 2
+    assert not any("raised" in f for f in report.failures)  # the raises came too late to store
+    monkeypatch.setattr(oracle.SuiteReport, "MAX_STORED", 50)
+    [report] = run_suite(DEGENERATE, ["monoidal_laws"])
+    assert report.cases == CASE_COUNTS["degenerate"]["monoidal_laws"]
+    assert [f.get("raised") for f in report.failures] == [None] * 3 + ["ValueError"] * 9
+
+
+def test_one_checked_case_counts_once():
+    report = oracle.SuiteReport("iso", "zx")
+    m = identity_morphism(FactorTuple(ZX, (2,)))
+    report.check("iso_agreement", m)
+    report.check("inverse_roundtrip", m)
+    assert report.cases == 2 and report.passed
