@@ -12,6 +12,12 @@ The maps of small hom sets are shared immutable tuples, one object per
 distinct map, but equal maps may be distinct objects: never compare by identity.
 
 Index values are 1-based throughout, matching the wire format.
+
+Outputs valid by theorem skip validation through the trusted builders below,
+``_trusted_arrow`` building a tensor's or braiding's morphism and both its
+tuples in one call.  Hot operations test their guards inline (``is_divisibility``,
+and ``is`` on the two monoids) and call ``require_divisibility`` or
+``require_same_monoid`` only to refuse or to compare distinct monoid objects.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ HOM_RESULT_GUARD = 10**5  # most maps one hom set may hold; the largest default 
 HOM_CACHE_SIZE = 2**17  # hom_index_tuples entries; a default verify fills about 7k
 SHARED_CACHE_SIZE = 2**12  # maps and hom sets kept to share; searched shapes have 1,675 maps
 SHARED_SHAPE_BOUND = 2**8  # most max(N, 2)^max(M, 1) of a cached, shared hom set of N to M entries
+IDENTITY_MAP_BOUND = 2**4  # most entries of an identity whose map is shared
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -89,6 +96,14 @@ def require_same_monoid(a, b, what: str) -> None:
     over the same monoid."""
     if a.monoid is not b.monoid and a.monoid != b.monoid:
         raise InvalidMorphismError(f"{what} needs both arguments over the same monoid")
+
+
+def _shown(monoid: Monoid, a: Element) -> str:
+    """The element as a message shows it, or why it cannot, so a message never refuses."""
+    try:
+        return str(monoid.encode(a))
+    except GuardError as exc:  # more digits than str() prints
+        return f"({exc})"
 
 
 def _checked_map(dom_size, cod_size, values) -> tuple:
@@ -183,8 +198,8 @@ class Morphism:
             if not monoid.leq(x, fibers[i]):
                 raise InvalidMorphismError(
                     f"order constraint fails at domain index {i + 1}: "
-                    f"{monoid.encode(x)} is not below the fiber product "
-                    f"{monoid.encode(fibers[i])}"
+                    f"{_shown(monoid, x)} is not below the fiber product "
+                    f"{_shown(monoid, fibers[i])}"
                 )
 
     def __eq__(self, other: object) -> bool:
@@ -248,6 +263,17 @@ def _trusted_morphism(domain: FactorTuple, codomain: FactorTuple, values: tuple)
     return m
 
 
+def _trusted_arrow(monoid: Monoid, xs: tuple, ys: tuple, values: tuple) -> Morphism:
+    """The morphism (xs) -> (ys) over monoid, both its tuples built fresh, in one call."""
+    d, c, m = _TupleShell(), _TupleShell(), _MorphismShell()
+    d.monoid = c.monoid = monoid
+    d.entries, c.entries = xs, ys
+    d.__class__ = c.__class__ = FactorTuple
+    m.domain, m.codomain, m.values = d, c, values
+    m.__class__ = Morphism
+    return m
+
+
 def _from_element(a: Element, t: FactorTuple) -> Morphism:
     """The unique morphism (a) -> t, which sends every position of t to 1,
     built without checks.  Precondition: a <= prod t, the order constraint of
@@ -285,8 +311,16 @@ def validate_morphism(
     return Morphism(domain, codomain, index_values)
 
 
+@lru_cache(maxsize=IDENTITY_MAP_BOUND + 1)  # every length within the bound
+def _identity_map(n: int) -> tuple[int, ...]:
+    return tuple(range(1, n + 1))
+
+
 def identity_morphism(t: FactorTuple) -> Morphism:
-    return _trusted_morphism(t, t, tuple(range(1, len(t.entries) + 1)))
+    """The identity on t; its map is shared for at most IDENTITY_MAP_BOUND entries."""
+    n = len(t.entries)
+    build = _identity_map if n <= IDENTITY_MAP_BOUND else _identity_map.__wrapped__
+    return _trusted_morphism(t, t, build(n))
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
@@ -295,7 +329,7 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     On maps this is composition the other way round: the result sends a
     position k of g's codomain to f.values[g.values[k]].
     """
-    if f.codomain != g.domain:
+    if f.codomain is not g.domain and f.codomain != g.domain:
         raise InvalidMorphismError(
             "cannot compose: codomain of the first-applied morphism differs "
             "from the domain of the second"
@@ -405,13 +439,15 @@ def hom_set(domain: FactorTuple, codomain: FactorTuple) -> list[Morphism]:
 
 def is_epic(m: Morphism) -> bool:
     """Epic exactly when the map is injective (divisibility only)."""
-    m.monoid.require_divisibility("is_epic")
+    if not m.domain.monoid.is_divisibility:
+        m.domain.monoid.require_divisibility("is_epic")
     return len(set(m.values)) == len(m.values)
 
 
 def is_monic(m: Morphism) -> bool:
     """Monic exactly when the map is surjective (divisibility only)."""
-    m.monoid.require_divisibility("is_monic")
+    if not m.domain.monoid.is_divisibility:
+        m.domain.monoid.require_divisibility("is_monic")
     return len(set(m.values)) == len(m.domain.entries)
 
 
@@ -419,7 +455,8 @@ def is_isomorphism(m: Morphism) -> bool:
     """Iso iff the tuples have equal length, the map is a bijection, and
     matched entries are associates."""
     monoid = m.domain.monoid
-    monoid.require_divisibility("is_isomorphism")
+    if not monoid.is_divisibility:
+        monoid.require_divisibility("is_isomorphism")
     values, xs, ys = m.values, m.domain.entries, m.codomain.entries
     if len(values) != len(xs) or len(set(values)) != len(values):
         return False

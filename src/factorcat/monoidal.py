@@ -4,7 +4,8 @@ The tensor of objects is tuple concatenation, strictly associative with the
 empty tuple as a two-sided unit.  On morphisms f: (x)->(w) and g: (y)->(z)
 the tensor glues the maps side by side, shifting g's values past the length
 of f's domain; the same formula covers empty tuples with the relevant size
-set to zero (a shift by zero reuses g's map instead of copying it).
+set to zero (a shift by zero, or of an empty map, reuses g's map instead
+of copying it).
 
 A braiding's map depends only on the two lengths: braidings of at most
 BRAID_SHAPE_BOUND entries share one map per shape from a bounded cache
@@ -18,7 +19,7 @@ from functools import lru_cache
 from .category import (
     FactorTuple,
     Morphism,
-    _trusted_morphism,
+    _trusted_arrow,
     _trusted_tuple,
     compose,
     identity_morphism,
@@ -29,20 +30,19 @@ BRAID_SHAPE_BOUND = 2**4  # most entries in all of a braiding whose map is share
 
 
 def tensor_objects(s: FactorTuple, t: FactorTuple) -> FactorTuple:
-    require_same_monoid(s, t, "tensor")
+    if s.monoid is not t.monoid:
+        require_same_monoid(s, t, "tensor")
     return _trusted_tuple(s.monoid, s.entries + t.entries)
 
 
 def tensor_morphisms(f: Morphism, g: Morphism) -> Morphism:
-    fdom, fcod, gdom, gcod = f.domain, f.codomain, g.domain, g.codomain
-    require_same_monoid(fdom, gdom, "tensor")
+    fdom, gdom, gv = f.domain, g.domain, g.values
     monoid = fdom.monoid
+    if monoid is not gdom.monoid:
+        require_same_monoid(fdom, gdom, "tensor")
     n = len(fdom.entries)
-    return _trusted_morphism(
-        _trusted_tuple(monoid, fdom.entries + gdom.entries),
-        _trusted_tuple(monoid, fcod.entries + gcod.entries),
-        f.values + (tuple(map(n.__add__, g.values)) if n else g.values),
-    )
+    xs, ys = fdom.entries + gdom.entries, f.codomain.entries + g.codomain.entries
+    return _trusted_arrow(monoid, xs, ys, f.values + (tuple(map(n.__add__, gv)) if n and gv else gv))
 
 
 @lru_cache(maxsize=(BRAID_SHAPE_BOUND + 1) * (BRAID_SHAPE_BOUND + 2) // 2)  # every shape
@@ -56,13 +56,12 @@ def braiding(s: FactorTuple, t: FactorTuple) -> Morphism:
     Its map sends the first len(t) codomain positions past len(s)
     and the remaining ones to the front; swapping twice gives the identity.
     """
-    require_same_monoid(s, t, "braiding")
+    if s.monoid is not t.monoid:
+        require_same_monoid(s, t, "braiding")
     xs, ys = s.entries, t.entries
     n, m = len(xs), len(ys)
     swap = _swap_map if n + m <= BRAID_SHAPE_BOUND else _swap_map.__wrapped__
-    return _trusted_morphism(
-        _trusted_tuple(s.monoid, xs + ys), _trusted_tuple(s.monoid, ys + xs), swap(n, m)
-    )
+    return _trusted_arrow(s.monoid, xs + ys, ys + xs, swap(n, m))
 
 
 # Single-instance law predicates; the verification suites quantify these

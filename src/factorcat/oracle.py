@@ -24,14 +24,15 @@ product is a functor and no morphism can then run back.
 
 Each law is one entry of the ``LAWS`` registry: its name, the payload key
 and wire kind of each predicate argument, and the predicate.  A suite is a
-generator in ``SUITES`` that yields each case as ``(name, args)``, and
-:meth:`SuiteReport.run` binds every registered predicate once per suite, so
-a passing case costs one call; only a failing case is looked up again, to
-be serialized from its entry, and :func:`recheck` decodes the same entry to
-re-run it.  To add a law, add a ``_law(name, predicate, key=kind, ...)``
-line, keys in the predicate's argument order, and yield its cases from a
-suite's generator.  Predicates look up library functions as module globals
-at call time, so a test can swap one out and watch the oracle catch it.
+generator in ``SUITES`` that yields groups ``(law names, population)``, the
+laws sharing an iterable of argument tuples.  :meth:`SuiteReport.run` binds
+a group's predicates once and runs them argument by argument, in the
+group's law order, so a passing case costs one call; only a failing case is
+looked up again, to be serialized from its entry, and :func:`recheck`
+decodes the same entry to re-run it.  To add a law, add a ``_law(name,
+predicate, key=kind, ...)`` line, keys in the predicate's argument order,
+and name it in a group.  Predicates look up library functions as module
+globals at call time, so a test can swap one out and watch the oracle catch it.
 
 The two cancellation probes are memoized on exactly what each reads, the
 epic probe on (codomain, values) and the monic probe on (domain, values),
@@ -158,27 +159,30 @@ class SuiteReport:
 
     MAX_STORED = 50
 
-    def run(self, cases: Iterable[tuple[str, tuple]]) -> None:
-        """Check each (law name, arguments) case, every predicate bound once.
-        A false result or a raise of CASE_ERRORS fails the case; the first
-        MAX_STORED failures keep a payload ("raised" names the exception)."""
-        predicates = {name: law.predicate for name, law in LAWS.items()}
-        count = self.cases
-        for count, (law, args) in enumerate(cases, count + 1):
-            try:
-                if predicates[law](*args):
-                    continue
-                raised = {}
-            except CASE_ERRORS as exc:
-                raised = {"raised": type(exc).__name__}
-            if len(self.failures) < self.MAX_STORED:
-                payload = LAWS[law].encode(monoid_by_name(self.monoid), args)
-                self.failures.append({"law": law, "monoid": self.monoid, **payload, **raised})
-        self.cases = count
+    def run(self, groups: Iterable[tuple[tuple[str, ...], Iterable[tuple]]]) -> None:
+        """Check each (law names, population) group: its laws, each bound once,
+        on each argument tuple in turn.  A false result or a raise of
+        CASE_ERRORS fails the case; the first MAX_STORED failures keep a
+        payload ("raised" names the exception)."""
+        for names, population in groups:
+            checks = [(law, LAWS[law].predicate) for law in names]
+            size = 0
+            for size, args in enumerate(population, 1):
+                for law, predicate in checks:
+                    try:
+                        if predicate(*args):
+                            continue
+                        raised = {}
+                    except CASE_ERRORS as exc:
+                        raised = {"raised": type(exc).__name__}
+                    if len(self.failures) < self.MAX_STORED:
+                        payload = LAWS[law].encode(monoid_by_name(self.monoid), args)
+                        self.failures.append({"law": law, "monoid": self.monoid, **payload, **raised})
+            self.cases += size * len(checks)
 
     def check(self, law: str, *args) -> None:
         """Run one case of the named law and record it if it fails."""
-        self.run([(law, args)])
+        self.run([((law,), (args,))])
 
     @property
     def passed(self) -> bool:
@@ -404,7 +408,7 @@ def _monic_probe(domain: FactorTuple, values: tuple[int, ...]) -> bool:
 
 
 def _iso_by_bruteforce(m: Morphism) -> bool:
-    if not m.monoid.leq(m.codomain.product(), m.domain.product()):
+    if not m.domain.monoid.leq(m.codomain.product(), m.domain.product()):
         return False  # the product is a functor, so there is no morphism back
     candidates = hom_set(m.codomain, m.domain)
     if not candidates:  # the usual case; it needs no identities
@@ -451,13 +455,13 @@ def _tensor_unit_object_ok(t: FactorTuple) -> bool:
 
 
 def _tensor_unit_morphism_ok(m: Morphism) -> bool:
-    id_o = _unit_constants(m.monoid)[1]
+    id_o = _unit_constants(m.domain.monoid)[1]
     return tensor_morphisms(m, id_o) == m == tensor_morphisms(id_o, m)
 
 
 def _weakdiv_agreement_ok(f: Morphism, g: Morphism) -> bool:
     # independent route: prod(dom g) * prod(cod f) divides prod(dom f) * prod(cod g)
-    monoid = f.monoid
+    monoid = f.domain.monoid
     lhs = monoid.op(g.domain.product(), f.codomain.product())
     rhs = monoid.op(f.domain.product(), g.codomain.product())
     return weakly_divides(f, g) == monoid.leq(lhs, rhs)
@@ -582,66 +586,51 @@ def _homset_formulas(u: UniverseSpec, rng: random.Random):
     1-tuples, checked against raw enumeration."""
     monoid = u.monoid
     objs = universe_objects(u)
-    for t in objs:
-        yield "hom_count_from_empty", (monoid, t)
-        yield "hom_count_into_empty", (monoid, t)
-        if monoid.name == "interval":
-            yield "hom_count_interval_into_empty", (monoid, t)
-    for y in u.pool:
-        for t in objs:
-            yield "hom_count_singleton_source", (monoid, y, t)
-            yield "hom_count_singleton_target", (monoid, y, t)
+    empty = ("hom_count_from_empty", "hom_count_into_empty")
+    if monoid.name == "interval":
+        empty += ("hom_count_interval_into_empty",)
+    yield empty, [(monoid, t) for t in objs]
+    yield ("hom_count_singleton_source", "hom_count_singleton_target"), [
+        (monoid, y, t) for y in u.pool for t in objs]
 
 
 def _epic_monic(u: UniverseSpec, rng: random.Random):
     """Cancellation-based epic/monic decisions, probed on the universe
     extended by one unit entry, against the injective/surjective predicates."""
-    for args in zip(universe_morphisms(u)):
-        yield "epic_agreement", args
-        yield "monic_agreement", args
+    yield ("epic_agreement", "monic_agreement"), zip(universe_morphisms(u))
 
 
 def _iso(u: UniverseSpec, rng: random.Random):
     """The isomorphism predicate against brute-force two-sided inverse search."""
-    for args in zip(universe_morphisms(u)):
-        yield "iso_agreement", args
-        yield "inverse_roundtrip", args
+    yield ("iso_agreement", "inverse_roundtrip"), zip(universe_morphisms(u))
 
 
 def _two_of_three(u: UniverseSpec, rng: random.Random):
     """The 2-of-3 property of the weak equivalence class on composable
     pairs, membership of every isomorphism, and membership consistency
     along sampled composition chains of MAX_CHAIN morphisms."""
-    for pair in _composable_pairs(u, rng):
-        yield "two_of_three", pair
-    for args in zip(universe_morphisms(u)):
-        yield "iso_in_w", args
-    for args in zip(_walks(u, _rng(u, "two_of_three:chains"), MAX_CHAIN, min(u.sample_size, 2000))):
-        yield "chain_membership", args
+    yield ("two_of_three",), _composable_pairs(u, rng)
+    yield ("iso_in_w",), zip(universe_morphisms(u))
+    chains = _walks(u, _rng(u, "two_of_three:chains"), MAX_CHAIN, min(u.sample_size, 2000))
+    yield ("chain_membership",), zip(chains)
 
 
 def _monoidal_laws(u: UniverseSpec, rng: random.Random):
     """Strict associativity and units, length additivity, braiding
     involution/isomorphism/naturality, the hexagon, and bifunctoriality."""
     objs = universe_objects(u)
-    for args in zip(objs):
-        yield "tensor_unit_object", args
-    for pair in _k_tuples(objs, 2, u, rng):
-        yield "tensor_length", pair
-        yield "braiding_involution", pair
-        if u.monoid.is_divisibility:
-            yield "braiding_iso", pair
-    for triple in _k_tuples(objs, 3, u, rng):
-        yield "tensor_assoc_objects", triple
-        yield "hexagon", triple
+    yield ("tensor_unit_object",), zip(objs)
+    pair_laws = ("tensor_length", "braiding_involution")
+    if u.monoid.is_divisibility:
+        pair_laws += ("braiding_iso",)
+    yield pair_laws, _k_tuples(objs, 2, u, rng)
+    yield ("tensor_assoc_objects", "hexagon"), _k_tuples(objs, 3, u, rng)
     morphs = universe_morphisms(u)
-    for args in zip(morphs):
-        yield "tensor_unit_morphism", args
-    for pair in _k_tuples(morphs, 2, u, rng):
-        yield "braiding_naturality", pair
+    yield ("tensor_unit_morphism",), zip(morphs)
+    yield ("braiding_naturality",), _k_tuples(morphs, 2, u, rng)
     pairs = zip(_composable_pairs(u, rng), _composable_pairs(u, _rng(u, "monoidal_laws:second")))
-    for (f, h), (g, k) in islice(pairs, min(u.sample_size, u.exhaustive_limit)):
-        yield "bifunctoriality", (f, h, g, k)
+    yield ("bifunctoriality",), (
+        (f, h, g, k) for (f, h), (g, k) in islice(pairs, min(u.sample_size, u.exhaustive_limit)))
 
 
 def _weakdiv(u: UniverseSpec, rng: random.Random):
@@ -649,17 +638,16 @@ def _weakdiv(u: UniverseSpec, rng: random.Random):
     criterion, pre-order laws, minimality of the weak equivalences, and
     well-formedness of the produced squares."""
     morphs = universe_morphisms(u)
-    diagram_budget = 200
-    for pair in _k_tuples(morphs, 2, u, rng):
-        yield "weakdiv_agreement", pair
-        if diagram_budget and weakly_divides(*pair):
-            diagram_budget -= 1
-            yield "weakdiv_diagram", pair
-    for args in zip(morphs[:: max(1, len(morphs) // 500)]):
-        yield "weakdiv_reflexive", args
-        yield "weakdiv_weq_minimal", args
-    for triple in _draws(morphs, 3, rng, min(u.sample_size, 2000)):
-        yield "weakdiv_transitive", triple
+    pairs = iter(_k_tuples(morphs, 2, u, rng))
+    for _ in range(200):  # each of the first 200 dividing pairs also checks its square
+        for pair in pairs:
+            if weakly_divides(*pair):
+                yield ("weakdiv_agreement", "weakdiv_diagram"), (pair,)
+                break
+            yield ("weakdiv_agreement",), (pair,)
+    yield ("weakdiv_agreement",), pairs
+    yield ("weakdiv_reflexive", "weakdiv_weq_minimal"), zip(morphs[:: max(1, len(morphs) // 500)])
+    yield ("weakdiv_transitive",), _draws(morphs, 3, rng, min(u.sample_size, 2000))
 
 
 def _adjunction(u: UniverseSpec, rng: random.Random):
@@ -668,12 +656,11 @@ def _adjunction(u: UniverseSpec, rng: random.Random):
     monoid = u.monoid
     objs = universe_objects(u)
     for y in u.pool:
-        yield "adjunction_roundtrip", (monoid, y)
-        for t in objs:
-            yield "adjunction_count", (monoid, y, t)
+        yield ("adjunction_roundtrip",), [(monoid, y)]
+        yield ("adjunction_count",), [(monoid, y, t) for t in objs]
 
 
-# name -> (case generator, whether the suite needs a divisibility monoid)
+# name -> (group generator, whether the suite needs a divisibility monoid)
 SUITES: dict[str, tuple[Callable[..., Iterator[tuple]], bool]] = {
     "homset_formulas": (_homset_formulas, False),
     "epic_monic": (_epic_monic, True),
@@ -697,11 +684,11 @@ def run_suite(u: UniverseSpec, names: Iterable[str] | None = None) -> list[Suite
             raise ValueError(f"unknown suite {n!r}")
     reports = []
     for n in names:
-        cases, needs_divisibility = SUITES[n]
+        groups, needs_divisibility = SUITES[n]
         if needs_divisibility:
             u.monoid.require_divisibility(f"suite {n!r}")
         rep = SuiteReport(n, u.monoid.name)
-        rep.run(cases(u, _rng(u, n)))
+        rep.run(groups(u, _rng(u, n)))
         reports.append(rep)
     return reports
 

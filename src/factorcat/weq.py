@@ -44,28 +44,32 @@ class QuotientWitness:
     total: Element
 
 
+def _witnesses(m: Morphism) -> tuple[tuple, Element]:
+    """The fields of quotient_witnesses(m), without building the object."""
+    monoid = m.domain.monoid
+    if not monoid.is_divisibility:
+        monoid.require_divisibility("quotient_witnesses")
+    if not m.codomain.entries:
+        return (), monoid.exact_divide(m.domain.product(), monoid.identity())
+    divide = monoid.exact_divide
+    per = tuple([divide(x, fiber) for x, fiber in zip(m.domain.entries, fiber_products(m))])
+    return per, monoid.product(per)
+
+
 def quotient_witnesses(m: Morphism) -> QuotientWitness:
-    m.monoid.require_divisibility("quotient_witnesses")
-    monoid = m.monoid
-    if len(m.codomain) == 0:
-        total = monoid.exact_divide(m.domain.product(), monoid.identity())
-        return QuotientWitness((), total)
-    fibers = fiber_products(m)
-    per = tuple([
-        monoid.exact_divide(x, fibers[i]) for i, x in enumerate(m.domain.entries)
-    ])
-    return QuotientWitness(per, monoid.product(per))
+    return QuotientWitness(*_witnesses(m))
 
 
 def total_witness(m: Morphism) -> Element:
     """The unique r with r * prod(domain) == prod(codomain)."""
-    return quotient_witnesses(m).total
+    return _witnesses(m)[1]
 
 
 def is_weak_equivalence(m: Morphism) -> bool:
     """Decided from the fiber products, up to the first non-invertible r_n."""
     monoid = m.domain.monoid
-    monoid.require_divisibility("is_weak_equivalence")
+    if not monoid.is_divisibility:
+        monoid.require_divisibility("is_weak_equivalence")
     if not m.codomain.entries:
         return True
     divide, invertible = monoid.exact_divide, monoid.is_invertible

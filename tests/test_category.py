@@ -64,6 +64,12 @@ class TestValidation:
         with pytest.raises(InvalidMorphismError, match="index 2"):
             zm([6, 2, 1], [6], [1])
 
+    def test_a_fiber_product_too_long_to_print_still_names_the_index(self):
+        # its 8,001 digits are past str()'s default limit: the message must not refuse
+        big = 10**4000
+        with pytest.raises(InvalidMorphismError, match="order constraint fails at domain index 1"):
+            zm([7], [big, big], [1, 1])
+
     def test_empty_to_empty_identity(self):
         m = validate_morphism(OMEGA, OMEGA, [])
         assert m == identity_morphism(OMEGA)

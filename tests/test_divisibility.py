@@ -20,6 +20,7 @@ from factorcat import (
     WedgeDiagram,
     ZX,
     atomic_chain,
+    braiding,
     chain_stabilizes,
     compose,
     divisor_class_representatives,
@@ -27,13 +28,19 @@ from factorcat import (
     enumerate_irreducible_factorizations,
     free_monoid,
     identity_morphism,
+    is_epic,
+    is_isomorphism,
+    is_monic,
     is_weak_equivalence,
     is_weakly_irreducible,
     is_weakly_irreducible_tuple,
     is_weakly_prime,
     is_weakly_prime_tuple,
+    quotient_witnesses,
     sample_extension,
     sample_morphism,
+    tensor_morphisms,
+    tensor_objects,
     total_witness,
     ufd_wedge,
     validate_morphism,
@@ -44,6 +51,7 @@ from factorcat import (
     zeta_mor,
     zeta_obj,
 )
+from factorcat.monoids import FreeCommutative
 
 FREE = free_monoid("ab")
 
@@ -493,3 +501,53 @@ def test_capability_refusals_have_one_message_form_each():
     with pytest.raises(CapabilityError) as exc:
         ufd_wedge(m, m)
     assert ufd_form.match(str(exc.value))
+
+
+# Each function whose capability or same-monoid guard is tested inline, not
+# by a call: (operands, what its capability refusal names, what its
+# monoid-mismatch refusal names); None where it has no such refusal
+INLINE_GUARDS = {
+    is_epic: ("morphism", "is_epic", None),
+    is_monic: ("morphism", "is_monic", None),
+    is_isomorphism: ("morphism", "is_isomorphism", None),
+    is_weak_equivalence: ("morphism", "is_weak_equivalence", None),
+    quotient_witnesses: ("morphism", "quotient_witnesses", None),
+    total_witness: ("morphism", "quotient_witnesses", None),  # the name it has always refused with
+    tensor_objects: ("tuples", None, "tensor"),
+    tensor_morphisms: ("morphisms", None, "tensor"),
+    braiding: ("tuples", None, "braiding"),
+    weakly_divides: ("morphisms", "quotient_witnesses", "weak divisibility"),
+}
+
+
+def _operand(kind, monoid, entries):
+    t = FactorTuple(monoid, entries)
+    return t if kind == "tuples" else identity_morphism(t)
+
+
+@pytest.mark.parametrize("fn", INLINE_GUARDS, ids=lambda fn: fn.__name__)
+def test_inline_guards_refuse_and_accept_as_before(fn):
+    kind, capability, mismatch = INLINE_GUARDS[fn]
+    half = Fraction(1, 2)
+    one, other = FreeCommutative("ab"), FreeCommutative("ab")
+    assert one == other and one is not other
+    if kind == "morphism":
+        interval_args = (identity_morphism(FactorTuple(INTERVAL, (half,))),)
+        # public construction accepts tuples over equal monoid instances
+        mixed = Morphism(FactorTuple(one, [("a",)]), FactorTuple(other, [("a",), ("b",)]), (1, 1))
+        single = Morphism(FactorTuple(one, [("a",)]), FactorTuple(one, [("a",), ("b",)]), (1, 1))
+        assert fn(mixed) == fn(single)
+    else:
+        interval_args = (_operand(kind, INTERVAL, (half,)),) * 2
+        entries = [("a",), ("b",)]
+        mixed = fn(_operand(kind, one, entries), _operand(kind, other, entries))
+        assert mixed == fn(_operand(kind, one, entries), _operand(kind, one, entries))
+        with pytest.raises(InvalidMorphismError) as exc:
+            fn(_operand(kind, ZX, (2,)), _operand(kind, NAT, (2,)))
+        assert str(exc.value) == f"{mismatch} needs both arguments over the same monoid"
+    if capability is None:
+        fn(*interval_args)  # no divisibility needed
+        return
+    with pytest.raises(CapabilityError) as exc:
+        fn(*interval_args)
+    assert str(exc.value) == f"{capability} is only available over divisibility monoids"

@@ -1008,6 +1008,12 @@ def reference_swap(n, m):
     return tuple(n + k for k in range(1, m + 1)) + tuple(range(1, n + 1))
 
 
+def assert_tuples_built_over(out, monoid):
+    # one builder call makes both tuples: each must be a real FactorTuple over the inputs' monoid
+    for t in (out.domain, out.codomain):
+        assert type(t) is FactorTuple and t.monoid is monoid
+
+
 @pytest.mark.parametrize("u", CLOSURE_UNIVERSES.values(), ids=CLOSURE_UNIVERSES.keys())
 def test_tensor_and_braid_maps_follow_their_closed_formulas(u):
     morphs = universe_morphisms(u)
@@ -1016,10 +1022,12 @@ def test_tensor_and_braid_maps_follow_their_closed_formulas(u):
     for f, g in pairs:
         out = tensor_morphisms(f, g)
         assert (out.domain.entries, out.codomain.entries, out.values) == reference_tensor(f, g)
+        assert_tuples_built_over(out, f.domain.monoid)
     objs = universe_objects(u)
     for s in objs:
         for t in objs:
             out = braiding(s, t)
+            assert_tuples_built_over(out, s.monoid)
             assert out.domain.entries == s.entries + t.entries
             assert out.codomain.entries == t.entries + s.entries
             assert out.values == reference_swap(len(s), len(t))
@@ -1039,6 +1047,23 @@ def test_braid_maps_are_shared_only_within_the_shape_bound():
     assert first == second == reference_swap(bound - 2, 3) and first is not second
     assert cache.cache_info().currsize == 1  # the shape past the bound was not cached
     assert cache.cache_info().maxsize >= (bound + 1) * (bound + 2) // 2  # every shape within it fits
+    sweep_library_caches()
+    assert cache.cache_info().currsize == 0
+
+
+def test_identity_maps_are_shared_only_within_the_bound():
+    bound = category.IDENTITY_MAP_BOUND
+    cache = category._identity_map
+    sweep_library_caches()
+    for n in range(bound + 1):
+        t = FactorTuple(ZX, (2,) * n)
+        assert identity_morphism(t).values is identity_morphism(t).values == tuple(range(1, n + 1))
+    assert cache.cache_info().currsize == bound + 1  # one shared map per length
+    past = FactorTuple(ZX, (2,) * (bound + 1))
+    first, second = identity_morphism(past).values, identity_morphism(past).values
+    assert first == second == tuple(range(1, bound + 2)) and first is not second
+    assert cache.cache_info().currsize == bound + 1  # the length past the bound was not cached
+    assert cache.cache_info().maxsize >= bound + 1  # every length within it fits
     sweep_library_caches()
     assert cache.cache_info().currsize == 0
 
