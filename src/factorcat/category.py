@@ -11,6 +11,11 @@ the opposite way round.  ``underlying_function`` returns the map as an
 The maps of small hom sets are shared immutable tuples, one object per
 distinct map, but equal maps may be distinct objects: never compare by identity.
 
+A braiding's map depends only on the two lengths, and the identity on t is
+the braiding of t with ().  Braidings and identities of at most
+BRAID_SHAPE_BOUND entries share one map per shape from a bounded cache,
+``_swap_map``, that ``cache_clear`` empties; longer ones build theirs afresh.
+
 Index values are 1-based throughout, matching the wire format.
 
 Outputs valid by theorem skip validation through the trusted builders below,
@@ -28,14 +33,14 @@ from math import prod
 from typing import Callable, Mapping, Sequence
 
 from .errors import GuardError, InvalidMorphismError
-from .monoids import Element, Monoid, ZX
+from .monoids import Element, Monoid, NAT, ZX
 
 HOM_ENUMERATION_GUARD = 10**7
 HOM_RESULT_GUARD = 10**5  # most maps one hom set may hold; the largest default one has 27
 HOM_CACHE_SIZE = 2**17  # hom_index_tuples entries; a default verify fills about 7k
 SHARED_CACHE_SIZE = 2**12  # maps and hom sets kept to share; searched shapes have 1,675 maps
 SHARED_SHAPE_BOUND = 2**8  # most max(N, 2)^max(M, 1) of a cached, shared hom set of N to M entries
-IDENTITY_MAP_BOUND = 2**4  # most entries of an identity whose map is shared
+BRAID_SHAPE_BOUND = 2**4  # most entries in all of a braiding or identity whose map is shared
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -148,15 +153,6 @@ class IndexFunction:
     @staticmethod
     def identity(n: int) -> "IndexFunction":
         return IndexFunction(n, n, tuple(range(1, n + 1)))
-
-    def is_injective(self) -> bool:
-        return len(set(self.values)) == self.dom_size
-
-    def is_surjective(self) -> bool:
-        return len(set(self.values)) == self.cod_size
-
-    def is_bijective(self) -> bool:
-        return self.dom_size == self.cod_size and self.is_injective()
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -311,16 +307,17 @@ def validate_morphism(
     return Morphism(domain, codomain, index_values)
 
 
-@lru_cache(maxsize=IDENTITY_MAP_BOUND + 1)  # every length within the bound
-def _identity_map(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1))
+@lru_cache(maxsize=(BRAID_SHAPE_BOUND + 1) * (BRAID_SHAPE_BOUND + 2) // 2)  # every shape
+def _swap_map(n: int, m: int) -> tuple[int, ...]:
+    """The map of the braiding of n entries past m; _swap_map(n, 0) is the identity's."""
+    return tuple(range(n + 1, n + m + 1)) + tuple(range(1, n + 1))
 
 
 def identity_morphism(t: FactorTuple) -> Morphism:
-    """The identity on t; its map is shared for at most IDENTITY_MAP_BOUND entries."""
+    """The identity on t, the braiding of t with (); its map is shared as the braid's is."""
     n = len(t.entries)
-    build = _identity_map if n <= IDENTITY_MAP_BOUND else _identity_map.__wrapped__
-    return _trusted_morphism(t, t, build(n))
+    build = _swap_map if n <= BRAID_SHAPE_BOUND else _swap_map.__wrapped__
+    return _trusted_morphism(t, t, build(n, 0))
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
@@ -361,14 +358,20 @@ def hom_index_tuples(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[
     HOM_RESULT_GUARD maps, as soon as the walk finds one map too many.  Only
     small shapes, max(N, 2)^max(M, 1) <= SHARED_SHAPE_BOUND (at most 2^8 maps
     of at most 8 entries), are cached, the HOM_CACHE_SIZE most recent, and
-    they return equal maps and equal results as one shared tuple, so the
-    morphisms of a universe hold one map object per distinct map.  Other
-    hom sets are built afresh, so the caches stay bounded in bytes.  Equal
-    maps may still be distinct objects: never compare them by identity.
+    they return equal maps and equal results as one shared tuple from
+    ``_shared``, so the cached hom sets hold one object per distinct map (a
+    default verify leaves 279 entries there and hits them 25,249 times).
+    Other hom sets are built afresh, so the caches stay bounded in bytes.
+    Equal maps may still be distinct objects: never compare them by identity.
     """
     if _small_shape(len(domain.entries), len(codomain.entries)):
         return _cached_hom(domain, codomain)
     return _enumerate_hom(domain, codomain)
+
+
+def _too_many_maps(n: int, m: int) -> GuardError:
+    """The refusal of a hom set over n^m candidates with more than HOM_RESULT_GUARD maps."""
+    return GuardError(f"hom set over {n}^{m} candidates has more than 10^5 maps")
 
 
 def _enumerate_hom(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[int, ...], ...]:
@@ -403,7 +406,7 @@ def _enumerate_hom(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[in
                 if not leq(x, fibers[i]):
                     return
             if len(out) == HOM_RESULT_GUARD:
-                raise GuardError(f"hom set over {n}^{m} candidates has more than 10^5 maps")
+                raise _too_many_maps(n, m)
             out.append(tuple(assign))
             return
         rest = suffix[pos]
@@ -527,8 +530,6 @@ class MonoidHom:
 
     @classmethod
     def naturals_into_integers(cls) -> "MonoidHom":
-        from .monoids import NAT
-
         return cls(NAT, ZX, lambda a: a, "nat->zx")
 
     @classmethod

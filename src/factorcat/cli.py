@@ -28,6 +28,7 @@ from .category import (
     FactorTuple,
     compose,
     hom_set,
+    identity_morphism,
     is_epic,
     is_isomorphism,
     is_monic,
@@ -213,8 +214,8 @@ def _render_dot(u: UniverseSpec) -> str:
     lines += [f"  {_dot_id(t)};" for t in universe_objects(u)]
     classify = u.monoid.is_divisibility
     for m in universe_morphisms(u):
-        if m.domain == m.codomain and m.values == tuple(range(1, len(m.values) + 1)):
-            continue  # the identity
+        if m == identity_morphism(m.domain):
+            continue
         attrs = [f'label="{list(m.values)}"']
         if classify:
             if is_weak_equivalence(m):

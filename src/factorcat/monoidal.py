@@ -6,27 +6,21 @@ the tensor glues the maps side by side, shifting g's values past the length
 of f's domain; the same formula covers empty tuples with the relevant size
 set to zero (a shift by zero, or of an empty map, reuses g's map instead
 of copying it).
-
-A braiding's map depends only on the two lengths: braidings of at most
-BRAID_SHAPE_BOUND entries share one map per shape from a bounded cache
-that ``cache_clear`` empties, and longer ones build theirs afresh.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .category import (
+    BRAID_SHAPE_BOUND,
     FactorTuple,
     Morphism,
+    _swap_map,
     _trusted_arrow,
     _trusted_tuple,
     compose,
     identity_morphism,
     require_same_monoid,
 )
-
-BRAID_SHAPE_BOUND = 2**4  # most entries in all of a braiding whose map is shared
 
 
 def tensor_objects(s: FactorTuple, t: FactorTuple) -> FactorTuple:
@@ -43,11 +37,6 @@ def tensor_morphisms(f: Morphism, g: Morphism) -> Morphism:
     n = len(fdom.entries)
     xs, ys = fdom.entries + gdom.entries, f.codomain.entries + g.codomain.entries
     return _trusted_arrow(monoid, xs, ys, f.values + (tuple(map(n.__add__, gv)) if n and gv else gv))
-
-
-@lru_cache(maxsize=(BRAID_SHAPE_BOUND + 1) * (BRAID_SHAPE_BOUND + 2) // 2)  # every shape
-def _swap_map(n: int, m: int) -> tuple[int, ...]:
-    return tuple(range(n + 1, n + m + 1)) + tuple(range(1, n + 1))
 
 
 def braiding(s: FactorTuple, t: FactorTuple) -> Morphism:

@@ -262,9 +262,7 @@ class NonzeroIntegers(DivisibilityMonoid):
         self._check_bound(a)
         return _is_prime_int(abs(a))
 
-    def is_prime(self, a):
-        # in the integers primes and irreducibles coincide
-        return self.is_irreducible(a)
+    is_prime = is_irreducible  # in the integers primes and irreducibles coincide
 
     def factor_irreducibles(self, a):
         self._check_bound(a)

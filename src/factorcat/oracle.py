@@ -68,7 +68,9 @@ from .category import (
     is_epic,
     is_isomorphism,
     is_monic,
+    _too_many_maps,
     _trusted_morphism,
+    _trusted_tuple,
 )
 from .monoidal import (
     braiding,
@@ -209,7 +211,7 @@ def _per_spec(build: Callable[[UniverseSpec], object]):
 def universe_objects(u: UniverseSpec) -> tuple[FactorTuple, ...]:
     out = [empty_tuple(u.monoid)]
     for k in range(1, u.max_len + 1 if u.pool else 1):  # no pool: only the empty tuple
-        out += [FactorTuple(u.monoid, combo) for combo in iter_product(u.pool, repeat=k)]
+        out += [_trusted_tuple(u.monoid, combo) for combo in iter_product(u.pool, repeat=k)]
     return tuple(out)
 
 
@@ -267,7 +269,7 @@ def _by_domain(u: UniverseSpec) -> tuple[dict, int]:
             if counts is not None:  # a hom set of this pass may pass the result guard
                 for a, _ in domains:
                     if counts[a] == HOM_RESULT_GUARD:
-                        raise GuardError(f"hom set over {n}^{m} candidates has more than 10^5 maps")
+                        raise _too_many_maps(n, m)
                     counts[a] += 1
             values = tuple(assign)
             values = maps.setdefault(values, values)

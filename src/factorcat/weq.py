@@ -14,6 +14,7 @@ isomorphism exactly for the weak equivalences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import InvalidMorphismError
 from .monoids import Element
@@ -44,6 +45,11 @@ class QuotientWitness:
     total: Element
 
 
+def _ratios(m: Morphism) -> Iterator[Element]:
+    """The r_n of m, lazily, in domain order; the caller checks the capability."""
+    return map(m.domain.monoid.exact_divide, m.domain.entries, fiber_products(m))
+
+
 def _witnesses(m: Morphism) -> tuple[tuple, Element]:
     """The fields of quotient_witnesses(m), without building the object."""
     monoid = m.domain.monoid
@@ -51,8 +57,7 @@ def _witnesses(m: Morphism) -> tuple[tuple, Element]:
         monoid.require_divisibility("quotient_witnesses")
     if not m.codomain.entries:
         return (), monoid.exact_divide(m.domain.product(), monoid.identity())
-    divide = monoid.exact_divide
-    per = tuple([divide(x, fiber) for x, fiber in zip(m.domain.entries, fiber_products(m))])
+    per = tuple(_ratios(m))
     return per, monoid.product(per)
 
 
@@ -66,17 +71,12 @@ def total_witness(m: Morphism) -> Element:
 
 
 def is_weak_equivalence(m: Morphism) -> bool:
-    """Decided from the fiber products, up to the first non-invertible r_n."""
+    """Decided from the ratios, up to the first non-invertible r_n.  Into (),
+    every x_n is a unit, so every r_n is one too."""
     monoid = m.domain.monoid
     if not monoid.is_divisibility:
         monoid.require_divisibility("is_weak_equivalence")
-    if not m.codomain.entries:
-        return True
-    divide, invertible = monoid.exact_divide, monoid.is_invertible
-    for x, fiber in zip(m.domain.entries, fiber_products(m)):
-        if not invertible(divide(x, fiber)):
-            return False
-    return True
+    return all(map(monoid.is_invertible, _ratios(m)))
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def decompose_eip(m: Morphism) -> EIPDecomposition:
     if len(m.domain) == 0 or len(m.codomain) == 0:
         raise ValueError("the decomposition needs non-empty domain and codomain")
     monoid = m.monoid
-    per_index = quotient_witnesses(m).per_index
+    per_index = tuple(_ratios(m))
     values = m.values
     image = sorted(set(values))  # n_1 < ... < n_P
     p_count = len(image)

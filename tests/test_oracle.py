@@ -31,6 +31,7 @@ from factorcat import (
     compose,
     decode_morphism,
     decompose_eip,
+    empty_tuple,
     encode_morphism,
     free_monoid,
     hom_index_tuples,
@@ -1034,10 +1035,8 @@ def test_tensor_and_braid_maps_follow_their_closed_formulas(u):
 
 
 def test_braid_maps_are_shared_only_within_the_shape_bound():
-    import factorcat.monoidal as monoidal
-
-    bound = monoidal.BRAID_SHAPE_BOUND
-    cache = monoidal._swap_map
+    bound = category.BRAID_SHAPE_BOUND
+    cache = category._swap_map
     sweep_library_caches()
     at = FactorTuple(ZX, (1,) * (bound - 3)), FactorTuple(ZX, (2, 3, 5))
     assert braiding(*at).values is braiding(*at).values == reference_swap(bound - 3, 3)
@@ -1052,18 +1051,19 @@ def test_braid_maps_are_shared_only_within_the_shape_bound():
 
 
 def test_identity_maps_are_shared_only_within_the_bound():
-    bound = category.IDENTITY_MAP_BOUND
-    cache = category._identity_map
+    # the identity on t is the braiding of t with (): the (n, 0) shapes of the braid table
+    bound = category.BRAID_SHAPE_BOUND
+    cache = category._swap_map
+    unit = empty_tuple(ZX)
     sweep_library_caches()
     for n in range(bound + 1):
         t = FactorTuple(ZX, (2,) * n)
-        assert identity_morphism(t).values is identity_morphism(t).values == tuple(range(1, n + 1))
+        assert identity_morphism(t).values is braiding(t, unit).values == tuple(range(1, n + 1))
     assert cache.cache_info().currsize == bound + 1  # one shared map per length
     past = FactorTuple(ZX, (2,) * (bound + 1))
-    first, second = identity_morphism(past).values, identity_morphism(past).values
+    first, second = identity_morphism(past).values, braiding(past, unit).values
     assert first == second == tuple(range(1, bound + 2)) and first is not second
     assert cache.cache_info().currsize == bound + 1  # the length past the bound was not cached
-    assert cache.cache_info().maxsize >= bound + 1  # every length within it fits
     sweep_library_caches()
     assert cache.cache_info().currsize == 0
 
