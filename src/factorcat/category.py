@@ -456,16 +456,17 @@ def is_monic(m: Morphism) -> bool:
 
 def is_isomorphism(m: Morphism) -> bool:
     """Iso iff the tuples have equal length, the map is a bijection, and
-    matched entries are associates."""
+    matched entries are associates, as equal ones are by reflexivity."""
     monoid = m.domain.monoid
     if not monoid.is_divisibility:
         monoid.require_divisibility("is_isomorphism")
     values, xs, ys = m.values, m.domain.entries, m.codomain.entries
-    if len(values) != len(xs) or len(set(values)) != len(values):
+    n = len(xs)
+    if len(values) != n or len(set(values)) != n:
         return False
     associates = monoid.are_associates
     for y, target in zip(ys, values):
-        if not associates(xs[target - 1], y):
+        if (x := xs[target - 1]) != y and not associates(x, y):
             return False
     return True
 

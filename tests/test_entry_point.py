@@ -2,7 +2,8 @@
 
 Besides a smoke test of the module entry point, this holds the regression
 tests for requests that once ran without bound: each runs under a timeout,
-so a regression fails instead of hanging the suite.
+so a regression fails instead of hanging the suite.  One more test pins the
+pytest warning filter that turns the library's deprecations into errors.
 """
 
 import json
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -40,6 +42,21 @@ def test_verify_json_through_the_module_entry_point():
     proc = factorcat("verify", "--suite", "adjunction", "--json")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)[0]["suite"] == "adjunction"
+
+
+@pytest.mark.parametrize("category", [DeprecationWarning, PendingDeprecationWarning])
+def test_a_deprecation_from_the_library_fails_the_tests(category):
+    # pyproject.toml's filterwarnings errors on these when a factorcat module
+    # issues them, and only then
+    def warn_from(module):
+        exec("import warnings; warnings.warn('old API', C)", {"__name__": module, "C": category})
+
+    for module in ("factorcat", "factorcat.category"):
+        with pytest.raises(category):
+            warn_from(module)
+    with warnings.catch_warnings(record=True) as caught:  # keeps the filters
+        warn_from("factorcatalog")
+    assert [w.category for w in caught] == [category]
 
 
 def test_graph_guard_through_the_module_entry_point():

@@ -4,6 +4,7 @@ import pytest
 
 from factorcat import (
     FactorTuple,
+    InvalidMorphismError,
     NAT,
     ZX,
     braiding,
@@ -50,6 +51,15 @@ def test_tensor_objects_concatenates():
 def test_tensor_monoid_mismatch():
     with pytest.raises(ValueError):
         tensor_objects(zt(2), FactorTuple(NAT, (2,)))
+
+
+def test_the_monoid_guard_runs_before_the_unit_return():
+    # a unit operand over another monoid is refused, not returned
+    f, nat_unit = identity_morphism(zt(2)), identity_morphism(empty_tuple(NAT))
+    for args in ((f, nat_unit), (nat_unit, f), (identity_morphism(OMEGA), nat_unit)):
+        with pytest.raises(InvalidMorphismError) as exc:
+            tensor_morphisms(*args)
+        assert str(exc.value) == "tensor needs both arguments over the same monoid"
 
 
 def test_tensor_morphisms_worked_example():

@@ -735,6 +735,15 @@ def test_closed_operations_build_valid_morphisms(u):
                 assert_steps_valid(m)
 
 
+@pytest.mark.parametrize("u", CLOSURE_UNIVERSES.values(), ids=CLOSURE_UNIVERSES.keys())
+def test_the_tensor_unit_returns_the_other_operand_itself(u):
+    # for the universe's own id_(), both operands are units: the first is returned
+    unit = identity_morphism(empty_tuple(u.monoid))
+    for f in universe_morphisms(u):
+        assert tensor_morphisms(f, unit) is f, str(f)
+        assert tensor_morphisms(unit, f) is (f if f.domain.entries else unit), str(f)
+
+
 DIVISIBILITY_UNIVERSES = {k: u for k, u in CLOSURE_UNIVERSES.items() if u.monoid.is_divisibility}
 
 
@@ -1109,6 +1118,68 @@ def test_an_off_by_one_tensor_shift_fails_the_monoidal_laws(monkeypatch):
     monkeypatch.setattr(oracle, "tensor_morphisms", shifted_one_too_far)
     report = _assert_caught_and_reproduced(monkeypatch)
     assert "hexagon" in {f["law"] for f in report.failures}
+
+
+def test_a_unit_branch_that_returns_the_unit_fails_the_monoidal_laws(monkeypatch):
+    import factorcat.monoidal as monoidal
+
+    true_tensor = monoidal.tensor_morphisms
+
+    def returns_the_unit(f, g):
+        if f.domain.monoid is not g.domain.monoid:
+            category.require_same_monoid(f.domain, g.domain, "tensor")
+        if not g.domain.entries:
+            return g
+        if not f.domain.entries:
+            return f
+        return true_tensor(f, g)
+
+    monkeypatch.setattr(monoidal, "tensor_morphisms", returns_the_unit)
+    monkeypatch.setattr(oracle, "tensor_morphisms", returns_the_unit)
+    # hexagon fails first; store every failure so the unit law's are kept too
+    monkeypatch.setattr(oracle.SuiteReport, "MAX_STORED", 1000)
+    report = _assert_caught_and_reproduced(monkeypatch)
+    assert "tensor_unit_morphism" in {f["law"] for f in report.failures}
+
+
+def test_unequal_associates_are_still_asked_by_is_isomorphism(monkeypatch):
+    # equal matched entries skip are_associates; -1 against 1 must not
+    from factorcat.monoids import NonzeroIntegers
+
+    monkeypatch.setattr(NonzeroIntegers, "are_associates", lambda self, a, b: a == b)
+    report = run_suite(SMALL, ["iso"])[0]
+    assert {f["law"] for f in report.failures} == {"iso_agreement"}
+    minus_one_to_one = {"monoid": "zx", "domain": [-1], "codomain": [1], "map": [1]}
+    assert minus_one_to_one in [f["morphism"] for f in report.failures]
+    assert all(recheck(f) for f in report.failures)
+    monkeypatch.undo()
+    assert not any(recheck(f) for f in report.failures)
+
+
+def test_a_cold_monoidal_run_builds_and_asks_no_more_than_measured(monkeypatch):
+    # one-sided: a change that builds fewer tensors or braidings, or asks
+    # fewer associates, lowers the bounds
+    import factorcat.monoidal as monoidal
+    from factorcat.monoids import NonzeroIntegers
+
+    calls = {"arrow": 0, "associates": 0}
+    true_arrow, true_associates = monoidal._trusted_arrow, NonzeroIntegers.are_associates
+
+    def arrow(*args):
+        calls["arrow"] += 1
+        return true_arrow(*args)
+
+    def associates(self, a, b):
+        calls["associates"] += 1
+        return true_associates(self, a, b)
+
+    monkeypatch.setattr(monoidal, "_trusted_arrow", arrow)
+    monkeypatch.setattr(NonzeroIntegers, "are_associates", associates)
+    sweep_library_caches()
+    report = run_suite(replace(MUTANT_UNIVERSE), ["monoidal_laws"])[0]
+    assert report.passed
+    assert calls["arrow"] <= 12972
+    assert calls["associates"] <= 0
 
 
 def test_a_swapped_entry_in_a_shared_braid_map_fails_the_monoidal_laws(monkeypatch):
