@@ -12,10 +12,8 @@ from factorcat import (
     FactorTuple,
     ZX,
     braiding,
-    braiding_involution_holds,
     compose,
     empty_tuple,
-    hexagon_holds,
     identity_morphism,
     is_isomorphism,
     tensor_morphisms,
@@ -37,12 +35,17 @@ print("f tensor g:", tensor_morphisms(f, g))
 b = braiding(t(2), t(3, 5))
 print("braiding (2)+(3,5):", b)
 print("it is an isomorphism:", is_isomorphism(b))
-print("swap twice is the identity:", braiding_involution_holds(t(2), t(3, 5)))
+swap_back = braiding(t(3, 5), t(2))
+print("swap twice is the identity:", compose(swap_back, b) == identity_morphism(b.domain))
 
 # naturality: swapping before or after acting component-wise agrees
 lhs = compose(braiding(f.codomain, g.codomain), tensor_morphisms(f, g))
 rhs = compose(tensor_morphisms(g, f), braiding(f.domain, g.domain))
 print("braiding is natural here:", lhs == rhs)
 
-print("hexagon for three blocks:", hexagon_holds(t(2), t(3), t(5, 7)))
+# hexagon: swapping x past y (x) z is swapping it past y, then past z
+x, y, z = t(2), t(3), t(5, 7)
+step = compose(tensor_morphisms(identity_morphism(y), braiding(x, z)),
+               tensor_morphisms(braiding(x, y), identity_morphism(z)))
+print("hexagon for three blocks:", braiding(x, tensor_objects(y, z)) == step)
 print("unit is strict on morphisms:", tensor_morphisms(f, identity_morphism(empty_tuple(ZX))) == f)

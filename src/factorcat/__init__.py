@@ -42,15 +42,7 @@ from .category import (
     underlying_function,
     validate_morphism,
 )
-from .monoidal import (
-    braiding,
-    braiding_involution_holds,
-    braiding_is_natural,
-    hexagon_holds,
-    tensor_morphisms,
-    tensor_objects,
-    tensor_respects_composition,
-)
+from .monoidal import braiding, tensor_morphisms, tensor_objects
 from .weq import (
     PROPER,
     WEAK_EQUIVALENCE,
@@ -94,8 +86,6 @@ from .oracle import (
     all_passed,
     recheck,
     run_suite,
-    sample_extension,
-    sample_morphism,
     universe_morphisms,
     universe_objects,
 )

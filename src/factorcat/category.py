@@ -36,9 +36,9 @@ from .errors import GuardError, InvalidMorphismError
 from .monoids import Element, Monoid, NAT, ZX
 
 HOM_ENUMERATION_GUARD = 10**7
-HOM_RESULT_GUARD = 10**5  # most maps one hom set may hold; the largest default one has 27
-HOM_CACHE_SIZE = 2**17  # hom_index_tuples entries; a default verify fills about 7k
-SHARED_CACHE_SIZE = 2**12  # maps and hom sets kept to share; searched shapes have 1,675 maps
+HOM_RESULT_GUARD = 10**5  # most maps one hom set may hold; far more than a verify meets
+HOM_CACHE_SIZE = 2**17  # hom_index_tuples entries; far more than a default verify fills
+SHARED_CACHE_SIZE = 2**12  # maps and hom sets kept to share; more than searched shapes have
 SHARED_SHAPE_BOUND = 2**8  # most max(N, 2)^max(M, 1) of a cached, shared hom set of N to M entries
 BRAID_SHAPE_BOUND = 2**4  # most entries in all of a braiding or identity whose map is shared
 
@@ -359,8 +359,7 @@ def hom_index_tuples(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[
     small shapes, max(N, 2)^max(M, 1) <= SHARED_SHAPE_BOUND (at most 2^8 maps
     of at most 8 entries), are cached, the HOM_CACHE_SIZE most recent, and
     they return equal maps and equal results as one shared tuple from
-    ``_shared``, so the cached hom sets hold one object per distinct map (a
-    default verify leaves 279 entries there and hits them 25,249 times).
+    ``_shared``, so the cached hom sets hold one object per distinct map.
     Other hom sets are built afresh, so the caches stay bounded in bytes.
     Equal maps may still be distinct objects: never compare them by identity.
     """

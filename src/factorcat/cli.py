@@ -22,7 +22,7 @@ import json
 import sys
 from functools import lru_cache
 
-from .errors import CapabilityError, GuardError, InvalidMorphismError
+from .errors import CapabilityError, GuardError
 from .monoids import Monoid, monoid_by_name
 from .category import (
     FactorTuple,
@@ -311,7 +311,7 @@ def main(argv=None) -> int:
     except CapabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
-    except (InvalidMorphismError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if text is not None:

@@ -4,9 +4,9 @@ The tensor of objects is tuple concatenation, strictly associative with the
 empty tuple as a two-sided unit.  On morphisms f: (x)->(w) and g: (y)->(z)
 the tensor glues the maps side by side, shifting g's values past the length
 of f's domain.  A morphism with an empty domain is id_(), as no map sends a
-non-empty [M] into [0], so f (x) id_() and id_() (x) f return f: 322,151 of a
-default verify's 462,382 tensors have a unit operand, against 2,177 of 245,288
-object tensors and 1,910 of 301,243 braidings, which keep one path.
+non-empty [M] into [0], so f (x) id_() and id_() (x) f return f: a verify
+tensors many morphisms with a unit operand, while object tensors and
+braidings rarely meet the unit and keep one path.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from .category import (
     _swap_map,
     _trusted_arrow,
     _trusted_tuple,
-    compose,
-    identity_morphism,
     require_same_monoid,
 )
 
@@ -57,31 +55,3 @@ def braiding(s: FactorTuple, t: FactorTuple) -> Morphism:
     swap = _swap_map if n + m <= BRAID_SHAPE_BOUND else _swap_map.__wrapped__
     return _trusted_arrow(s.monoid, xs + ys, ys + xs, swap(n, m))
 
-
-# Single-instance law predicates; the verification suites quantify these
-# over bounded universes and report counterexamples.
-
-def braiding_involution_holds(s: FactorTuple, t: FactorTuple) -> bool:
-    return compose(braiding(t, s), braiding(s, t)) == identity_morphism(tensor_objects(s, t))
-
-
-def hexagon_holds(x: FactorTuple, y: FactorTuple, z: FactorTuple) -> bool:
-    lhs = braiding(x, tensor_objects(y, z))
-    rhs = compose(
-        tensor_morphisms(identity_morphism(y), braiding(x, z)),
-        tensor_morphisms(braiding(x, y), identity_morphism(z)),
-    )
-    return lhs == rhs
-
-
-def tensor_respects_composition(h: Morphism, k: Morphism, f: Morphism, g: Morphism) -> bool:
-    """(h (x) k) o (f (x) g) == (h o f) (x) (k o g) for composable h o f, k o g."""
-    lhs = compose(tensor_morphisms(h, k), tensor_morphisms(f, g))
-    rhs = tensor_morphisms(compose(h, f), compose(k, g))
-    return lhs == rhs
-
-
-def braiding_is_natural(f: Morphism, g: Morphism) -> bool:
-    lhs = compose(braiding(f.codomain, g.codomain), tensor_morphisms(f, g))
-    rhs = compose(tensor_morphisms(g, f), braiding(f.domain, g.domain))
-    return lhs == rhs

@@ -26,8 +26,6 @@ from factorcat import (
     is_weak_equivalence,
     is_weakly_irreducible,
     is_weakly_prime,
-    sample_extension,
-    sample_morphism,
     tensor_objects,
     total_witness,
     validate_morphism,
@@ -36,6 +34,8 @@ from factorcat import (
     zeta_mor,
     zeta_obj,
 )
+
+from sampling import sample_extension, sample_morphism
 
 DEFAULT_POOL = (-1, 1, 2, 3, 5, 6)
 

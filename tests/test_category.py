@@ -163,7 +163,7 @@ class TestComposition:
     def test_sampled_chain_associativity(self):
         import random
 
-        from factorcat import sample_extension, sample_morphism
+        from sampling import sample_extension, sample_morphism
 
         rng = random.Random(13)
         for _ in range(40):

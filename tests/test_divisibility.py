@@ -37,8 +37,6 @@ from factorcat import (
     is_weakly_prime,
     is_weakly_prime_tuple,
     quotient_witnesses,
-    sample_extension,
-    sample_morphism,
     tensor_morphisms,
     tensor_objects,
     total_witness,
@@ -52,6 +50,8 @@ from factorcat import (
     zeta_obj,
 )
 from factorcat.monoids import FreeCommutative
+
+from sampling import sample_extension, sample_morphism
 
 FREE = free_monoid("ab")
 

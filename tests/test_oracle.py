@@ -58,6 +58,7 @@ from factorcat import (
 from factorcat.oracle import universe_homs
 
 from conftest import sweep_library_caches
+from sampling import sample_extension, sample_morphism
 
 SMALL = UniverseSpec(pool=(-1, 1, 2, 6), max_len=2, exhaustive_limit=40_000, sample_size=4_000)
 DEGENERATE = UniverseSpec(pool=(1,), max_len=2)
@@ -279,10 +280,8 @@ def _braiding_off_by_one(s, t):
 
 
 def test_a_predicate_that_raises_is_a_counterexample(monkeypatch, capsys):
-    import factorcat.monoidal as monoidal
     from factorcat.cli import main
 
-    monkeypatch.setattr(monoidal, "braiding", _braiding_off_by_one)
     monkeypatch.setattr(oracle, "braiding", _braiding_off_by_one)
     argv = ["verify", "--suite", "monoidal_laws", "--pool", "[1,2]", "--max-len", "2"]
     assert main(argv) == 1
@@ -290,7 +289,7 @@ def test_a_predicate_that_raises_is_a_counterexample(monkeypatch, capsys):
     assert main(argv + ["--json"]) == 1
     failures = json.loads(capsys.readouterr().out)[0]["failures"]
     assert failures and all(recheck(f) for f in failures)
-    # past the first 50 failures, braiding_is_natural indexes with the 0 and raises
+    # past the first 50 failures, braiding_naturality indexes with the 0 and raises
     monkeypatch.setattr(oracle.SuiteReport, "MAX_STORED", 10**6)
     report = run_suite(UniverseSpec(pool=(1, 2), max_len=2), ["monoidal_laws"])[0]
     raised = [f for f in report.failures if "raised" in f]
@@ -583,7 +582,7 @@ def test_morphism_sampler_produces_valid_variety():
     rng = random.Random(3)
     kinds = set()
     for _ in range(120):
-        m = oracle.sample_morphism(rng)
+        m = sample_morphism(rng)
         assert m.monoid == ZX  # construction validates the order constraint
         from factorcat import is_weak_equivalence, total_witness, zeta_mor
 
@@ -598,8 +597,8 @@ def test_extension_sampler_composes():
     from factorcat import compose
 
     rng = random.Random(5)
-    f = oracle.sample_morphism(rng)
-    g = oracle.sample_extension(rng, f.codomain)
+    f = sample_morphism(rng)
+    g = sample_extension(rng, f.codomain)
     compose(g, f)  # must be composable and valid
 
 
@@ -896,7 +895,7 @@ def test_universe_tables_do_not_depend_on_the_seed():
 def test_decomposition_and_chain_steps_are_valid_on_samples(monoid):
     rng = random.Random(11)
     for _ in range(300):
-        assert_steps_valid(oracle.sample_morphism(rng, monoid))
+        assert_steps_valid(sample_morphism(rng, monoid))
 
 
 def test_public_constructors_still_check():
@@ -1104,8 +1103,6 @@ def _assert_caught_and_reproduced(monkeypatch):
 
 
 def test_an_off_by_one_tensor_shift_fails_the_monoidal_laws(monkeypatch):
-    import factorcat.monoidal as monoidal
-
     def shifted_one_too_far(f, g):
         n = len(f.domain.entries)
         return category._trusted_morphism(
@@ -1114,16 +1111,13 @@ def test_an_off_by_one_tensor_shift_fails_the_monoidal_laws(monkeypatch):
             f.values + (tuple(map((n + 1).__add__, g.values)) if n else g.values),
         )
 
-    monkeypatch.setattr(monoidal, "tensor_morphisms", shifted_one_too_far)
     monkeypatch.setattr(oracle, "tensor_morphisms", shifted_one_too_far)
     report = _assert_caught_and_reproduced(monkeypatch)
     assert "hexagon" in {f["law"] for f in report.failures}
 
 
 def test_a_unit_branch_that_returns_the_unit_fails_the_monoidal_laws(monkeypatch):
-    import factorcat.monoidal as monoidal
-
-    true_tensor = monoidal.tensor_morphisms
+    true_tensor = oracle.tensor_morphisms
 
     def returns_the_unit(f, g):
         if f.domain.monoid is not g.domain.monoid:
@@ -1134,7 +1128,6 @@ def test_a_unit_branch_that_returns_the_unit_fails_the_monoidal_laws(monkeypatch
             return f
         return true_tensor(f, g)
 
-    monkeypatch.setattr(monoidal, "tensor_morphisms", returns_the_unit)
     monkeypatch.setattr(oracle, "tensor_morphisms", returns_the_unit)
     # hexagon fails first; store every failure so the unit law's are kept too
     monkeypatch.setattr(oracle.SuiteReport, "MAX_STORED", 1000)

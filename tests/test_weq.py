@@ -26,11 +26,11 @@ from factorcat import (
     ore_square,
     quotient_witnesses,
     right_cancel_witness,
-    sample_extension,
-    sample_morphism,
     total_witness,
     validate_morphism,
 )
+
+from sampling import sample_extension, sample_morphism
 
 OMEGA = empty_tuple(ZX)
 
