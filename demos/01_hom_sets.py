@@ -8,13 +8,13 @@ assigning each codomain position to a domain position, constrained so that
 every x_n divides the product of the entries assigned to it.
 """
 
-from factorcat import FactorTuple, ZX, empty_tuple, hom_set, validate_morphism
+from factorcat import FactorTuple, Morphism, ZX, empty_tuple, hom_set
 
 t = lambda *entries: FactorTuple(ZX, entries)
 
 # (6,35) refactors as 6 = 2*3 and 35 = 5*7; the map records which factor
 # came from which entry
-m = validate_morphism(t(6, 35), t(2, 3, 5, 7), [1, 1, 2, 2])
+m = Morphism(t(6, 35), t(2, 3, 5, 7), [1, 1, 2, 2])
 print("a factorization morphism:", m)
 
 # out of the 2^4 candidate maps, that one is the only order-constrained one

@@ -8,12 +8,12 @@ refactor onto the codomain.  The per-coordinate ratios and their product
 (the total witness) are unique by cancellativity.
 """
 
-from factorcat import FactorTuple, ZX, decompose_eip, quotient_witnesses, validate_morphism
+from factorcat import FactorTuple, Morphism, ZX, decompose_eip, quotient_witnesses
 
 t = lambda *entries: FactorTuple(ZX, entries)
 
 # 6 divides 2*33 (ratio 11) and 35 divides 7*65 (ratio 13); the middle 1 is dropped
-m = validate_morphism(t(6, 1, 35), t(2, 7, 33, 65), [1, 3, 1, 3])
+m = Morphism(t(6, 1, 35), t(2, 7, 33, 65), [1, 3, 1, 3])
 print("morphism:", m)
 
 w = quotient_witnesses(m)
@@ -28,6 +28,6 @@ print("ratios:", d.ratios, " dropped unit:", d.dropped_unit)
 print("composite equals the original:", d.composed() == m)
 
 # identity-shaped inputs decompose trivially
-div = validate_morphism(t(2), t(6), [1])
+div = Morphism(t(2), t(6), [1])
 d2 = decompose_eip(div)
 print("a bare divisibility step keeps only delta:", d2.delta == div)

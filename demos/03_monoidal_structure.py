@@ -10,6 +10,7 @@ both arguments, and squares to the identity.
 
 from factorcat import (
     FactorTuple,
+    Morphism,
     ZX,
     braiding,
     compose,
@@ -18,7 +19,6 @@ from factorcat import (
     is_isomorphism,
     tensor_morphisms,
     tensor_objects,
-    validate_morphism,
 )
 
 t = lambda *entries: FactorTuple(ZX, entries)
@@ -28,8 +28,8 @@ print("tensor of objects:", tensor_objects(x, y))
 print("strict unit:", tensor_objects(x, empty_tuple(ZX)) == x)
 
 # morphisms tensor side by side, shifting the second map past the first domain
-f = validate_morphism(t(2), t(6), [1])
-g = validate_morphism(t(5), t(105), [1])
+f = Morphism(t(2), t(6), [1])
+g = Morphism(t(5), t(105), [1])
 print("f tensor g:", tensor_morphisms(f, g))
 
 b = braiding(t(2), t(3, 5))

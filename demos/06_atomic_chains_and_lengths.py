@@ -11,11 +11,11 @@ weak divisors up to weak associates.
 
 from factorcat import (
     FactorTuple,
+    Morphism,
     ZX,
     atomic_chain,
     chain_stabilizes,
     enumerate_irreducible_factorizations,
-    validate_morphism,
     weak_divisor_classes,
     zeta_elt,
     zeta_mor,
@@ -24,7 +24,7 @@ from factorcat import (
 
 t = lambda *entries: FactorTuple(ZX, entries)
 
-m = validate_morphism(t(1), t(60), [1])
+m = Morphism(t(1), t(60), [1])
 chain = atomic_chain(m)
 print("chain for (1) -> (60):")
 for tag, step in zip(chain.tags, chain.steps):
@@ -32,7 +32,7 @@ for tag, step in zip(chain.tags, chain.steps):
 print("irreducible steps:", chain.irr_count, "= zeta:", zeta_mor(m))
 print("recomposes:", chain.composed() == m)
 
-mixed = validate_morphism(t(6, 1, 35), t(2, 7, 33, 65), [1, 3, 1, 3])
+mixed = Morphism(t(6, 1, 35), t(2, 7, 33, 65), [1, 3, 1, 3])
 print("mixed example has", atomic_chain(mixed).irr_count, "irreducible steps (143 = 11*13)")
 
 # length functions: zero on units and weak equivalences, one on irreducibles
@@ -40,16 +40,16 @@ print("zeta of 60:", zeta_elt(ZX, 60))
 print("zeta of the object (6,35):", zeta_obj(t(6, 35)))
 
 # weak divisor classes of a morphism = divisor classes of its witness
-twelve = validate_morphism(t(1), t(12), [1])
+twelve = Morphism(t(1), t(12), [1])
 print("weak divisor classes for r=12:", weak_divisor_classes(twelve))
 
 # ascending-chain probe: a descending divisibility chain stabilizes where
 # the steps become weak equivalences
 descending = [
-    validate_morphism(t(4), t(8), [1]),
-    validate_morphism(t(2), t(4), [1]),
-    validate_morphism(t(2), t(2), [1]),
-    validate_morphism(t(2), t(2), [1]),
+    Morphism(t(4), t(8), [1]),
+    Morphism(t(2), t(4), [1]),
+    Morphism(t(2), t(2), [1]),
+    Morphism(t(2), t(2), [1]),
 ]
 print("chain stabilizes at index:", chain_stabilizes(descending))
 

@@ -40,7 +40,6 @@ from .category import (
     map_tuple,
     refute_terminal,
     underlying_function,
-    validate_morphism,
 )
 from .monoidal import braiding, tensor_morphisms, tensor_objects
 from .weq import (
@@ -63,7 +62,6 @@ from .divisibility import (
     WedgeDiagram,
     atomic_chain,
     chain_stabilizes,
-    divisor_class_representatives,
     enumerate_irreducible_factorizations,
     is_weakly_irreducible,
     is_weakly_irreducible_tuple,

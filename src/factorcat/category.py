@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from .errors import GuardError, InvalidMorphismError
 from .monoids import Element, Monoid, NAT, ZX
@@ -161,13 +161,12 @@ class Morphism:
 
     ``values`` is the 1-based map from codomain positions to domain
     positions, one value per codomain entry.  Every Morphism in existence is
-    valid.  Public construction (``Morphism(...)``, ``validate_morphism``,
-    decoding) checks the map once, with
-    ``_checked_map(len(codomain), len(domain), values)``, then checks the
-    order constraint fiber by fiber and reports the first failing domain
-    index.  Internal construction goes through ``_trusted_morphism``, which
-    skips the checks, and happens only where validity holds by theorem: the
-    category is closed under identities, composition, inverses, tensor and
+    valid.  Public construction (``Morphism(...)`` and decoding) checks the
+    map once, with ``_checked_map(len(codomain), len(domain), values)``, then
+    checks the order constraint fiber by fiber and reports the first failing
+    domain index.  Internal construction goes through ``_trusted_morphism``,
+    which skips the checks, and happens only where validity holds by theorem:
+    the category is closed under identities, composition, inverses, tensor and
     braiding; the EIP and atomic-chain steps, the legs of the weak
     divisibility square, the Ore square, the right-cancellation witness and
     the UFD wedge are morphisms by construction.  The closure tests in
@@ -286,25 +285,6 @@ def fiber_products(m: Morphism) -> list:
     for pos, target in enumerate(m.values):
         fibers[target - 1] = monoid.op(fibers[target - 1], ys[pos])
     return fibers
-
-
-def validate_morphism(
-    domain: FactorTuple,
-    codomain: FactorTuple,
-    index_values: IndexFunction | Sequence[int],
-) -> Morphism:
-    """Build the morphism for the given 1-based map, checking the order
-    constraint; raises InvalidMorphismError naming the first failing index.
-    An IndexFunction must have the sizes [len(codomain)] -> [len(domain)]."""
-    if isinstance(index_values, IndexFunction):
-        fn = index_values
-        if (fn.dom_size, fn.cod_size) != (len(codomain), len(domain)):
-            raise InvalidMorphismError(
-                f"index function sizes [{fn.dom_size}]->[{fn.cod_size}] do not match "
-                f"tuple lengths {len(codomain)} and {len(domain)}"
-            )
-        index_values = fn.values
-    return Morphism(domain, codomain, index_values)
 
 
 @lru_cache(maxsize=(BRAID_SHAPE_BOUND + 1) * (BRAID_SHAPE_BOUND + 2) // 2)  # every shape

@@ -317,7 +317,3 @@ def main(argv=None) -> int:
     if text is not None:
         print(text if payload is None or not args.json else json.dumps(payload))
     return EXIT_OK if ok else EXIT_FALSE
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

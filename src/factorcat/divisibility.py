@@ -189,21 +189,10 @@ def zeta_obj(t: FactorTuple) -> int:
     return zeta_elt(t.monoid, t.product())
 
 
-def divisor_class_representatives(monoid: Monoid, r: Element) -> list:
-    """One canonical representative per associate class of divisors of r:
-    positive divisors ascending over the integers and, over free monoids,
-    exponent vectors aligned with ``generators`` that are entrywise below
-    r's, by degree and then with more copies of earlier generators first.
-
-    Integers beyond the 2**31 trial-division bound, and free-monoid elements
-    with more than 10^5 divisor classes, raise GuardError before any work."""
-    return monoid.divisor_class_representatives(r)
-
-
 def weak_divisor_classes(m: Morphism) -> list:
     """Representatives of the weak divisors of m up to weak associates,
     i.e. the divisor classes of its total witness."""
-    return divisor_class_representatives(m.monoid, total_witness(m))
+    return m.monoid.divisor_class_representatives(total_witness(m))
 
 
 def chain_stabilizes(chain) -> int | None:
@@ -278,7 +267,7 @@ def _irreducible_core_index(monoid: Monoid, entries: tuple) -> int:
     for i, e in enumerate(entries):
         if not monoid.is_invertible(e):
             return i
-    raise ValueError("no non-invertible entry found")
+    raise ValueError("no non-invertible entry found")  # untraced: an irreducible product has one
 
 
 def ufd_wedge(f: Morphism, g: Morphism):

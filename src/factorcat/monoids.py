@@ -174,7 +174,14 @@ class Monoid:
         self.require_divisibility("fresh_non_divisor")
 
     def divisor_class_representatives(self, a: Element) -> list:
-        """One canonical representative per associate class of divisors of a."""
+        """One canonical representative per associate class of divisors of a:
+        positive divisors ascending over the integers and, over free monoids,
+        exponent vectors aligned with ``generators`` that are entrywise below
+        a's, by degree and then with more copies of earlier generators first.
+
+        Integers beyond the 2**31 trial-division bound, and free-monoid
+        elements with more than 10^5 divisor classes, raise GuardError before
+        any work."""
         self.require_divisibility("divisor_class_representatives")
 
     def irreducible_factorizations(self, a: Element) -> Iterator[tuple]:
@@ -196,9 +203,6 @@ class DivisibilityMonoid(Monoid):
     """Monoid pre-ordered by divisibility: leq(a, b) iff a divides b."""
 
     is_divisibility = True
-
-    def leq(self, a: Element, b: Element) -> bool:
-        return self.exact_divide(a, b) is not None
 
     def are_associates(self, a: Element, b: Element) -> bool:
         return self.leq(a, b) and self.leq(b, a)
@@ -439,13 +443,6 @@ class FreeCommutative(DivisibilityMonoid):
 
     def op(self, a, b):
         return tuple(map(add, a, b))
-
-    def product(self, elems):  # folded from the first element: one element is its own product
-        elems = iter(elems)
-        out = next(elems, self._identity)
-        for a in elems:
-            out = tuple(map(add, out, a))
-        return out
 
     def leq(self, a, b):
         return all(map(le, a, b))

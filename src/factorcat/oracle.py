@@ -174,10 +174,6 @@ class SuiteReport:
                         self.failures.append({"law": law, "monoid": self.monoid, **payload, **raised})
             self.cases += size * len(checks)
 
-    def check(self, law: str, *args) -> None:
-        """Run one case of the named law and record it if it fails."""
-        self.run([((law,), (args,))])
-
     @property
     def passed(self) -> bool:
         return not self.failures

@@ -13,22 +13,19 @@ from itertools import product as iter_product
 from factorcat import (
     FactorTuple,
     INTERVAL,
+    Morphism,
     ZX,
-    all_passed,
     atomic_chain,
     compose,
     decompose_eip,
-    divisor_class_representatives,
     empty_tuple,
     enumerate_irreducible_factorizations,
     hom_set,
-    identity_morphism,
     is_weak_equivalence,
     is_weakly_irreducible,
     is_weakly_prime,
     tensor_objects,
     total_witness,
-    validate_morphism,
     weak_div_diagram,
     weakly_divides,
     zeta_mor,
@@ -45,7 +42,7 @@ def zt(*entries):
 
 
 def zm(dom, cod, values):
-    return validate_morphism(zt(*dom), zt(*cod), values)
+    return Morphism(zt(*dom), zt(*cod), values)
 
 
 def criterion(number, label, budget_seconds, body, elapsed=None):
@@ -132,7 +129,7 @@ def test_criterion_4_classification_goldens():
                     fibers = [1] * n_len
                     for pos, target in enumerate(values):
                         fibers[target - 1] *= cod.entries[pos]
-                    fact = validate_morphism(zt(*fibers), cod, values)
+                    fact = Morphism(zt(*fibers), cod, values)
                     assert is_weak_equivalence(fact)
 
         # every drop-unit morphism over the default pool is in W
@@ -153,7 +150,7 @@ def test_criterion_4_classification_goldens():
                 assert set(keep_always) <= set(kept)
                 cod = zt(*(dom.entries[i] for i in kept))
                 values = tuple(i + 1 for i in kept)
-                eps = validate_morphism(dom, cod, values)
+                eps = Morphism(dom, cod, values)
                 assert is_weak_equivalence(eps)
 
         # a divisibility morphism is in W exactly when its ratio is a unit
@@ -161,7 +158,7 @@ def test_criterion_4_classification_goldens():
             for z in iter_product(DEFAULT_POOL, repeat=length):
                 for ratios in iter_product(DEFAULT_POOL, repeat=length):
                     scaled = tuple(r * e for r, e in zip(ratios, z))
-                    m_div = validate_morphism(
+                    m_div = Morphism(
                         zt(*z), zt(*scaled), tuple(range(1, length + 1))
                     )
                     total = 1
@@ -219,7 +216,7 @@ def test_criterion_7_atomic_chains():
 
 def test_criterion_8_factorization_probes():
     def body():
-        assert divisor_class_representatives(ZX, 12) == [1, 2, 3, 4, 6, 12]
+        assert ZX.divisor_class_representatives(12) == [1, 2, 3, 4, 6, 12]
         rng = random.Random(80)
         for _ in range(50):
             value = rng.randint(2, 5000) * rng.choice((1, -1))

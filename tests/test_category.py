@@ -35,7 +35,6 @@ from factorcat import (
     map_tuple,
     refute_terminal,
     underlying_function,
-    validate_morphism,
 )
 import factorcat.category as category
 from factorcat.category import HOM_CACHE_SIZE, HOM_RESULT_GUARD
@@ -49,7 +48,7 @@ def zt(*entries):
 
 
 def zm(dom, cod, values):
-    return validate_morphism(zt(*dom), zt(*cod), values)
+    return Morphism(zt(*dom), zt(*cod), values)
 
 
 OMEGA = empty_tuple(ZX)
@@ -71,7 +70,7 @@ class TestValidation:
             zm([7], [big, big], [1, 1])
 
     def test_empty_to_empty_identity(self):
-        m = validate_morphism(OMEGA, OMEGA, [])
+        m = Morphism(OMEGA, OMEGA, [])
         assert m == identity_morphism(OMEGA)
 
     def test_size_mismatch(self):
@@ -80,13 +79,13 @@ class TestValidation:
         with pytest.raises(InvalidMorphismError):
             zm([2], [6], [2])
 
-    def test_mis_sized_index_function(self):
-        with pytest.raises(InvalidMorphismError, match="sizes"):
-            validate_morphism(zt(2, 3), zt(6), IndexFunction(1, 3, (1,)))
+    def test_an_index_function_is_not_a_map(self):
+        with pytest.raises(InvalidMorphismError, match="are not a sequence"):
+            Morphism(zt(2, 3), zt(6), IndexFunction(1, 2, (1,)))
 
     def test_bool_values_rejected(self):
         with pytest.raises(InvalidMorphismError):
-            validate_morphism(zt(2), zt(6), [True])
+            Morphism(zt(2), zt(6), [True])
         with pytest.raises(InvalidMorphismError):
             IndexFunction(1, 1, (True,))
 
@@ -94,7 +93,7 @@ class TestValidation:
         with pytest.raises(InvalidMorphismError):
             IndexFunction(1, 1, 5)
         with pytest.raises(InvalidMorphismError):
-            validate_morphism(zt(2), zt(6), 5)
+            Morphism(zt(2), zt(6), 5)
 
     def test_string_size_rejected(self):
         with pytest.raises(InvalidMorphismError, match="size"):
@@ -106,7 +105,7 @@ class TestValidation:
         with pytest.raises(InvalidMorphismError, match="size"):
             IndexFunction(True, 1, (1,))
         with pytest.raises(InvalidMorphismError, match="size"):
-            validate_morphism(zt(2), zt(6), IndexFunction(1, True, (1,)))
+            Morphism(zt(2), zt(6), IndexFunction(1, True, (1,)))
 
     def test_float_size_rejected(self):
         with pytest.raises(InvalidMorphismError, match="size"):
@@ -117,6 +116,10 @@ class TestValidation:
     def test_monoid_mismatch(self):
         with pytest.raises(InvalidMorphismError):
             Morphism(zt(2), FactorTuple(NAT, (6,)), (1,))
+
+    def test_negative_index_set_size_rejected(self):
+        with pytest.raises(InvalidMorphismError, match="index set sizes must be non-negative"):
+            IndexFunction(-1, 1, ())
 
     def test_index_function_into_empty_unrepresentable(self):
         with pytest.raises(InvalidMorphismError):
@@ -150,9 +153,9 @@ class TestComposition:
         # landing there equals the direct one
         it = lambda *es: FactorTuple(INTERVAL, tuple(Fraction(*e) for e in es))
         target = empty_tuple(INTERVAL)
-        f = validate_morphism(it((1, 2), (1, 3)), target, [])
-        g = validate_morphism(it((1, 6),), it((1, 2), (1, 3)), [1, 1])
-        direct = validate_morphism(it((1, 6),), target, [])
+        f = Morphism(it((1, 2), (1, 3)), target, [])
+        g = Morphism(it((1, 6),), it((1, 2), (1, 3)), [1, 1])
+        direct = Morphism(it((1, 6),), target, [])
         assert compose(f, g) == direct
 
     def test_identity_morphism_shapes(self):
@@ -323,7 +326,7 @@ class TestEpicMonicIso:
 
     def test_capability_gate(self):
         t = FactorTuple(INTERVAL, (Fraction(1, 2),))
-        m = validate_morphism(t, t, [1])
+        m = Morphism(t, t, [1])
         for probe in (is_epic, is_monic, is_isomorphism):
             with pytest.raises(CapabilityError):
                 probe(m)
@@ -390,7 +393,7 @@ class TestFunctors:
 
     def test_map_along_free_to_integers(self):
         hom = MonoidHom.primes_for_generators(FREE, {"a": 2, "b": 3})
-        src = validate_morphism(
+        src = Morphism(
             FactorTuple(FREE, (("a",),)), FactorTuple(FREE, (("a",), ("b",))), [1, 1]
         )
         image = map_morphism(hom, src)
@@ -400,12 +403,12 @@ class TestFunctors:
 
     def test_map_along_inclusion(self):
         hom = MonoidHom.naturals_into_integers()
-        src = validate_morphism(FactorTuple(NAT, (2,)), FactorTuple(NAT, (6,)), [1])
+        src = Morphism(FactorTuple(NAT, (2,)), FactorTuple(NAT, (6,)), [1])
         image = map_morphism(hom, src)
         assert image.monoid == ZX and image.values == (1,)
 
     def test_map_validates_each_image_once(self, monkeypatch):
-        src = validate_morphism(FactorTuple(NAT, (2, 3)), FactorTuple(NAT, (2, 3, 1)), [1, 2, 2])
+        src = Morphism(FactorTuple(NAT, (2, 3)), FactorTuple(NAT, (2, 3, 1)), [1, 2, 2])
         expected = zm([2, 3], [2, 3, 1], [1, 2, 2])
         calls = []
         validate = type(ZX).validate
@@ -414,7 +417,7 @@ class TestFunctors:
         assert calls == [2, 3, 2, 3, 1]  # once per image entry, in zx
 
     def test_map_skips_the_source_check_of_a_valid_tuple(self, monkeypatch):
-        src = validate_morphism(FactorTuple(NAT, (2, 3)), FactorTuple(NAT, (2, 3, 5)), [1, 2, 2])
+        src = Morphism(FactorTuple(NAT, (2, 3)), FactorTuple(NAT, (2, 3, 5)), [1, 2, 2])
         expected = zm([2, 3], [2, 3, 5], [1, 2, 2])
         calls = {"nat": 0, "zx": 0}
 
@@ -439,6 +442,14 @@ class TestFunctors:
         m = zm([2], [6], [1])
         assert map_morphism(hom, m) == m
         assert map_tuple(hom, zt(2, 3)) == zt(2, 3)
+
+    def test_map_tuple_rejects_a_tuple_over_another_monoid(self):
+        with pytest.raises(ValueError, match="tuple lives in nat, not zx"):
+            map_tuple(MonoidHom.identity(ZX), FactorTuple(NAT, (2,)))
+
+    def test_hom_repr_names_the_map(self):
+        assert repr(MonoidHom.identity(ZX)) == "MonoidHom(id[zx])"
+        assert repr(MonoidHom.naturals_into_integers()) == "MonoidHom(nat->zx)"
 
     def test_unsupported_assignment_rejected(self):
         with pytest.raises(ValueError):

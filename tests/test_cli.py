@@ -3,6 +3,8 @@ code contract (0 ok/true, 1 false/fail, 2 parse, 3 guard, 4 capability)."""
 
 import argparse
 import json
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -267,6 +269,16 @@ class TestGraph:
         )
         assert code == 3
 
+    def test_node_guard_refuses_before_rendering(self, capsys, monkeypatch):
+        # 1001 objects, but only ~10^6 candidate maps: the node guard trips, not the universe's
+        import factorcat.cli as cli
+
+        monkeypatch.setattr(cli, "_render_dot", lambda u: pytest.fail("rendered past the guard"))
+        pool = json.dumps(list(range(1, 1001)))
+        code, out, err = run(capsys, "graph", "--monoid", "nat", "--pool", pool, "--max-len", "1")
+        assert (code, out) == (3, "")
+        assert "graph universe has 1001 nodes; guard is 1000" in err
+
     def test_golden_dot(self, capsys):
         # dashed weak equivalences, bold weakly irreducible edges, plain edges,
         # and no identity loops
@@ -357,6 +369,16 @@ def test_a_second_main_call_builds_no_parser(capsys, monkeypatch):
                         lambda self, *a, **k: built.append(1) or init(self, *a, **k))
     assert main(argv) == 0 and built == []
     assert capsys.readouterr().out == "divides: true (s = 3, r = 21)\n" * 2
+
+
+@pytest.mark.parametrize("argv, code", [(["weakdiv", F_2_6, G_5_105], 0), (["weakdiv", G_5_105, F_2_6], 1)])
+def test_the_module_entry_point_exits_with_the_code_of_main(capsys, monkeypatch, argv, code):
+    # python -m factorcat in this process, so that __main__.py runs under the line trace too
+    expected = (main(argv), capsys.readouterr().out)
+    monkeypatch.setattr(sys, "argv", ["factorcat", *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("factorcat", run_name="__main__")
+    assert (exc.value.code, capsys.readouterr().out) == expected and expected[0] == code
 
 
 def test_round_trip_every_emitted_morphism(capsys):

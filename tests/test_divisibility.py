@@ -23,7 +23,6 @@ from factorcat import (
     braiding,
     chain_stabilizes,
     compose,
-    divisor_class_representatives,
     empty_tuple,
     enumerate_irreducible_factorizations,
     free_monoid,
@@ -41,7 +40,6 @@ from factorcat import (
     tensor_objects,
     total_witness,
     ufd_wedge,
-    validate_morphism,
     weak_div_diagram,
     weakly_associate,
     weakly_divides,
@@ -61,7 +59,7 @@ def zt(*entries):
 
 
 def zm(dom, cod, values):
-    return validate_morphism(zt(*dom), zt(*cod), values)
+    return Morphism(zt(*dom), zt(*cod), values)
 
 
 F_2_6 = lambda: zm([2], [6], [1])
@@ -217,7 +215,7 @@ class TestAtomicChain:
 
     def test_empty_tuple_rejected(self):
         with pytest.raises(ValueError):
-            atomic_chain(validate_morphism(zt(1), empty_tuple(ZX), []))
+            atomic_chain(Morphism(zt(1), empty_tuple(ZX), []))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**9))
@@ -267,31 +265,31 @@ class TestZeta:
 class TestDivisorClasses:
     def test_twelve_has_six_classes(self):
         m = zm([1], [12], [1])
-        assert divisor_class_representatives(ZX, 12) == [1, 2, 3, 4, 6, 12]
+        assert ZX.divisor_class_representatives(12) == [1, 2, 3, 4, 6, 12]
         from factorcat import weak_divisor_classes
 
         assert weak_divisor_classes(m) == [1, 2, 3, 4, 6, 12]
 
     def test_unit_witness(self):
-        assert divisor_class_representatives(ZX, 1) == [1]
-        assert divisor_class_representatives(ZX, -1) == [1]
+        assert ZX.divisor_class_representatives(1) == [1]
+        assert ZX.divisor_class_representatives(-1) == [1]
 
     def test_prime_witness(self):
-        assert divisor_class_representatives(ZX, 13) == [1, 13]
+        assert ZX.divisor_class_representatives(13) == [1, 13]
 
     def test_integer_guard(self):
         with pytest.raises(GuardError):
-            divisor_class_representatives(ZX, -(10**21))
-        assert divisor_class_representatives(ZX, 2**31) == [2**k for k in range(32)]
+            ZX.divisor_class_representatives(-(10**21))
+        assert ZX.divisor_class_representatives(2**31) == [2**k for k in range(32)]
 
     def test_free_guard(self):
         ten = free_monoid("abcdefghij")
         with pytest.raises(GuardError):  # 7**10 classes
-            divisor_class_representatives(ten, ten.validate(ten.generators * 6))
-        assert len(divisor_class_representatives(ten, ten.validate(ten.generators))) == 2**10
+            ten.divisor_class_representatives(ten.validate(ten.generators * 6))
+        assert len(ten.divisor_class_representatives(ten.validate(ten.generators))) == 2**10
 
     def test_free_multiset_classes(self):
-        reps = divisor_class_representatives(FREE, FREE.validate(("a", "a", "b")))
+        reps = FREE.divisor_class_representatives(FREE.validate(("a", "a", "b")))
         assert reps == [FREE.validate(names) for names in (
             (),
             ("a",),
@@ -308,14 +306,14 @@ class TestDivisorClasses:
                     continue
                 n = abs(r)
                 expected = [d for d in range(1, n + 1) if n % d == 0]
-                assert divisor_class_representatives(monoid, r) == expected, (monoid, r)
+                assert monoid.divisor_class_representatives(r) == expected, (monoid, r)
 
     def test_free_matches_sub_multisets(self):
         abc = free_monoid("abc")
         for r in free_elements(abc, 6):
             subs = {c for k in range(len(r) + 1) for c in combinations(r, k)}
             expected = [abc.validate(s) for s in sorted(subs, key=lambda s: (len(s), s))]
-            assert divisor_class_representatives(abc, abc.validate(r)) == expected, r
+            assert abc.divisor_class_representatives(abc.validate(r)) == expected, r
 
 
 class TestChainStabilization:
@@ -468,8 +466,8 @@ class TestUfdWedge:
     def test_free_monoid_wedge(self):
         ft = lambda *es: FactorTuple(FREE, es)
         target = ft(("a",), ("b",))
-        f = validate_morphism(ft(("a",)), target, [1, 1])
-        g = validate_morphism(ft(("b",)), target, [1, 1])
+        f = Morphism(ft(("a",)), target, [1, 1])
+        g = Morphism(ft(("b",)), target, [1, 1])
         out = ufd_wedge(f, g)
         assert isinstance(out, WedgeDiagram)
         assert out.apex.entries == (FREE.validate(("a", "b")),)

@@ -10,6 +10,7 @@ from factorcat import (
     GuardError,
     INTERVAL,
     InvalidMorphismError,
+    Morphism,
     NAT,
     ZX,
     decode_morphism,
@@ -17,7 +18,6 @@ from factorcat import (
     encode_morphism,
     encode_tuple,
     free_monoid,
-    validate_morphism,
 )
 
 FREE = free_monoid("ab")
@@ -48,7 +48,7 @@ def test_tuple_round_trip_free():
 
 
 def test_morphism_round_trip():
-    m = validate_morphism(FactorTuple(ZX, (6, 35)), FactorTuple(ZX, (2, 3, 5, 7)), [1, 1, 2, 2])
+    m = Morphism(FactorTuple(ZX, (6, 35)), FactorTuple(ZX, (2, 3, 5, 7)), [1, 1, 2, 2])
     obj = encode_morphism(m)
     assert obj == {
         "monoid": "zx",
@@ -60,7 +60,7 @@ def test_morphism_round_trip():
 
 
 def test_morphism_key_order_is_stable():
-    m = validate_morphism(FactorTuple(ZX, (2,)), FactorTuple(ZX, (6,)), [1])
+    m = Morphism(FactorTuple(ZX, (2,)), FactorTuple(ZX, (6,)), [1])
     assert list(encode_morphism(m)) == ["monoid", "domain", "codomain", "map"]
 
 

@@ -6,6 +6,7 @@ import pytest
 from factorcat import (
     FactorTuple,
     InvalidMorphismError,
+    Morphism,
     NAT,
     ZX,
     braiding,
@@ -16,7 +17,6 @@ from factorcat import (
     is_isomorphism,
     tensor_morphisms,
     tensor_objects,
-    validate_morphism,
 )
 from factorcat.oracle import LAWS
 
@@ -28,7 +28,7 @@ def zt(*entries):
 
 
 def zm(dom, cod, values):
-    return validate_morphism(zt(*dom), zt(*cod), values)
+    return Morphism(zt(*dom), zt(*cod), values)
 
 
 def small_objects():

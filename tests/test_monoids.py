@@ -1,6 +1,7 @@
 """Element algebra of the four shipped monoid instances."""
 
 import ast
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -126,6 +127,38 @@ def test_validation_rejects_bad_elements():
         INTERVAL.validate(Fraction(0))
     with pytest.raises(ValueError):
         free("c")
+
+
+def test_interval_refuses_bools_and_floats():
+    for a in (True, 0.5):
+        with pytest.raises(ValueError, match=re.escape(f"interval: expected a rational, got {a!r}")):
+            INTERVAL.validate(a)
+        with pytest.raises(ValueError, match=re.escape(f"interval: expected 'p/q', got {a!r}")):
+            INTERVAL.decode(a)
+
+
+def test_free_decode_refuses_a_bad_exponent_or_a_non_string():
+    for part in ("a^0", "a^x"):
+        with pytest.raises(ValueError, match=re.escape(f"free:a,b: bad exponent in {part!r}")):
+            FREE.decode(part)
+    with pytest.raises(ValueError, match="free:a,b: expected a string, got 5"):
+        FREE.decode(5)
+
+
+def test_free_monoids_are_shared_per_alphabet():
+    assert free_monoid(["b", "a"]) is free_monoid("ab")
+
+
+def test_free_monoid_alphabets_must_be_non_empty_identifiers():
+    with pytest.raises(ValueError, match="free monoid needs at least one generator"):
+        free_monoid("")
+    with pytest.raises(ValueError, match="bad generator name '1'"):
+        free_monoid("a,1")
+
+
+def test_monoid_repr_names_the_monoid():
+    assert repr(ZX) == "Monoid('zx')"
+    assert repr(FREE) == "Monoid('free:a,b')"
 
 
 def test_monoid_registry():

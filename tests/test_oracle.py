@@ -51,7 +51,6 @@ from factorcat import (
     underlying_function,
     universe_morphisms,
     universe_objects,
-    validate_morphism,
     weak_div_diagram,
     weakly_divides,
 )
@@ -95,6 +94,11 @@ def run_passing(u, counts):
         assert r.passed, (r.suite, r.failures[:2])
     assert {r.suite: r.cases for r in reports} == counts
     return reports
+
+
+def check(report, law, *args):
+    """Run one case of the named law on the report."""
+    report.run([((law,), [args])])
 
 
 def test_universe_enumeration_is_deterministic():
@@ -310,7 +314,7 @@ def test_a_guard_inside_a_predicate_is_still_a_refusal(monkeypatch):
     failure = {"law": "iso_agreement", "monoid": "zx", "morphism": encode_morphism(identity_morphism(t))}
     monkeypatch.setattr(oracle, "is_isomorphism", refuse)
     with pytest.raises(GuardError):
-        oracle.SuiteReport("iso", "zx").check("iso_agreement", identity_morphism(t))
+        check(oracle.SuiteReport("iso", "zx"), "iso_agreement", identity_morphism(t))
     with pytest.raises(GuardError):
         recheck(failure)
 
@@ -405,9 +409,9 @@ PAYLOAD_KEYS = {
 
 def _passing_payload(law):
     """A payload on which the law holds; g, h and k compose after f."""
-    from factorcat import FactorTuple, encode_morphism, encode_tuple, validate_morphism
+    from factorcat import FactorTuple, encode_morphism, encode_tuple
 
-    m = validate_morphism(FactorTuple(ZX, (2,)), FactorTuple(ZX, (6,)), [1])
+    m = Morphism(FactorTuple(ZX, (2,)), FactorTuple(ZX, (6,)), [1])
     six = identity_morphism(FactorTuple(ZX, (6,)))
     values = {
         "tuple": encode_tuple(FactorTuple(ZX, (2, 3))),
@@ -452,7 +456,7 @@ def test_failure_payloads_come_from_the_registry(monkeypatch):
         args = law.decode(monoid_by_name(payload["monoid"]), payload)
         monkeypatch.setitem(oracle.LAWS, name, replace(law, predicate=lambda *a: False))
         report = oracle.SuiteReport("forced", payload["monoid"])
-        report.check(name, *args)
+        check(report, name, *args)
         monkeypatch.setitem(oracle.LAWS, name, law)
         assert report.failures == [payload]
         assert set(payload) - {"law", "monoid"} == keys
@@ -619,6 +623,19 @@ def test_universe_numeric_fields_must_be_integers(field, value):
         UniverseSpec(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("max_len", -1, "universe bounds must be positive"),
+        ("exhaustive_limit", 0, "universe limits must be positive"),
+        ("sample_size", 0, "universe limits must be positive"),
+    ],
+)
+def test_universe_bounds_must_be_in_range(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        UniverseSpec(**{field: value})
+
+
 def test_universe_object_guard():
     from factorcat import GuardError
 
@@ -675,9 +692,9 @@ def test_shared_map_cache_is_bounded_and_swept():
 
 
 def rebuilt(m):
-    """m rebuilt through FactorTuple and validate_morphism, sharing no
-    object with m."""
-    return validate_morphism(
+    """m rebuilt through FactorTuple and Morphism, sharing no object
+    with m."""
+    return Morphism(
         FactorTuple(m.monoid, m.domain.entries),
         FactorTuple(m.monoid, m.codomain.entries),
         m.values,
@@ -685,7 +702,7 @@ def rebuilt(m):
 
 
 def assert_valid(m):
-    """m equals its rebuild through FactorTuple and validate_morphism.
+    """m equals its rebuild through FactorTuple and Morphism.
 
     Morphism equality leaves out the codomain's monoid, which agrees on
     valid morphisms; since m is the morphism under test, it is compared here
@@ -951,8 +968,8 @@ def test_equality_and_hash_agree_with_fieldwise_reference(u):
 
 def test_equal_entries_over_different_monoids_are_unequal():
     assert FactorTuple(ZX, (2, 3)) != FactorTuple(NAT, (2, 3))
-    f = validate_morphism(FactorTuple(ZX, (2,)), FactorTuple(ZX, (6,)), [1])
-    g = validate_morphism(FactorTuple(NAT, (2,)), FactorTuple(NAT, (6,)), [1])
+    f = Morphism(FactorTuple(ZX, (2,)), FactorTuple(ZX, (6,)), [1])
+    g = Morphism(FactorTuple(NAT, (2,)), FactorTuple(NAT, (6,)), [1])
     assert f != g
     assert FactorTuple(ZX, (2,)) != (2,) and f != underlying_function(f)
 
@@ -1222,6 +1239,6 @@ def test_cases_past_the_stored_failures_are_still_counted(monkeypatch):
 def test_one_checked_case_counts_once():
     report = oracle.SuiteReport("iso", "zx")
     m = identity_morphism(FactorTuple(ZX, (2,)))
-    report.check("iso_agreement", m)
-    report.check("inverse_roundtrip", m)
+    check(report, "iso_agreement", m)
+    check(report, "inverse_roundtrip", m)
     assert report.cases == 2 and report.passed

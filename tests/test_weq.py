@@ -11,6 +11,8 @@ from factorcat import (
     CapabilityError,
     FactorTuple,
     INTERVAL,
+    InvalidMorphismError,
+    Morphism,
     PROPER,
     WEAK_EQUIVALENCE,
     ZX,
@@ -27,7 +29,6 @@ from factorcat import (
     quotient_witnesses,
     right_cancel_witness,
     total_witness,
-    validate_morphism,
 )
 
 from sampling import sample_extension, sample_morphism
@@ -40,7 +41,7 @@ def zt(*entries):
 
 
 def zm(dom, cod, values):
-    return validate_morphism(zt(*dom), zt(*cod), values)
+    return Morphism(zt(*dom), zt(*cod), values)
 
 
 class TestWitnesses:
@@ -56,7 +57,7 @@ class TestWitnesses:
         assert w.per_index == (1, 1) and w.total == 1
 
     def test_empty_codomain_witness_is_inverse_of_product(self):
-        m = validate_morphism(zt(1, -1), OMEGA, [])
+        m = Morphism(zt(1, -1), OMEGA, [])
         w = quotient_witnesses(m)
         assert w.per_index == () and w.total == -1
 
@@ -68,7 +69,7 @@ class TestWitnesses:
     def test_capability_gate(self):
         t = FactorTuple(INTERVAL, (Fraction(1, 2),))
         with pytest.raises(CapabilityError):
-            quotient_witnesses(validate_morphism(t, t, [1]))
+            quotient_witnesses(Morphism(t, t, [1]))
 
 
 class TestWeakEquivalence:
@@ -84,7 +85,7 @@ class TestWeakEquivalence:
         assert is_weak_equivalence(zm([6, 1, 1], [6], [1]))
 
     def test_empty_codomain_always_in_w(self):
-        assert is_weak_equivalence(validate_morphism(zt(1, -1), OMEGA, []))
+        assert is_weak_equivalence(Morphism(zt(1, -1), OMEGA, []))
 
     def test_total_witness_characterizes_membership(self):
         # sampled check: r invertible <=> in W, across morphisms sharing r
@@ -160,7 +161,7 @@ class TestDecomposition:
 
     def test_empty_tuples_rejected(self):
         with pytest.raises(ValueError):
-            decompose_eip(validate_morphism(zt(1), OMEGA, []))
+            decompose_eip(Morphism(zt(1), OMEGA, []))
 
     def test_roundtrip_over_bounded_universe(self):
         pool = [zt(*es) for es in ((1,), (2,), (6,), (1, 2), (2, 3), (6, 1))]
@@ -216,6 +217,10 @@ class TestFractions:
         with pytest.raises(ValueError):
             ore_square(zm([2], [6], [1]), zm([3], [6], [1]))
 
+    def test_ore_requires_a_shared_codomain(self):
+        with pytest.raises(InvalidMorphismError, match="the cospan legs must share a codomain"):
+            ore_square(identity_morphism(zt(6)), zm([2], [2], [1]))
+
     def test_right_cancel_witness(self):
         f = zm([1, 2], [1, 2], [1, 2])
         f2 = zm([1, 2], [1, 2], [2, 2])
@@ -236,6 +241,13 @@ class TestFractions:
         f2 = zm([1, 2], [1, 2], [2, 2])
         with pytest.raises(ValueError):
             right_cancel_witness(f, f2, identity_morphism(zt(1, 2)))
+
+    def test_right_cancel_rejects_non_parallel_maps(self):
+        f = zm([2], [6], [1])
+        g = identity_morphism(zt(6))
+        for f2 in (zm([3], [6], [1]), zm([2], [2], [1])):  # another domain, another codomain
+            with pytest.raises(InvalidMorphismError, match="the first two morphisms must be parallel"):
+                right_cancel_witness(f, f2, g)
 
     def test_right_cancel_rejects_non_weq(self):
         f = zm([2], [6], [1])
@@ -271,8 +283,8 @@ def test_sampled_two_of_three(seed):
 def test_free_monoid_witnesses():
     free = free_monoid("ab")
     ft = lambda *es: FactorTuple(free, es)
-    m = validate_morphism(ft(("a",)), ft(("a",), ("b",)), [1, 1])
+    m = Morphism(ft(("a",)), ft(("a",), ("b",)), [1, 1])
     assert total_witness(m) == free.validate(("b",))
     assert not is_weak_equivalence(m)
-    drop = validate_morphism(ft(("a",), ()), ft(("a",)), [1])
+    drop = Morphism(ft(("a",), ()), ft(("a",)), [1])
     assert is_weak_equivalence(drop)
