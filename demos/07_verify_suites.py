@@ -18,7 +18,7 @@ universe = UniverseSpec(pool=(-1, 1, 2, 3, 6), max_len=2,
                         exhaustive_limit=40_000, sample_size=4_000)
 reports = run_suite(universe)
 for report in reports:
-    status = "PASS" if report.passed else f"FAIL ({len(report.failures)})"
+    status = "PASS" if report.passed else f"FAIL ({sum(report.failed_by_law.values())})"
     print(f"{report.suite:<18} {report.cases:>7} cases  {status}")
 print("all passed:", all_passed(reports))
 

@@ -237,7 +237,7 @@ def _cmd_verify(args):
     payload = [{"suite": r.suite, "cases": r.cases, "failures": r.failures} for r in reports]
     lines = []
     for r in reports:
-        status = "PASS" if r.passed else f"FAIL ({len(r.failures)} counterexamples)"
+        status = "PASS" if r.passed else f"FAIL ({sum(r.failed_by_law.values())} counterexamples)"
         lines.append(f"{r.suite}: {r.cases} cases, {status}")
         lines += [f"  counterexample: {json.dumps(failure)}" for failure in r.failures[:3]]
     return payload, "\n".join(lines), all_passed(reports)

@@ -263,13 +263,6 @@ class WedgeDiagram:
     to_target: Morphism
 
 
-def _irreducible_core_index(monoid: Monoid, entries: tuple) -> int:
-    for i, e in enumerate(entries):
-        if not monoid.is_invertible(e):
-            return i
-    raise ValueError("no non-invertible entry found")  # untraced: an irreducible product has one
-
-
 def ufd_wedge(f: Morphism, g: Morphism):
     """Resolve two weakly irreducible sources over a shared target.
 
@@ -288,9 +281,9 @@ def ufd_wedge(f: Morphism, g: Morphism):
         raise ValueError("both domains must be weakly irreducible tuples")
     v = f.domain.entries
     w = g.domain.entries
-    i0 = _irreducible_core_index(monoid, v)
-    j0 = _irreducible_core_index(monoid, w)
-    # every entry besides the cores is a unit, as both products are irreducible
+    # both products are irreducible: each tuple has exactly one non-unit entry, its core
+    i0 = next(i for i, e in enumerate(v) if not monoid.is_invertible(e))
+    j0 = next(j for j, e in enumerate(w) if not monoid.is_invertible(e))
     if monoid.are_associates(v[i0], w[j0]):
         return _trusted_morphism(f.domain, g.domain, (i0 + 1,) * len(w))
     to_target = _from_element(monoid.op(v[i0], w[j0]), f.codomain)

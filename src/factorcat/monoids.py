@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product as iter_product
 from math import isqrt, prod
 from operator import add, le, sub
@@ -124,10 +124,7 @@ class Monoid:
 
     def product(self, elems: Iterable[Element]) -> Element:
         """Fold of ``op``; the empty product is the identity."""
-        out = self.identity()
-        for a in elems:
-            out = self.op(out, a)
-        return out
+        return reduce(self.op, elems, self.identity())
 
     # -- wire format -----------------------------------------------------
 
@@ -136,8 +133,10 @@ class Monoid:
 
     def decode(self, value) -> Element:
         """Return the validated, normalized element a wire value encodes, or
-        raise ValueError; decoded tuples trust this and skip ``validate``."""
-        raise NotImplementedError
+        raise ValueError; decoded tuples trust this and skip ``validate``.
+        By default the wire value is the element itself, so this is
+        ``validate``; an instance with its own wire format parses it first."""
+        return self.validate(value)
 
     # -- divisibility-only operations -------------------------------------
 
@@ -314,9 +313,6 @@ class NonzeroIntegers(DivisibilityMonoid):
             if limit and abs(a) >= 10**limit:
                 raise GuardError(f"{self.name}: element has over {limit} digits to print")
         return a
-
-    def decode(self, value):
-        return self.validate(value)
 
 
 class PositiveIntegers(NonzeroIntegers):

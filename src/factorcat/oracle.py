@@ -144,20 +144,22 @@ class UniverseSpec:
 
 @dataclass
 class SuiteReport:
-    """Outcome of one suite: cases run and counterexample payloads."""
+    """Outcome of one suite: cases run, failing cases per law, and the
+    counterexample payloads of the first MAX_STORED failures."""
 
     suite: str
     monoid: str
     cases: int = 0
     failures: list = field(default_factory=list)
+    failed_by_law: dict = field(default_factory=dict)  # law -> failing cases, every one counted
 
     MAX_STORED = 50
 
     def run(self, groups: Iterable[tuple[tuple[str, ...], Iterable[tuple]]]) -> None:
         """Check each (law names, population) group: its laws, each bound once,
         on each argument tuple in turn.  A false result or a raise of
-        CASE_ERRORS fails the case; the first MAX_STORED failures keep a
-        payload ("raised" names the exception)."""
+        CASE_ERRORS fails the case, counted in ``failed_by_law``; the first
+        MAX_STORED failures keep a payload ("raised" names the exception)."""
         for names, population in groups:
             checks = [(law, LAWS[law].predicate) for law in names]
             size = 0
@@ -169,6 +171,7 @@ class SuiteReport:
                         raised = {}
                     except CASE_ERRORS as exc:
                         raised = {"raised": type(exc).__name__}
+                    self.failed_by_law[law] = self.failed_by_law.get(law, 0) + 1
                     if len(self.failures) < self.MAX_STORED:
                         payload = LAWS[law].encode(monoid_by_name(self.monoid), args)
                         self.failures.append({"law": law, "monoid": self.monoid, **payload, **raised})
@@ -225,17 +228,10 @@ def _by_domain(u: UniverseSpec) -> tuple[dict, int]:
     leq, op = monoid.leq, monoid.op
     objs = universe_objects(u)
     rows = {t.entries: (t, []) for t in objs}
-    below: dict = {}  # fiber product -> the pool elements below it, in pool order
     sources: dict = {}  # fiber products -> the (domain, row) pairs of the domains below them
     maps: dict = {}  # map -> the one tuple kept for it
     incoming = []  # the number of morphisms into each object, in object order
     assign: list[int] = []  # walk also reads b, ys, m, n, fibers and counts, set by the loop below
-
-    def below_of(f) -> list:
-        xs = below.get(f)
-        if xs is None:
-            xs = below[f] = [x for x in pool if leq(x, f)]
-        return xs
 
     def walk(pos: int) -> int:
         """Append the morphisms into b whose map extends assign; return how many."""
@@ -252,7 +248,8 @@ def _by_domain(u: UniverseSpec) -> tuple[dict, int]:
         key = tuple(fibers)
         domains = sources.get(key)
         if domains is None:
-            domains = sources[key] = [rows[e] for e in iter_product(*map(below_of, key))]
+            below = [[x for x in pool if leq(x, f)] for f in key]  # in pool order
+            domains = sources[key] = [rows[e] for e in iter_product(*below)]
         if domains:
             if counts is not None:  # a hom set of this pass may pass the result guard
                 for a, _ in domains:
@@ -329,7 +326,7 @@ def _composable_pairs(u: UniverseSpec, rng: random.Random):
     by_dom, total = _by_domain(u)
     if total > u.exhaustive_limit:
         return _walks(u, rng, 2, u.sample_size)
-    return ((f, g) for f in universe_morphisms(u) for g in by_dom.get(f.codomain, ()))
+    return ((f, g) for f in universe_morphisms(u) for g in by_dom[f.codomain])
 
 
 # -- law predicates ----------------------------------------------------------

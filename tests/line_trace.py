@@ -7,12 +7,12 @@ code under ``src/factorcat`` before ``factorcat`` is first imported, runs
 ``file:line: source`` for each line that compiles to bytecode yet never ran.
 Subprocesses (the demos, the ``python -m factorcat`` tests) are not traced.
 
-Two kinds of line may stay unreached: ``raise NotImplementedError``, the
-abstract stubs of ``Monoid``, and lines marked ``# untraced: <reason>``,
-which no input can reach.  The exit status is 1 if any other line is left,
-and 0 otherwise.  Test failures are reported but do not set it: tracing makes
-the run several times slower than plain tier-1, enough to break the
-wall-clock budgets of the acceptance tests, which tier-1 checks untraced.
+Only the abstract stubs of ``Monoid``, ``raise NotImplementedError``, may
+stay unreached; a line no input can reach is deleted, not exempted.  The
+exit status is 1 if any other line is left, and 0 otherwise.  Test failures
+are reported but do not set it: tracing makes the run several times slower
+than plain tier-1, enough to break the wall-clock budgets of the acceptance
+tests, which tier-1 checks without the trace.
 """
 
 import os
@@ -67,7 +67,7 @@ def unreached() -> list[str]:
         ran = hits.get(os.path.realpath(path), set())
         for line in sorted(executable_lines(path) - ran):
             text = source[line - 1].strip()
-            if text != "raise NotImplementedError" and "# untraced:" not in text:
+            if text != "raise NotImplementedError":
                 out.append(f"{path.relative_to(ROOT)}:{line}: {text}")
     return out
 

@@ -454,6 +454,29 @@ class TestUfdWedge:
         out = ufd_wedge(f, g)
         assert isinstance(out, WedgeDiagram)
         assert out.apex == zt(6)
+        assert out.from_left == Morphism(f.domain, zt(6), [2])
+        assert out.from_right == Morphism(g.domain, zt(6), [1])
+        assert out.to_target == Morphism(zt(6), zt(36), [1])
+
+    def test_cores_past_index_zero_on_both_sides(self):
+        f = zm([1, 2], [36], [2])
+        g = zm([-1, 1, 3], [36], [3])
+        out = ufd_wedge(f, g)
+        assert isinstance(out, WedgeDiagram)
+        assert out.apex == zt(6)
+        assert out.from_left == Morphism(f.domain, zt(6), [2])
+        assert out.from_right == Morphism(g.domain, zt(6), [3])
+        assert out.to_target == Morphism(zt(6), zt(36), [1])
+
+    def test_associate_cores_past_index_zero_route_through_the_core(self):
+        f = zm([1, 2], [6], [2])
+        g = zm([-1, 1, -2], [6], [3])
+        out = ufd_wedge(f, g)
+        assert out == Morphism(f.domain, g.domain, [2, 2, 2])
+        assert is_weak_equivalence(out)
+        back = ufd_wedge(g, f)
+        assert back == Morphism(g.domain, f.domain, [3, 3])
+        assert is_weak_equivalence(back)
 
     def test_rejects_reducible_sources(self):
         with pytest.raises(ValueError):

@@ -145,6 +145,26 @@ def test_free_decode_refuses_a_bad_exponent_or_a_non_string():
         FREE.decode(5)
 
 
+def test_a_monoid_without_its_own_decode_decodes_through_validate():
+    class Evens(monoids.Monoid):
+        name = "evens"
+
+        def validate(self, a):
+            if isinstance(a, bool) or not isinstance(a, int) or a % 2:
+                raise ValueError(f"evens: expected an even int, got {a!r}")
+            return a
+
+    assert Evens().decode(4) == 4
+    with pytest.raises(ValueError, match="evens: expected an even int, got 3"):
+        Evens().decode(3)
+    # the integer monoids keep the default: their wire value is the element
+    for monoid in (ZX, NAT):
+        assert type(monoid).decode is monoids.Monoid.decode
+        assert monoid.decode(6) == 6
+        with pytest.raises(ValueError, match=f"{monoid.name}: expected a "):
+            monoid.decode("6")
+
+
 def test_free_monoids_are_shared_per_alphabet():
     assert free_monoid(["b", "a"]) is free_monoid("ab")
 

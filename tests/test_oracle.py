@@ -1133,7 +1133,7 @@ def test_an_off_by_one_tensor_shift_fails_the_monoidal_laws(monkeypatch):
     assert "hexagon" in {f["law"] for f in report.failures}
 
 
-def test_a_unit_branch_that_returns_the_unit_fails_the_monoidal_laws(monkeypatch):
+def _patch_tensor_to_return_the_unit(monkeypatch):
     true_tensor = oracle.tensor_morphisms
 
     def returns_the_unit(f, g):
@@ -1146,10 +1146,27 @@ def test_a_unit_branch_that_returns_the_unit_fails_the_monoidal_laws(monkeypatch
         return true_tensor(f, g)
 
     monkeypatch.setattr(oracle, "tensor_morphisms", returns_the_unit)
+
+
+def test_a_unit_branch_that_returns_the_unit_fails_the_monoidal_laws(monkeypatch):
+    _patch_tensor_to_return_the_unit(monkeypatch)
     # hexagon fails first; store every failure so the unit law's are kept too
     monkeypatch.setattr(oracle.SuiteReport, "MAX_STORED", 1000)
     report = _assert_caught_and_reproduced(monkeypatch)
     assert "tensor_unit_morphism" in {f["law"] for f in report.failures}
+
+
+def test_every_failing_case_is_counted_per_law_past_the_stored_payloads(monkeypatch, capsys):
+    from factorcat.cli import main
+
+    _patch_tensor_to_return_the_unit(monkeypatch)
+    report = run_suite(MUTANT_UNIVERSE, ["monoidal_laws"])[0]
+    assert report.failed_by_law == {"hexagon": 90, "braiding_naturality": 100, "tensor_unit_morphism": 50}
+    # only the first MAX_STORED failures keep a payload, and hexagon's come first
+    assert len(report.failures) == oracle.SuiteReport.MAX_STORED
+    assert {f["law"] for f in report.failures} == {"hexagon"}
+    assert main(["verify", "--suite", "monoidal_laws", "--pool", "[1,2]", "--max-len", "2"]) == 1
+    assert f"monoidal_laws: {report.cases} cases, FAIL (240 counterexamples)\n" in capsys.readouterr().out
 
 
 def test_unequal_associates_are_still_asked_by_is_isomorphism(monkeypatch):
