@@ -18,9 +18,24 @@ The morphisms are built codomain first, without the hom-set enumerator: a
 codomain and a map fix every fiber product, and the domains with that map
 are the tuples of pool elements below them (see ``_by_domain``).  So the
 enumerator is checked against an independent construction, and a build
-leaves nothing in its cache.  The brute-force inverse search skips a
-morphism whose codomain product is not below its domain product, since the
-product is a functor and no morphism can then run back.
+leaves nothing in its cache.  Each (codomain, map) that the walk finds a
+domain for is kept once, as a block, and each domain's row as an array of
+block ids: the default universe's 160,991 morphisms are 8,320 blocks, read
+as a sequence that builds a morphism when it is read (``_MorphismRows``).
+A run in one process builds each morphism once, into tuples kept on the
+spec (``_tuples``), so :func:`universe_morphisms` is a tuple there.  The
+brute-force inverse search skips a morphism whose codomain product is not
+below its domain product, since the product is a functor and no morphism
+can then run back.
+
+:func:`run_suite` runs every suite through one per-suite function.  When
+the suites asked for include ``FORKED_SUITES`` and, besides them, a suite
+that reads the morphisms, and ``_can_fork`` holds (fork, two CPUs, one
+thread), it builds the blocks, forks one child for ``FORKED_SUITES`` and
+runs the others itself, both reading the shared blocks; the child returns
+its reports as JSON on a pipe.  A child that fails has its suites run again
+in this process, so the reports, and any error, are those of a run in one
+process.
 
 Each law is one entry of the ``LAWS`` registry: its name, the payload key
 and wire kind of each predicate argument, and the predicate.  A suite is a
@@ -45,11 +60,18 @@ A test that swaps a global the probes call must clear them.
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import signal
+import threading
+from array import array
+from bisect import bisect_right
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
-from itertools import chain, islice, product as iter_product
+from itertools import accumulate, chain, islice, product as iter_product, repeat
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import GuardError
@@ -206,19 +228,50 @@ def universe_objects(u: UniverseSpec) -> tuple[FactorTuple, ...]:
     return tuple(out)
 
 
+class _MorphismRows(Sequence):
+    """Morphisms stored as rows (domain, array of block ids), where block k is
+    the (codomain, map) pair ``codomains[k]``, ``maps[k]``.  Each morphism is
+    built by ``_trusted_morphism`` when it is read, so the table holds one
+    4-byte id per morphism.  Indexing takes ints and slices (a slice gives a
+    tuple), and iteration runs row by row."""
+
+    def __init__(self, codomains: list, maps: list, rows: list[tuple[FactorTuple, array]]):
+        self._codomains, self._maps, self._rows = codomains, maps, rows
+        self._starts = list(accumulate((len(row) for _, row in rows), initial=0))
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
+        i = range(len(self))[i]  # a negative index counts from the end; out of range raises
+        r = bisect_right(self._starts, i) - 1
+        a, row = self._rows[r]
+        k = row[i - self._starts[r]]
+        return _trusted_morphism(a, self._codomains[k], self._maps[k])
+
+    def __iter__(self) -> Iterator[Morphism]:
+        cods, maps = self._codomains.__getitem__, self._maps.__getitem__
+        return chain.from_iterable(
+            map(_trusted_morphism, repeat(a, len(row)), map(cods, row), map(maps, row))
+            for a, row in self._rows)
+
+
 @_per_spec
-def _by_domain(u: UniverseSpec) -> tuple[dict, int]:
-    """Every morphism of the universe grouped by domain, in object order,
-    and the number of composable pairs.
+def _by_domain(u: UniverseSpec) -> tuple[_MorphismRows, dict, int]:
+    """Every morphism of the universe by domain, in object order; the
+    morphisms out of each domain; and the number of composable pairs.
 
     Built codomain first: once a codomain b and a map [len b] -> [n] are
     fixed, so is each fiber product, and the morphisms with that map are the
     domains whose k-th entry is a pool element below the k-th fiber product.
     So for each b, in object order, and each domain length n, the walk runs
     over the n^len(b) maps in lexicographic order, updating the fiber
-    products position by position, and appends one morphism per such domain
-    to that domain's row.  Each row thus lists its morphisms by codomain,
-    then by map, and equal maps share one tuple.
+    products position by position, and records each (b, map) with a domain
+    below it as one block, whose id it appends to each such domain's row.
+    Each row thus lists its morphisms by codomain, then by map, and equal
+    maps share one tuple.
 
     A hom set of more than HOM_RESULT_GUARD maps raises GuardError, as the
     enumerator's does, as soon as the walk finds one map too many; only the
@@ -227,14 +280,16 @@ def _by_domain(u: UniverseSpec) -> tuple[dict, int]:
     monoid, pool = u.monoid, u.pool
     leq, op = monoid.leq, monoid.op
     objs = universe_objects(u)
-    rows = {t.entries: (t, []) for t in objs}
+    rows = {t.entries: (t, array("i")) for t in objs}
     sources: dict = {}  # fiber products -> the (domain, row) pairs of the domains below them
     maps: dict = {}  # map -> the one tuple kept for it
+    codomains: list = []  # block id -> its codomain
+    block_maps: list = []  # block id -> its map
     incoming = []  # the number of morphisms into each object, in object order
     assign: list[int] = []  # walk also reads b, ys, m, n, fibers and counts, set by the loop below
 
     def walk(pos: int) -> int:
-        """Append the morphisms into b whose map extends assign; return how many."""
+        """Record the morphisms into b whose map extends assign; return how many."""
         if pos < m:
             y, made = ys[pos], 0
             for target in range(n):
@@ -257,9 +312,11 @@ def _by_domain(u: UniverseSpec) -> tuple[dict, int]:
                         raise _too_many_maps(n, m)
                     counts[a] += 1
             values = tuple(assign)
-            values = maps.setdefault(values, values)
-            for a, row in domains:
-                row.append(_trusted_morphism(a, b, values))
+            block = len(codomains)
+            codomains.append(b)
+            block_maps.append(maps.setdefault(values, values))
+            for _, row in domains:
+                row.append(block)
         return len(domains)
 
     try:
@@ -272,14 +329,31 @@ def _by_domain(u: UniverseSpec) -> tuple[dict, int]:
             incoming.append(made)
     finally:
         del walk  # walk holds itself through its cell; drop that cycle here
-    by_dom = dict(rows.values())
-    return by_dom, sum(k * len(by_dom[t]) for k, t in zip(incoming, objs))
+    by_dom = {a: _MorphismRows(codomains, block_maps, [(a, row)]) for a, row in rows.values()}
+    pairs = sum(k * len(by_dom[t]) for k, t in zip(incoming, objs))
+    return _MorphismRows(codomains, block_maps, list(rows.values())), by_dom, pairs
 
 
 @_per_spec
-def universe_morphisms(u: UniverseSpec) -> tuple[Morphism, ...]:
-    """Every morphism of the universe, by domain, then codomain, then map."""
-    return tuple(chain.from_iterable(_by_domain(u)[0].values()))
+def _tuples(u: UniverseSpec) -> tuple[tuple[Morphism, ...], dict, int]:
+    """The tables of ``_by_domain`` with each morphism built once: the tuple
+    of every morphism, and the tuple out of each domain, sharing them."""
+    _, by_dom, pairs = _by_domain(u)
+    by_dom = {a: tuple(row) for a, row in by_dom.items()}  # in object order, as the rows are
+    return tuple(chain.from_iterable(by_dom.values())), by_dom, pairs
+
+
+def _tables(u: UniverseSpec) -> tuple[Sequence[Morphism], dict, int]:
+    """The morphism tables the suites read: the blocks while a forked run
+    shares them (see ``_forked``), else the tuples."""
+    return _by_domain(u) if "_forked" in u.__dict__ else _tuples(u)
+
+
+def universe_morphisms(u: UniverseSpec) -> Sequence[Morphism]:
+    """Every morphism of the universe, by domain, then codomain, then map: a
+    tuple, or inside a forked run the sequence of blocks that builds each
+    morphism when it is read (see ``_MorphismRows``)."""
+    return _tables(u)[0]
 
 
 @_per_spec
@@ -311,8 +385,7 @@ def _k_tuples(items, k: int, u: UniverseSpec, rng: random.Random):
 
 def _walks(u: UniverseSpec, rng: random.Random, k: int, count: int):
     """count seeded composable chains [f1, ..., fk], drawn step by step."""
-    morphs = universe_morphisms(u)
-    by_dom = _by_domain(u)[0]
+    morphs, by_dom, _ = _tables(u)
     for _ in range(count):
         steps = [morphs[rng.randrange(len(morphs))]]
         for _ in range(k - 1):
@@ -323,10 +396,10 @@ def _walks(u: UniverseSpec, rng: random.Random, k: int, count: int):
 
 def _composable_pairs(u: UniverseSpec, rng: random.Random):
     """Pairs (f, g) with g composable after f, exhaustive or sampled."""
-    by_dom, total = _by_domain(u)
+    morphs, by_dom, total = _tables(u)
     if total > u.exhaustive_limit:
         return _walks(u, rng, 2, u.sample_size)
-    return ((f, g) for f in universe_morphisms(u) for g in by_dom[f.codomain])
+    return ((f, g) for f in morphs for g in by_dom[f.codomain])
 
 
 # -- law predicates ----------------------------------------------------------
@@ -677,26 +750,121 @@ SUITES: dict[str, tuple[Callable[..., Iterator[tuple]], bool]] = {
     "adjunction": (_adjunction, False),
 }
 
+# the suites a forked child runs (see run_suite), all of them reading the
+# morphisms: on the default universe they take about four fifths of the CPU
+# time of the other four, so this process sets a verify's time, and a child
+# whose CPU runs up to a fifth slower than this one's does not lengthen it
+# (the two CPUs of a shared virtual machine change speed apart; README)
+FORKED_SUITES = ("epic_monic", "iso", "two_of_three")
+
+# the suites that never read the morphisms: with no other suite in its
+# share, this process would only wait on the child
+_WITHOUT_MORPHISMS = ("homset_formulas", "adjunction")
+
+
+def _run(u: UniverseSpec, name: str) -> SuiteReport:
+    report = SuiteReport(name, u.monoid.name)
+    report.run(SUITES[name][0](u, _rng(u, name)))
+    return report
+
+
+def _can_fork() -> bool:
+    """Whether a second process can take a share of the suites: fork exists,
+    the process may run on two CPUs, and it has no other thread (a fork
+    copies only the calling one, and Python 3.12 warns about it)."""
+    return (
+        hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) > 1
+        and threading.active_count() == 1
+    )
+
+
+def _forked(u: UniverseSpec, names: list[str], in_child: list[bool]) -> list[SuiteReport]:
+    """Run the suites flagged ``in_child`` in a forked child and the others
+    here; return every report in the order of ``names``.
+
+    The blocks are built before the fork and both processes read them, not
+    the tuples, so the child copies few pages of the parent's heap.  The
+    child writes its reports to a pipe as JSON and leaves by os._exit, so
+    nothing of the caller's runs in it.  The child is always reaped.  If a
+    suite here raises, the child is killed and the child's suites listed
+    before that one run again here first, so the error raised is the first
+    of a run in one process.  If the child exits non-zero or its output does
+    not parse, its suites run again here, so an error among them is raised
+    here with its own type."""
+    try:
+        _by_domain(u)
+    except Exception:  # raised again by the first suite that reads it, as in one process
+        return [_run(u, n) for n in names]
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare (EAGAIN, ENOMEM): every suite runs here
+        os.close(read_end)
+        os.close(write_end)
+        return [_run(u, n) for n in names]
+    theirs = [n for n, child in zip(names, in_child) if child]
+    u.__dict__["_forked"] = True  # both processes read the blocks (see _tables)
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "w", encoding="utf-8") as out:
+                json.dump([vars(_run(u, n)) for n in theirs], out)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    reports: list = []  # this process's reports, None in the child's places
+    try:
+        with open(read_end, encoding="utf-8") as pipe:
+            for n, child in zip(names, in_child):
+                reports.append(None if child else _run(u, n))
+            data = pipe.read()
+    except BaseException as error:
+        os.kill(pid, signal.SIGKILL)
+        if isinstance(error, Exception):  # as in one process, the child's suites listed first go first
+            for n, child in zip(names, in_child[:len(reports)]):
+                if child:
+                    _run(u, n)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+        del u.__dict__["_forked"]
+    try:
+        received = [SuiteReport(**r) for r in json.loads(data)] if status == 0 else []
+    except (ValueError, TypeError):
+        received = []
+    if [r.suite for r in received] != theirs:
+        received = [_run(u, n) for n in theirs]
+    received = iter(received)
+    return [next(received) if child else r for r, child in zip(reports, in_child)]
+
 
 def run_suite(u: UniverseSpec, names: Iterable[str] | None = None) -> list[SuiteReport]:
     """Run the named suites (all capability-compatible ones by default) and
     return their reports in order.  Unknown names raise ValueError, and a
-    divisibility-only suite on another monoid raises CapabilityError."""
+    divisibility-only suite on another monoid raises CapabilityError, before
+    any suite runs.
+
+    When ``FORKED_SUITES`` are asked for, and besides them a suite that reads
+    the morphisms, and ``_can_fork`` holds, a forked child runs the former
+    while this process runs the rest (see ``_forked``); otherwise every
+    suite runs here."""
     if names is None:
         names = [n for n, (_, div) in SUITES.items() if u.monoid.is_divisibility or not div]
     names = list(names)
     for n in names:
         if n not in SUITES:
             raise ValueError(f"unknown suite {n!r}")
-    reports = []
     for n in names:
-        groups, needs_divisibility = SUITES[n]
-        if needs_divisibility:
+        if SUITES[n][1]:
             u.monoid.require_divisibility(f"suite {n!r}")
-        rep = SuiteReport(n, u.monoid.name)
-        rep.run(groups(u, _rng(u, n)))
-        reports.append(rep)
-    return reports
+    in_child = [n in FORKED_SUITES for n in names]
+    here_reads_morphisms = any(n not in FORKED_SUITES + _WITHOUT_MORPHISMS for n in names)
+    if any(in_child) and here_reads_morphisms and _can_fork():
+        return _forked(u, names, in_child)
+    return [_run(u, n) for n in names]
 
 
 def all_passed(reports: Iterable[SuiteReport]) -> bool:

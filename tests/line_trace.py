@@ -5,7 +5,10 @@ It installs a ``sys.settrace`` (and ``threading.settrace``) line tracer for
 code under ``src/factorcat`` before ``factorcat`` is first imported, runs
 ``pytest.main(["tests", "-q"])`` in this process, and then prints
 ``file:line: source`` for each line that compiles to bytecode yet never ran.
-Subprocesses (the demos, the ``python -m factorcat`` tests) are not traced.
+A forked child inherits the trace, and ``os._exit``, which it leaves by, is
+wrapped to first write the child's lines to a temporary directory, merged in
+here.  Started subprocesses (the demos, the ``python -m factorcat`` tests)
+are not traced.
 
 Only the abstract stubs of ``Monoid``, ``raise NotImplementedError``, may
 stay unreached; a line no input can reach is deleted, not exempted.  The
@@ -15,8 +18,10 @@ than plain tier-1, enough to break the wall-clock budgets of the acceptance
 tests, which tier-1 checks without the trace.
 """
 
+import json
 import os
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -60,12 +65,28 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
-def unreached() -> list[str]:
+def _exit_leaving_hits(children: Path, real_exit):
+    """os._exit that first writes this process's hits to children/<pid>.json."""
+
+    def _exit(status):
+        dump = {path: sorted(lines) for path, lines in hits.items()}
+        (children / f"{os.getpid()}.json").write_text(json.dumps(dump), encoding="utf-8")
+        real_exit(status)
+
+    return _exit
+
+
+def unreached(children: Path) -> list[str]:
+    """The lines that neither this process nor a child that left its hits in
+    children ran."""
+    ran = {path: set(lines) for path, lines in hits.items()}
+    for dump in children.glob("*.json"):
+        for path, lines in json.loads(dump.read_text(encoding="utf-8")).items():
+            ran.setdefault(path, set()).update(lines)
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8").splitlines()
-        ran = hits.get(os.path.realpath(path), set())
-        for line in sorted(executable_lines(path) - ran):
+        for line in sorted(executable_lines(path) - ran.get(os.path.realpath(path), set())):
             text = source[line - 1].strip()
             if text != "raise NotImplementedError":
                 out.append(f"{path.relative_to(ROOT)}:{line}: {text}")
@@ -77,16 +98,20 @@ def main() -> int:
         raise SystemExit("factorcat was imported before the tracer was installed")
     import pytest
 
-    threading.settrace(_trace)
-    sys.settrace(_trace)
-    try:
-        status = pytest.main([str(ROOT / "tests"), "-q"])
-    finally:
-        sys.settrace(None)
-        threading.settrace(None)
+    real_exit = os._exit
+    with tempfile.TemporaryDirectory(prefix="line-trace-") as children:
+        os._exit = _exit_leaving_hits(Path(children), real_exit)
+        threading.settrace(_trace)
+        sys.settrace(_trace)
+        try:
+            status = pytest.main([str(ROOT / "tests"), "-q"])
+        finally:
+            sys.settrace(None)
+            threading.settrace(None)
+            os._exit = real_exit
+        left = unreached(Path(children))
     if status != 0:
         print(f"pytest exited with {status} under the trace; its failures may leave lines unreached")
-    left = unreached()
     print("\n".join(left) if left else "every line of src/factorcat ran")
     return int(bool(left))
 

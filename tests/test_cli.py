@@ -2,6 +2,7 @@
 code contract (0 ok/true, 1 false/fail, 2 parse, 3 guard, 4 capability)."""
 
 import argparse
+import hashlib
 import json
 import runpy
 import sys
@@ -330,6 +331,17 @@ class TestVerify:
         assert code == 0
         assert payload[0]["suite"] == "adjunction"
         assert payload[0]["failures"] == []
+
+    def test_the_default_json_is_the_recorded_bytes(self, capsys, monkeypatch, cold_default_verify):
+        # the fixture's in-process reports, printed by verify, hash to the
+        # stdout digest tests/compat.json recorded on every interpreter
+        from factorcat import cli
+
+        monkeypatch.setattr(cli, "run_suite", lambda u, names: cold_default_verify.reports)
+        code, out, _ = run(capsys, "verify", "--json")
+        recorded = json.loads((Path(__file__).resolve().parent / "compat.json").read_text())
+        digests = {row["verify_json_sha256"]["0"] for row in recorded["interpreters"]}
+        assert code == 0 and digests == {hashlib.sha256(out.encode()).hexdigest()}
 
     def test_interval_universe(self, capsys):
         code, out, _ = run(

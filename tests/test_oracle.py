@@ -1,12 +1,18 @@
 """Verification suites: bounded-universe law checks, determinism, and the
 self-test that a corrupted operation is caught with a usable counterexample."""
 
+import errno
 import gc
 import hashlib
 import json
+import os
 import random
+import signal
+import threading
+import time
 import weakref
 import zlib
+from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
@@ -17,6 +23,7 @@ import factorcat.oracle as oracle
 from factorcat import (
     CapabilityError,
     FactorTuple,
+    GuardError,
     INTERVAL,
     IndexFunction,
     InvalidMorphismError,
@@ -171,6 +178,7 @@ def test_forced_failures_keep_their_cases_and_order(monkeypatch):
 
         monkeypatch.setitem(oracle.LAWS, name, replace(law, predicate=predicate))
     monkeypatch.setattr(oracle.SuiteReport, "MAX_STORED", 10**6)
+    monkeypatch.setattr(oracle, "_can_fork", lambda: False)  # ran counts the laws run in this process
     free_ab = replace(FREE_AB_UNIVERSE, exhaustive_limit=20_000, sample_size=2_000)
     runs = []
     for key, u in (("small", SMALL), ("degenerate", DEGENERATE),
@@ -305,8 +313,6 @@ def test_a_predicate_that_raises_is_a_counterexample(monkeypatch, capsys):
 
 
 def test_a_guard_inside_a_predicate_is_still_a_refusal(monkeypatch):
-    from factorcat import GuardError
-
     def refuse(m):
         raise GuardError("refused")
 
@@ -637,8 +643,6 @@ def test_universe_bounds_must_be_in_range(field, value, message):
 
 
 def test_universe_object_guard():
-    from factorcat import GuardError
-
     with pytest.raises(GuardError):
         universe_objects(UniverseSpec(max_len=5))
 
@@ -860,8 +864,6 @@ def test_a_cold_build_does_not_call_the_enumerator(u):
 
 def test_the_build_refuses_a_hom_set_past_the_result_guard(monkeypatch):
     # (1)^3 -> (1)^3 is the largest hom set of the unit universe, with 3^3 maps
-    from factorcat import GuardError
-
     u, ones = UniverseSpec(pool=(1,), max_len=3), FactorTuple(ZX, (1, 1, 1))
     monkeypatch.setattr(oracle, "HOM_RESULT_GUARD", 27)
     assert len(universe_homs(replace(u))[ones, ones]) == 27
@@ -1259,3 +1261,214 @@ def test_one_checked_case_counts_once():
     check(report, "iso_agreement", m)
     check(report, "inverse_roundtrip", m)
     assert report.cases == 2 and report.passed
+
+
+# -- the universe as blocks -----------------------------------------------------
+
+
+def test_the_blocks_read_like_the_tuple_of_morphisms():
+    # a forked run reads the blocks where a run in one process reads the tuples
+    blocks, by_dom, pairs = oracle._by_domain(SMALL)
+    listed, listed_by_dom, listed_pairs = oracle._tuples(SMALL)
+    assert isinstance(blocks, Sequence) and len(blocks) == len(listed) == 559 and pairs == listed_pairs
+    assert tuple(blocks) == listed == universe_morphisms(SMALL)
+    assert [blocks[i] for i in (0, 1, 280, -1, -559)] == [listed[i] for i in (0, 1, 280, -1, -559)]
+    assert blocks[3:500:7] == listed[3:500:7] and blocks[::-1] == listed[::-1]
+    for i in (559, -560):
+        with pytest.raises(IndexError):
+            blocks[i]
+    assert random.Random(1).sample(blocks, 9) == random.Random(1).sample(listed, 9)
+    assert list(by_dom) == list(listed_by_dom)
+    assert all(tuple(row) == listed_by_dom[a] for a, row in by_dom.items())
+    assert all(row[len(row) - 1] == listed_by_dom[a][-1] for a, row in by_dom.items())
+
+
+# -- verify on two processes ----------------------------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the platform has no os.fork")
+
+
+def _count_forks(monkeypatch) -> list:
+    """Let run_suite fork on what looks like two CPUs; returns the list
+    the child pids are appended to."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _assert_no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_a_forked_run_reports_what_an_in_process_run_does(monkeypatch):
+    # suites fail on both sides: the child's cases, payloads, per-law counts
+    # and order come back through the pipe as the in-process run has them
+    _patch_tensor_to_return_the_unit(monkeypatch)
+    true_iso = oracle.is_isomorphism
+    monkeypatch.setattr(oracle, "is_isomorphism", lambda m: true_iso(m) != (2 in m.domain))
+    names = ["weakdiv", "iso", "monoidal_laws", "homset_formulas", "iso", "adjunction"]
+    in_process = [run_suite(replace(MUTANT_UNIVERSE), n) for n in (None, names)]
+    forks = _count_forks(monkeypatch)
+    read, reflexive = [], oracle.LAWS["weakdiv_reflexive"].predicate
+    monkeypatch.setitem(oracle.LAWS, "weakdiv_reflexive", replace(
+        oracle.LAWS["weakdiv_reflexive"], predicate=lambda f: read.append(type(universe_morphisms(u))) or reflexive(f)))
+    forked = []
+    for n in (None, names):
+        u = replace(MUTANT_UNIVERSE)
+        forked.append(run_suite(u, n))
+        assert type(universe_morphisms(u)) is tuple  # once the child is reaped, the tuples
+    assert len(forks) == 2 and set(read) == {oracle._MorphismRows}  # this process read the blocks
+    assert [[r.suite for r in reports] for reports in forked] == [list(SUITES), names]
+    assert forked[0][2].failed_by_law and forked[0][4].failed_by_law  # iso in the child, monoidal_laws here
+    as_data = [[vars(r) for r in reports] for reports in forked]
+    assert as_data == [[vars(r) for r in reports] for reports in in_process]
+    assert json.dumps(as_data) == json.dumps([[vars(r) for r in reports] for reports in in_process])
+    _assert_no_child_is_left()
+
+
+def _no_process_to_spare():
+    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize(
+    "setting", ["one CPU", "no fork", "a failing fork", "a second thread", "no morphisms read here"])
+def test_verify_runs_in_process_where_it_cannot_fork_or_the_fork_cannot_pay(monkeypatch, setting):
+    forks = _count_forks(monkeypatch)
+    u, names = replace(MUTANT_UNIVERSE), list(SUITES)
+    fds = len(os.listdir("/dev/fd"))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if setting == "one CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif setting == "no fork":
+        monkeypatch.delattr(os, "fork")
+    elif setting == "a failing fork":
+        monkeypatch.setattr(os, "fork", _no_process_to_spare)
+    elif setting == "a second thread":
+        thread.start()
+    else:  # the child's share is all that reads the morphisms
+        names = ["homset_formulas", "iso", "adjunction", "epic_monic"]
+    try:
+        reports = run_suite(u, names)
+    finally:
+        stop.set()
+        if thread.is_alive():
+            thread.join()
+    assert forks == [] and [r.suite for r in reports] == names and all_passed(reports)
+    assert len(os.listdir("/dev/fd")) == fds  # the pipe of a failed fork is closed
+
+
+@needs_fork
+@pytest.mark.parametrize("child_status, rerun", [(0, []), (1, ["epic_monic", "iso", "two_of_three"])])
+def test_this_process_reruns_the_child_suites_only_when_the_child_fails(monkeypatch, child_status, rerun):
+    ran, run, exit_ = [], oracle._run, os._exit
+    monkeypatch.setattr(oracle, "_run", lambda u, name: ran.append(name) or run(u, name))
+    monkeypatch.setattr(os, "_exit", lambda status: exit_(status or child_status))  # only the child exits
+    forks = _count_forks(monkeypatch)
+    reports = run_suite(replace(MUTANT_UNIVERSE))
+    assert len(forks) == 1 and [r.suite for r in reports] == list(SUITES) and all_passed(reports)
+    assert ran == [n for n in SUITES if n not in oracle.FORKED_SUITES] + rerun
+    _assert_no_child_is_left()
+
+
+@needs_fork
+def test_a_child_whose_output_does_not_parse_has_its_suites_rerun_here(monkeypatch):
+    in_process = run_suite(replace(MUTANT_UNIVERSE))
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(json, "dump", lambda value, out: out.write("[{"))  # only the child dumps
+    forked = run_suite(replace(MUTANT_UNIVERSE))
+    assert len(forks) == 1 and [vars(r) for r in forked] == [vars(r) for r in in_process]
+    _assert_no_child_is_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("error, code", [(TypeError, 2), (GuardError, 3)])
+def test_an_error_in_the_forked_share_keeps_its_type_and_exit_code(monkeypatch, capsys, error, code):
+    from factorcat.cli import main
+
+    def raises(*args):
+        raise error("miswired")
+
+    monkeypatch.setitem(oracle.LAWS, "iso_agreement",
+                        replace(oracle.LAWS["iso_agreement"], predicate=raises))
+    argv = ["verify", "--pool", "[1,2]", "--max-len", "2"]
+    in_process = main(argv), capsys.readouterr()
+    forks = _count_forks(monkeypatch)
+    forked = main(argv), capsys.readouterr()
+    assert len(forks) == 1 and forked == in_process
+    assert in_process[0] == code and in_process[1].err == "error: miswired\n"
+    _assert_no_child_is_left()
+
+
+@needs_fork
+def test_a_raise_in_this_process_kills_and_reaps_the_child(monkeypatch):
+    def stalls(m):
+        time.sleep(10)  # 51 morphisms: the child would run for minutes unless killed
+        return True
+
+    def raises(*args):
+        raise TypeError("miswired")
+
+    monkeypatch.setitem(oracle.LAWS, "epic_agreement",
+                        replace(oracle.LAWS["epic_agreement"], predicate=stalls))
+    monkeypatch.setitem(oracle.LAWS, "hom_count_from_empty",  # homset_formulas, the first suite here
+                        replace(oracle.LAWS["hom_count_from_empty"], predicate=raises))
+    kills, kill = [], os.kill
+    monkeypatch.setattr(os, "kill", lambda pid, sig: kills.append((pid, sig)) or kill(pid, sig))
+    forks = _count_forks(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(TypeError, match="miswired"):
+        run_suite(replace(MUTANT_UNIVERSE))
+    assert time.perf_counter() - start < 5
+    assert kills == [(forks[0], signal.SIGKILL)]
+    _assert_no_child_is_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("names, first", [(["weakdiv", "iso"], GuardError), (["iso", "weakdiv"], TypeError)])
+def test_when_both_processes_raise_the_first_error_in_list_order_is_raised(monkeypatch, names, first):
+    def raises(error):
+        def predicate(*args):
+            raise error("miswired")
+        return predicate
+
+    monkeypatch.setitem(oracle.LAWS, "weakdiv_reflexive",
+                        replace(oracle.LAWS["weakdiv_reflexive"], predicate=raises(GuardError)))
+    monkeypatch.setitem(oracle.LAWS, "iso_agreement",
+                        replace(oracle.LAWS["iso_agreement"], predicate=raises(TypeError)))
+    with pytest.raises(first):
+        run_suite(replace(MUTANT_UNIVERSE), names)
+    forks = _count_forks(monkeypatch)
+    with pytest.raises(first):
+        run_suite(replace(MUTANT_UNIVERSE), names)
+    assert len(forks) == 1
+    _assert_no_child_is_left()
+
+
+@needs_fork
+def test_a_build_that_raises_runs_every_suite_here_so_an_earlier_suite_raises_first(monkeypatch):
+    def raises(*args):
+        raise TypeError("miswired")
+
+    monkeypatch.setattr(oracle, "HOM_RESULT_GUARD", 2)  # the build trips its guard
+    monkeypatch.setitem(oracle.LAWS, "hom_count_from_empty",
+                        replace(oracle.LAWS["hom_count_from_empty"], predicate=raises))
+    names = ["homset_formulas", "iso", "weakdiv"]
+    forks = _count_forks(monkeypatch)
+    with pytest.raises(TypeError, match="miswired"):
+        run_suite(replace(MUTANT_UNIVERSE), names)
+    monkeypatch.setitem(oracle.LAWS, "hom_count_from_empty", replace(
+        oracle.LAWS["hom_count_from_empty"], predicate=lambda *args: True))
+    with pytest.raises(GuardError):
+        run_suite(replace(MUTANT_UNIVERSE), names)
+    assert forks == []
