@@ -13,8 +13,8 @@ distinct map, but equal maps may be distinct objects: never compare by identity.
 
 A braiding's map depends only on the two lengths, and the identity on t is
 the braiding of t with ().  Braidings and identities of at most
-BRAID_SHAPE_BOUND entries share one map per shape from a bounded cache,
-``_swap_map``, that ``cache_clear`` empties; longer ones build theirs afresh.
+BRAID_SHAPE_BOUND entries share one map per shape from ``_SWAPS``, a table
+built once at import; longer ones build theirs afresh with ``_swap_map``.
 
 Index values are 1-based throughout, matching the wire format.
 
@@ -287,17 +287,20 @@ def fiber_products(m: Morphism) -> list:
     return fibers
 
 
-@lru_cache(maxsize=(BRAID_SHAPE_BOUND + 1) * (BRAID_SHAPE_BOUND + 2) // 2)  # every shape
 def _swap_map(n: int, m: int) -> tuple[int, ...]:
     """The map of the braiding of n entries past m; _swap_map(n, 0) is the identity's."""
     return tuple(range(n + 1, n + m + 1)) + tuple(range(1, n + 1))
 
 
+# _SWAPS[n][m] is the one shared _swap_map(n, m) of each shape with n + m <= BRAID_SHAPE_BOUND
+_SWAPS = tuple(tuple(_swap_map(n, m) for m in range(BRAID_SHAPE_BOUND + 1 - n))
+               for n in range(BRAID_SHAPE_BOUND + 1))
+
+
 def identity_morphism(t: FactorTuple) -> Morphism:
     """The identity on t, the braiding of t with (); its map is shared as the braid's is."""
     n = len(t.entries)
-    build = _swap_map if n <= BRAID_SHAPE_BOUND else _swap_map.__wrapped__
-    return _trusted_morphism(t, t, build(n, 0))
+    return _trusted_morphism(t, t, _SWAPS[n][0] if n <= BRAID_SHAPE_BOUND else _swap_map(n, 0))
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
@@ -306,7 +309,8 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     On maps this is composition the other way round: the result sends a
     position k of g's codomain to f.values[g.values[k]].
     """
-    if f.codomain is not g.domain and f.codomain != g.domain:
+    b, c = f.codomain, g.domain  # FactorTuple equality, read off the fields inline
+    if b is not c and (b.entries != c.entries or (b.monoid is not c.monoid and b.monoid != c.monoid)):
         raise InvalidMorphismError(
             "cannot compose: codomain of the first-applied morphism differs "
             "from the domain of the second"

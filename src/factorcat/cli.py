@@ -12,7 +12,8 @@ text is printed in both modes (the DOT of ``graph``); a text of None means
 there is nothing to print (``graph --out`` wrote a file).
 
 Exit codes: 0 ok or true, 1 false or suite failure, 2 parse or validation
-error, 3 resource guard exceeded, 4 capability error.
+error, 3 resource guard exceeded, 4 capability error, 70 any other exception
+(a fault in factorcat itself, reported on one line without a traceback).
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ EXIT_FALSE = 1
 EXIT_PARSE = 2
 EXIT_GUARD = 3
 EXIT_CAPABILITY = 4
+EXIT_SOFTWARE = 70  # sysexits.h EX_SOFTWARE
 
 GRAPH_NODE_GUARD = 1000
 
@@ -314,6 +316,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOFTWARE
     if text is not None:
         print(text if payload is None or not args.json else json.dumps(payload))
     return EXIT_OK if ok else EXIT_FALSE

@@ -15,6 +15,7 @@ from .category import (
     BRAID_SHAPE_BOUND,
     FactorTuple,
     Morphism,
+    _SWAPS,
     _swap_map,
     _trusted_arrow,
     _trusted_tuple,
@@ -52,6 +53,6 @@ def braiding(s: FactorTuple, t: FactorTuple) -> Morphism:
         require_same_monoid(s, t, "braiding")
     xs, ys = s.entries, t.entries
     n, m = len(xs), len(ys)
-    swap = _swap_map if n + m <= BRAID_SHAPE_BOUND else _swap_map.__wrapped__
-    return _trusted_arrow(s.monoid, xs + ys, ys + xs, swap(n, m))
+    values = _SWAPS[n][m] if n + m <= BRAID_SHAPE_BOUND else _swap_map(n, m)
+    return _trusted_arrow(s.monoid, xs + ys, ys + xs, values)
 

@@ -243,13 +243,15 @@ class _MorphismRows(Sequence):
         return self._starts[-1]
 
     def __getitem__(self, i):
+        starts = self._starts
+        if i.__class__ is int and 0 <= i < starts[-1]:  # the suites' reads: no range, no __len__
+            r = bisect_right(starts, i) - 1
+            a, row = self._rows[r]
+            k = row[i - starts[r]]
+            return _trusted_morphism(a, self._codomains[k], self._maps[k])
         if isinstance(i, slice):
             return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
-        i = range(len(self))[i]  # a negative index counts from the end; out of range raises
-        r = bisect_right(self._starts, i) - 1
-        a, row = self._rows[r]
-        k = row[i - self._starts[r]]
-        return _trusted_morphism(a, self._codomains[k], self._maps[k])
+        return self[range(len(self))[i]]  # a negative index counts from the end; out of range raises
 
     def __iter__(self) -> Iterator[Morphism]:
         cods, maps = self._codomains.__getitem__, self._maps.__getitem__
@@ -371,9 +373,9 @@ def _rng(u: UniverseSpec, suite: str) -> random.Random:
 
 def _draws(items, k: int, rng: random.Random, count: int):
     """count seeded k-tuples of items, drawn left to right."""
-    size = len(items)
+    size, draw = len(items), rng.randrange
     for _ in range(count):
-        yield tuple(items[rng.randrange(size)] for _ in range(k))
+        yield tuple([items[draw(size)] for _ in range(k)])
 
 
 def _k_tuples(items, k: int, u: UniverseSpec, rng: random.Random):
@@ -386,11 +388,12 @@ def _k_tuples(items, k: int, u: UniverseSpec, rng: random.Random):
 def _walks(u: UniverseSpec, rng: random.Random, k: int, count: int):
     """count seeded composable chains [f1, ..., fk], drawn step by step."""
     morphs, by_dom, _ = _tables(u)
+    size, draw = len(morphs), rng.randrange
     for _ in range(count):
-        steps = [morphs[rng.randrange(len(morphs))]]
+        steps = [morphs[draw(size)]]
         for _ in range(k - 1):
             outs = by_dom[steps[-1].codomain]  # never empty: the identity is there
-            steps.append(outs[rng.randrange(len(outs))])
+            steps.append(outs[draw(len(outs))])
         yield steps
 
 
@@ -751,10 +754,10 @@ SUITES: dict[str, tuple[Callable[..., Iterator[tuple]], bool]] = {
 }
 
 # the suites a forked child runs (see run_suite), all of them reading the
-# morphisms: on the default universe they take about four fifths of the CPU
-# time of the other four, so this process sets a verify's time, and a child
-# whose CPU runs up to a fifth slower than this one's does not lengthen it
-# (the two CPUs of a shared virtual machine change speed apart; README)
+# morphisms: on the default universe they take less CPU time than the other
+# four, so this process sets a verify's time, and a child whose CPU runs
+# somewhat slower than this one's does not lengthen it (the two CPUs of a
+# shared virtual machine change speed apart; README has the measured ratio)
 FORKED_SUITES = ("epic_monic", "iso", "two_of_three")
 
 # the suites that never read the morphisms: with no other suite in its

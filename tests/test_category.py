@@ -38,7 +38,7 @@ from factorcat import (
 )
 import factorcat.category as category
 from factorcat.category import HOM_CACHE_SIZE, HOM_RESULT_GUARD
-from factorcat.monoids import Monoid
+from factorcat.monoids import FreeCommutative, Monoid
 
 FREE = free_monoid("ab")
 
@@ -147,6 +147,13 @@ class TestComposition:
     def test_object_mismatch(self):
         with pytest.raises(InvalidMorphismError):
             compose(zm([2], [6], [1]), zm([2], [4], [1]))
+        nat = FactorTuple(NAT, (6,))
+        with pytest.raises(InvalidMorphismError):  # equal entries over another monoid
+            compose(Morphism(nat, nat, (1,)), zm([6], [6], [1]))
+        assert compose(zm([6], [6], [1]), zm([6], [6], [1])) == zm([6], [6], [1])  # equal, not identical
+        ab, ba = FreeCommutative("ab"), FreeCommutative("ba")  # equal, not identical monoids
+        f, g = identity_morphism(FactorTuple(ab, ((1, 0),))), identity_morphism(FactorTuple(ba, ((1, 0),)))
+        assert ab is not ba and compose(g, f) == f
 
     def test_interval_composite_into_empty_is_unique(self):
         # there is at most one arrow into the empty tuple, so any composite

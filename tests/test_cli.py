@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: every subcommand, the JSON mode, and the exit
-code contract (0 ok/true, 1 false/fail, 2 parse, 3 guard, 4 capability)."""
+code contract (0 ok/true, 1 false/fail, 2 parse, 3 guard, 4 capability,
+70 internal fault)."""
 
 import argparse
 import hashlib
@@ -371,6 +372,20 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "bogus"])
         assert exc.value.code == 2
+
+
+def test_any_other_exception_is_one_internal_error_line_and_exit_70(capsys, monkeypatch):
+    from dataclasses import replace
+
+    from factorcat import oracle
+
+    def raises(*args):
+        raise AttributeError("miswired")
+
+    monkeypatch.setitem(oracle.LAWS, "adjunction_roundtrip",
+                        replace(oracle.LAWS["adjunction_roundtrip"], predicate=raises))
+    assert run(capsys, "verify", "--suite", "adjunction") == (
+        70, "", "error: internal: AttributeError: miswired\n")
 
 
 def test_a_second_main_call_builds_no_parser(capsys, monkeypatch):

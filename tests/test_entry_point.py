@@ -59,6 +59,38 @@ def test_a_deprecation_from_the_library_fails_the_tests(category):
     assert [w.category for w in caught] == [category]
 
 
+# makes a law raise AttributeError, lets run_suite fork on one CPU too, runs
+# main and prints the number of children forked
+RAISING_LAW = """
+import os, sys
+from dataclasses import replace
+from factorcat import oracle
+from factorcat.cli import main
+
+def raises(*args):
+    raise AttributeError("miswired")
+
+law = sys.argv[1]
+oracle.LAWS[law] = replace(oracle.LAWS[law], predicate=raises)
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(fork()) or forks[-1]
+os.sched_getaffinity = lambda pid: {0, 1}
+code = main(sys.argv[2:])
+print(len(forks))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("law, argv, forks", [
+    ("adjunction_roundtrip", ["--suite", "adjunction"], 0),  # raised in this process
+    ("iso_agreement", ["--pool", "[1,2]", "--max-len", "2"], int(hasattr(os, "fork"))),  # the child's
+])
+def test_an_internal_fault_exits_70_without_a_traceback(law, argv, forks):
+    proc = python("-c", RAISING_LAW, law, "verify", *argv)
+    assert (proc.returncode, proc.stderr) == (70, "error: internal: AttributeError: miswired\n")
+    assert proc.stdout == f"{forks}\n"
+
+
 def test_graph_guard_through_the_module_entry_point():
     proc = factorcat("graph", "--monoid", "zx", "--pool", "[1,2,3,5,6,7]", "--max-len", "4")
     assert proc.returncode == 3, proc.stderr

@@ -1063,36 +1063,36 @@ def test_tensor_and_braid_maps_follow_their_closed_formulas(u):
 
 def test_braid_maps_are_shared_only_within_the_shape_bound():
     bound = category.BRAID_SHAPE_BOUND
-    cache = category._swap_map
-    sweep_library_caches()
-    at = FactorTuple(ZX, (1,) * (bound - 3)), FactorTuple(ZX, (2, 3, 5))
-    assert braiding(*at).values is braiding(*at).values == reference_swap(bound - 3, 3)
-    assert cache.cache_info().currsize == 1
-    past = FactorTuple(ZX, (1,) * (bound - 2)), FactorTuple(ZX, (2, 3, 5))
-    first, second = braiding(*past).values, braiding(*past).values
-    assert first == second == reference_swap(bound - 2, 3) and first is not second
-    assert cache.cache_info().currsize == 1  # the shape past the bound was not cached
-    assert cache.cache_info().maxsize >= (bound + 1) * (bound + 2) // 2  # every shape within it fits
-    sweep_library_caches()
-    assert cache.cache_info().currsize == 0
+    shared = {}
+    for n in range(bound + 1):
+        for m in range(bound + 1 - n):
+            first = braiding(FactorTuple(ZX, (2,) * n), FactorTuple(ZX, (3,) * m)).values
+            second = braiding(FactorTuple(ZX, (5,) * n), FactorTuple(ZX, (7,) * m)).values
+            assert first is second == reference_swap(n, m)  # one map per shape, whatever the entries
+            shared[n, m] = first
+    sweep_library_caches()  # a cold start keeps the shared maps
+    assert all(braiding(FactorTuple(ZX, (2,) * n), FactorTuple(ZX, (3,) * m)).values is v
+               for (n, m), v in shared.items())
+    for n, m in ((bound - 2, 3), (0, bound + 1), (bound + 1, 0), (bound, bound)):
+        s, t = FactorTuple(ZX, (1,) * n), FactorTuple(ZX, (2,) * m)
+        first, second = braiding(s, t).values, braiding(s, t).values
+        assert first == second == reference_swap(n, m) and first is not second
 
 
 def test_identity_maps_are_shared_only_within_the_bound():
     # the identity on t is the braiding of t with (): the (n, 0) shapes of the braid table
     bound = category.BRAID_SHAPE_BOUND
-    cache = category._swap_map
     unit = empty_tuple(ZX)
-    sweep_library_caches()
     for n in range(bound + 1):
-        t = FactorTuple(ZX, (2,) * n)
-        assert identity_morphism(t).values is braiding(t, unit).values == tuple(range(1, n + 1))
-    assert cache.cache_info().currsize == bound + 1  # one shared map per length
+        t, other = FactorTuple(ZX, (2,) * n), FactorTuple(ZX, (3,) * n)
+        shared = identity_morphism(t).values
+        assert shared is identity_morphism(other).values is braiding(t, unit).values
+        assert shared == tuple(range(1, n + 1)) == reference_swap(n, 0)
     past = FactorTuple(ZX, (2,) * (bound + 1))
-    first, second = identity_morphism(past).values, braiding(past, unit).values
-    assert first == second == tuple(range(1, bound + 2)) and first is not second
-    assert cache.cache_info().currsize == bound + 1  # the length past the bound was not cached
-    sweep_library_caches()
-    assert cache.cache_info().currsize == 0
+    first, second = identity_morphism(past).values, identity_morphism(past).values
+    braided = braiding(past, unit).values
+    assert first == second == braided == tuple(range(1, bound + 2))
+    assert first is not second and first is not braided
 
 
 @pytest.mark.parametrize("u", CLOSURE_UNIVERSES.values(), ids=CLOSURE_UNIVERSES.keys())
@@ -1214,13 +1214,10 @@ def test_a_cold_monoidal_run_builds_and_asks_no_more_than_measured(monkeypatch):
 def test_a_swapped_entry_in_a_shared_braid_map_fails_the_monoidal_laws(monkeypatch):
     import factorcat.monoidal as monoidal
 
-    true_swap = monoidal._swap_map
-
-    def swapped(n, m):
-        v = true_swap(n, m)
-        return (v[1], v[0]) + v[2:] if (n, m) == (1, 2) else v
-
-    monkeypatch.setattr(monoidal, "_swap_map", swapped)
+    table = [list(row) for row in monoidal._SWAPS]
+    v = table[1][2]
+    table[1][2] = (v[1], v[0]) + v[2:]
+    monkeypatch.setattr(monoidal, "_SWAPS", table)
     report = _assert_caught_and_reproduced(monkeypatch)
     assert {f["law"] for f in report.failures} >= {"braiding_involution", "braiding_iso"}
 
@@ -1281,6 +1278,27 @@ def test_the_blocks_read_like_the_tuple_of_morphisms():
     assert list(by_dom) == list(listed_by_dom)
     assert all(tuple(row) == listed_by_dom[a] for a, row in by_dom.items())
     assert all(row[len(row) - 1] == listed_by_dom[a][-1] for a, row in by_dom.items())
+
+
+@pytest.mark.parametrize("u", [SMALL, UniverseSpec()], ids=["small", "default"])
+def test_every_kind_of_block_read_matches_the_tuples(u):
+    # the int fast path, and the general one for negative, bool, slice and out-of-range reads
+    blocks, by_dom, _ = oracle._by_domain(u)
+    listed, listed_by_dom, _ = oracle._tuples(u)
+    a = max(by_dom, key=lambda t: len(by_dom[t]))
+    for rows, tup in ((blocks, listed), (by_dom[a], listed_by_dom[a])):
+        n = len(tup)
+        rng = random.Random(25)
+        edges = [0, n - 1, *rows._starts[:-1], *(s - 1 for s in rows._starts[1:]), -1, -n, True]
+        picks = [rng.randrange(n) for _ in range(300)] + edges
+        assert [rows[i] for i in picks] == [tup[i] for i in picks]
+        for cut in (slice(None, None, -1), slice(-2, None, -3), slice(n, -n - 5, -7), slice(1, n, -1)):
+            assert rows[cut] == tup[cut]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                rows[i]
+        with pytest.raises(TypeError):
+            rows[1.0]
 
 
 # -- verify on two processes ----------------------------------------------------
