@@ -12,8 +12,9 @@ text is printed in both modes (the DOT of ``graph``); a text of None means
 there is nothing to print (``graph --out`` wrote a file).
 
 Exit codes: 0 ok or true, 1 false or suite failure, 2 parse or validation
-error, 3 resource guard exceeded, 4 capability error, 70 any other exception
-(a fault in factorcat itself, reported on one line without a traceback).
+error (a ValueError, raised on caller data only), 3 resource guard exceeded,
+4 capability error, 70 any other exception (a fault in factorcat itself,
+a TypeError or KeyError too, reported on one line without a traceback).
 """
 
 from __future__ import annotations
@@ -313,7 +314,7 @@ def main(argv=None) -> int:
     except CapabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except Exception as exc:

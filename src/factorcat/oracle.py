@@ -28,14 +28,9 @@ brute-force inverse search skips a morphism whose codomain product is not
 below its domain product, since the product is a functor and no morphism
 can then run back.
 
-:func:`run_suite` runs every suite through one per-suite function.  When
-the suites asked for include ``FORKED_SUITES`` and, besides them, a suite
-that reads the morphisms, and ``_can_fork`` holds (fork, two CPUs, one
-thread), it builds the blocks, forks one child for ``FORKED_SUITES`` and
-runs the others itself, both reading the shared blocks; the child returns
-its reports as JSON on a pipe.  A child that fails has its suites run again
-in this process, so the reports, and any error, are those of a run in one
-process.
+:func:`run_suite` runs every suite through one per-suite function, and
+where that pays, runs ``FORKED_SUITES`` in a forked child that reads the
+blocks too (see ``_forked``).
 
 Each law is one entry of the ``LAWS`` registry: its name, the payload key
 and wire kind of each predicate argument, and the predicate.  A suite is a
@@ -789,59 +784,44 @@ def _forked(u: UniverseSpec, names: list[str], in_child: list[bool]) -> list[Sui
     The blocks are built before the fork and both processes read them, not
     the tuples, so the child copies few pages of the parent's heap.  The
     child writes its reports to a pipe as JSON and leaves by os._exit, so
-    nothing of the caller's runs in it.  The child is always reaped.  If a
-    suite here raises, the child is killed and the child's suites listed
-    before that one run again here first, so the error raised is the first
-    of a run in one process.  If the child exits non-zero or its output does
-    not parse, its suites run again here, so an error among them is raised
-    here with its own type."""
+    nothing of the caller's runs in it.  An Exception in the build, the
+    pipe, the fork, this process's share or the child's reply kills and
+    reaps the child, if there is one, and every suite runs again here in
+    list order, so the reports, and the first error, are those of a run in
+    one process.  Any other BaseException kills and reaps it and propagates."""
+    theirs = [n for n, child in zip(names, in_child) if child]
+    pid = 0  # the child's, until it is reaped
+    u.__dict__["_forked"] = True  # both processes read the blocks (see _tables)
     try:
         _by_domain(u)
-    except Exception:  # raised again by the first suite that reads it, as in one process
-        return [_run(u, n) for n in names]
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare (EAGAIN, ENOMEM): every suite runs here
-        os.close(read_end)
-        os.close(write_end)
-        return [_run(u, n) for n in names]
-    theirs = [n for n, child in zip(names, in_child) if child]
-    u.__dict__["_forked"] = True  # both processes read the blocks (see _tables)
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_end)
-            with open(write_end, "w", encoding="utf-8") as out:
-                json.dump([vars(_run(u, n)) for n in theirs], out)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    reports: list = []  # this process's reports, None in the child's places
-    try:
-        with open(read_end, encoding="utf-8") as pipe:
-            for n, child in zip(names, in_child):
-                reports.append(None if child else _run(u, n))
+        read_end, write_end = os.pipe()
+        with open(read_end, encoding="utf-8") as pipe, open(write_end, "w", encoding="utf-8") as out:
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    json.dump([vars(_run(u, n)) for n in theirs], out)
+                    out.flush()
+                    os._exit(0)
+                finally:
+                    os._exit(1)  # the share raised
+            out.close()  # so the read ends once the child's copy closes
+            reports = [None if child else _run(u, n) for n, child in zip(names, in_child)]
             data = pipe.read()
-    except BaseException as error:
-        os.kill(pid, signal.SIGKILL)
-        if isinstance(error, Exception):  # as in one process, the child's suites listed first go first
-            for n, child in zip(names, in_child[:len(reports)]):
-                if child:
-                    _run(u, n)
-        raise
+        _, status = os.waitpid(pid, 0)
+        pid = 0
+        received = [SuiteReport(**r) for r in json.loads(data)]
+        if status or [r.suite for r in received] != theirs:
+            raise ChildProcessError(f"the child's share ended with status {status}")
+        received = iter(received)
+        return [next(received) if child else r for r, child in zip(reports, in_child)]
+    except Exception:
+        pass  # every suite runs below, once the child is reaped
     finally:
-        status = os.waitpid(pid, 0)[1]
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
         del u.__dict__["_forked"]
-    try:
-        received = [SuiteReport(**r) for r in json.loads(data)] if status == 0 else []
-    except (ValueError, TypeError):
-        received = []
-    if [r.suite for r in received] != theirs:
-        received = [_run(u, n) for n in theirs]
-    received = iter(received)
-    return [next(received) if child else r for r, child in zip(reports, in_child)]
+    return [_run(u, n) for n in names]
 
 
 def run_suite(u: UniverseSpec, names: Iterable[str] | None = None) -> list[SuiteReport]:
@@ -850,10 +830,8 @@ def run_suite(u: UniverseSpec, names: Iterable[str] | None = None) -> list[Suite
     divisibility-only suite on another monoid raises CapabilityError, before
     any suite runs.
 
-    When ``FORKED_SUITES`` are asked for, and besides them a suite that reads
-    the morphisms, and ``_can_fork`` holds, a forked child runs the former
-    while this process runs the rest (see ``_forked``); otherwise every
-    suite runs here."""
+    A forked child may run ``FORKED_SUITES`` (see ``_forked``); the reports
+    are those of a run in one process."""
     if names is None:
         names = [n for n, (_, div) in SUITES.items() if u.monoid.is_divisibility or not div]
     names = list(names)

@@ -68,6 +68,7 @@ from sampling import sample_extension, sample_morphism
 
 SMALL = UniverseSpec(pool=(-1, 1, 2, 6), max_len=2, exhaustive_limit=40_000, sample_size=4_000)
 DEGENERATE = UniverseSpec(pool=(1,), max_len=2)
+LENGTH_4 = UniverseSpec(pool=(2,), max_len=4)  # the only universe here with tuples past length 3
 INTERVAL_UNIVERSE = UniverseSpec(
     monoid=INTERVAL, pool=(Fraction(1), Fraction(1, 2)), max_len=2
 )
@@ -87,6 +88,10 @@ CASE_COUNTS = {
     "degenerate": {
         "homset_formulas": 12, "epic_monic": 22, "iso": 22, "two_of_three": 2058,
         "monoidal_laws": 263, "weakdiv": 2264, "adjunction": 4,
+    },
+    "length_4": {
+        "homset_formulas": 20, "epic_monic": 186, "iso": 186, "two_of_three": 4510,
+        "monoidal_laws": 11489, "weakdiv": 11035, "adjunction": 6,
     },
     "interval": {"homset_formulas": 49, "monoidal_laws": 4898, "adjunction": 16},
     "free_ab": SAME_SHAPE_COUNTS,
@@ -121,7 +126,9 @@ def test_all_suites_pass_on_small_universe():
 
 
 def test_all_suites_pass_on_degenerate_universe():
+    # one pool element each: a unit up to length 2, and a non-unit up to length 4
     run_passing(DEGENERATE, CASE_COUNTS["degenerate"])
+    run_passing(LENGTH_4, CASE_COUNTS["length_4"])
 
 
 def test_all_suites_pass_on_free_monoid_universe():
@@ -278,6 +285,18 @@ def test_corrupted_epic_predicate_is_caught():
     finally:
         oracle.is_epic = true_is_epic
     assert not recheck(report.failures[0])
+
+
+def test_a_monic_fault_past_length_3_is_caught_past_length_3(monkeypatch):
+    # the mutant miscounts only a domain longer than 3, so the default
+    # universe (length 3) passes it; LENGTH_4 has such domains
+    monkeypatch.setattr(oracle, "is_monic", lambda m: len(set(m.values)) == len(m.domain) - (len(m.domain) > 3))
+    assert run_suite(SMALL, ["epic_monic"])[0].passed
+    report = run_suite(LENGTH_4, ["epic_monic"])[0]
+    assert report.failed_by_law == {"monic_agreement": 24}
+    assert all(recheck(f) for f in report.failures)
+    monkeypatch.undo()
+    assert not any(recheck(f) for f in report.failures)
 
 
 def _braiding_off_by_one(s, t):
@@ -1354,24 +1373,17 @@ def test_a_forked_run_reports_what_an_in_process_run_does(monkeypatch):
     _assert_no_child_is_left()
 
 
-def _no_process_to_spare():
-    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
-
 @pytest.mark.parametrize(
-    "setting", ["one CPU", "no fork", "a failing fork", "a second thread", "no morphisms read here"])
+    "setting", ["one CPU", "no fork", "a second thread", "no morphisms read here"])
 def test_verify_runs_in_process_where_it_cannot_fork_or_the_fork_cannot_pay(monkeypatch, setting):
     forks = _count_forks(monkeypatch)
     u, names = replace(MUTANT_UNIVERSE), list(SUITES)
-    fds = len(os.listdir("/dev/fd"))
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     if setting == "one CPU":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     elif setting == "no fork":
         monkeypatch.delattr(os, "fork")
-    elif setting == "a failing fork":
-        monkeypatch.setattr(os, "fork", _no_process_to_spare)
     elif setting == "a second thread":
         thread.start()
     else:  # the child's share is all that reads the morphisms
@@ -1383,35 +1395,100 @@ def test_verify_runs_in_process_where_it_cannot_fork_or_the_fork_cannot_pay(monk
         if thread.is_alive():
             thread.join()
     assert forks == [] and [r.suite for r in reports] == names and all_passed(reports)
-    assert len(os.listdir("/dev/fd")) == fds  # the pipe of a failed fork is closed
+
+
+def _raising(error: type, *args):
+    def raises(*_):
+        raise error(*args)
+    return raises
+
+
+def _raising_once(function, error: type, *args):
+    calls = []
+
+    def once(*given):
+        calls.append(given)
+        if len(calls) == 1:
+            raise error(*args)
+        return function(*given)
+    return once
+
+
+def _outcome(run) -> object:
+    """What run() returns, as data, or the type and message of what it raises."""
+    try:
+        return [vars(r) for r in run()]
+    except BaseException as exc:  # KeyboardInterrupt too: a row below raises it
+        return type(exc), str(exc)
+
+
+_HERE = [n for n in SUITES if n not in oracle.FORKED_SUITES]  # a forked run's share here
 
 
 @needs_fork
-@pytest.mark.parametrize("child_status, rerun", [(0, []), (1, ["epic_monic", "iso", "two_of_three"])])
-def test_this_process_reruns_the_child_suites_only_when_the_child_fails(monkeypatch, child_status, rerun):
-    ran, run, exit_ = [], oracle._run, os._exit
+@pytest.mark.parametrize("failure, share, rerun", [
+    ("nothing", _HERE, False),
+    ("a TypeError here", _HERE[:3], True),
+    ("a KeyboardInterrupt here", _HERE[:3], False),
+    ("the build raises", [], True),
+    ("the pipe raises", [], True),
+    ("the fork raises", [], True),
+    ("the child exits non-zero", _HERE, True),
+    ("the child's output does not parse", _HERE, True),
+])
+def test_any_failure_of_a_forked_run_reaps_the_child_and_runs_every_suite_here(
+        monkeypatch, failure, share, rerun):
+    # share: the suites this process runs before the failure, with the
+    # blocks; rerun: whether every suite then runs here, with the tuples
+    if failure.endswith("here"):  # a fault of the code, which a run in one process meets too
+        error = TypeError if failure == "a TypeError here" else KeyboardInterrupt
+        monkeypatch.setitem(oracle.LAWS, "weakdiv_reflexive", replace(
+            oracle.LAWS["weakdiv_reflexive"], predicate=_raising(error, "miswired")))
+    ran, run = [], oracle._run
     monkeypatch.setattr(oracle, "_run", lambda u, name: ran.append(name) or run(u, name))
-    monkeypatch.setattr(os, "_exit", lambda status: exit_(status or child_status))  # only the child exits
+    with monkeypatch.context() as one_process:
+        one_process.setattr(oracle, "_can_fork", lambda: False)
+        expected = _outcome(lambda: run_suite(replace(MUTANT_UNIVERSE)))
+    in_process, ran[:] = ran[:], []
     forks = _count_forks(monkeypatch)
-    reports = run_suite(replace(MUTANT_UNIVERSE))
-    assert len(forks) == 1 and [r.suite for r in reports] == list(SUITES) and all_passed(reports)
-    assert ran == [n for n in SUITES if n not in oracle.FORKED_SUITES] + rerun
+    if failure == "the build raises":
+        monkeypatch.setattr(oracle, "_by_domain", _raising_once(oracle._by_domain, MemoryError))
+    elif failure == "the pipe raises":
+        monkeypatch.setattr(os, "pipe", _raising(OSError, errno.EMFILE, "Too many open files"))
+    elif failure == "the fork raises":
+        monkeypatch.setattr(os, "fork", _raising(BlockingIOError, errno.EAGAIN, "no process to spare"))
+    elif failure == "the child exits non-zero":
+        exit_ = os._exit
+        monkeypatch.setattr(os, "_exit", lambda status: exit_(status or 1))  # only the child exits
+    elif failure == "the child's output does not parse":
+        monkeypatch.setattr(json, "dump", lambda value, out: out.write("[{"))  # only the child dumps
+    kills, kill = [], os.kill
+    monkeypatch.setattr(os, "kill", lambda pid, sig: kills.append((pid, sig)) or kill(pid, sig))
+    reads, tables = [], oracle._tables
+
+    def read(u):  # notes which run read which table
+        found = tables(u)
+        reads.append((len(ran), type(found[0])))
+        return found
+
+    monkeypatch.setattr(oracle, "_tables", read)
+    u, fds = replace(MUTANT_UNIVERSE), len(os.listdir("/dev/fd"))
+    assert _outcome(lambda: run_suite(u)) == expected
+    assert ran == share + (in_process if rerun else [])
+    assert len(forks) == bool(share)
+    assert kills == ([(forks[0], signal.SIGKILL)] if failure.endswith("here") else [])
     _assert_no_child_is_left()
+    assert len(os.listdir("/dev/fd")) == fds
+    assert {t for k, t in reads if k <= len(share)} <= {oracle._MorphismRows}
+    assert {t for k, t in reads if k > len(share)} == ({tuple} if rerun else set())
+    assert type(universe_morphisms(u)) is tuple
 
 
 @needs_fork
-def test_a_child_whose_output_does_not_parse_has_its_suites_rerun_here(monkeypatch):
-    in_process = run_suite(replace(MUTANT_UNIVERSE))
-    forks = _count_forks(monkeypatch)
-    monkeypatch.setattr(json, "dump", lambda value, out: out.write("[{"))  # only the child dumps
-    forked = run_suite(replace(MUTANT_UNIVERSE))
-    assert len(forks) == 1 and [vars(r) for r in forked] == [vars(r) for r in in_process]
-    _assert_no_child_is_left()
-
-
-@needs_fork
-@pytest.mark.parametrize("error, code", [(TypeError, 2), (GuardError, 3)])
-def test_an_error_in_the_forked_share_keeps_its_type_and_exit_code(monkeypatch, capsys, error, code):
+@pytest.mark.parametrize("error, code, message", [
+    (TypeError, 70, "error: internal: TypeError: miswired\n"), (GuardError, 3, "error: miswired\n"),
+], ids=["TypeError-70", "GuardError-3"])
+def test_an_error_in_the_forked_share_keeps_its_type_and_exit_code(monkeypatch, capsys, error, code, message):
     from factorcat.cli import main
 
     def raises(*args):
@@ -1424,7 +1501,7 @@ def test_an_error_in_the_forked_share_keeps_its_type_and_exit_code(monkeypatch, 
     forks = _count_forks(monkeypatch)
     forked = main(argv), capsys.readouterr()
     assert len(forks) == 1 and forked == in_process
-    assert in_process[0] == code and in_process[1].err == "error: miswired\n"
+    assert in_process[0] == code and in_process[1].err == message
     _assert_no_child_is_left()
 
 
