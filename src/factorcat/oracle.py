@@ -12,7 +12,11 @@ re-run through :func:`recheck`; a case whose predicate raises one of
 Suites are exhaustive while the case count stays within the universe's
 limit and fall back to seeded sampling beyond it, so every report is
 deterministic for a given UniverseSpec, which builds its objects, hom table
-and morphisms on first use and keeps them for its own lifetime.
+and morphisms on first use and keeps them for its own lifetime.  A sample
+draws an index below n as random.Random.randrange(n) does, by
+getrandbits(n.bit_length()) again until the result is below n (see
+``_below``), so reports depend on the Mersenne Twister's output alone and
+not on ``random``'s private ``_randbelow``.
 
 The morphisms are built codomain first, without the hom-set enumerator: a
 codomain and a map fix every fiber product, and the domains with that map
@@ -138,7 +142,7 @@ class UniverseSpec:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"universe {name} must be an integer, got {value!r}")
         if self.max_len < 0:
-            raise ValueError("universe bounds must be positive")
+            raise ValueError(f"universe max_len must be non-negative, got {self.max_len}")
         if self.exhaustive_limit < 1 or self.sample_size < 1:
             raise ValueError("universe limits must be positive")
         count, layers = 1, [1]  # layers: the number of objects of each length
@@ -237,16 +241,20 @@ class _MorphismRows(Sequence):
     def __len__(self) -> int:
         return self._starts[-1]
 
-    def __getitem__(self, i):
+    def _at(self, i: int) -> Morphism:
+        """The morphism at i, unchecked: i is an int, 0 <= i < len(self), as a
+        drawn index is by construction."""
         starts = self._starts
-        if i.__class__ is int and 0 <= i < starts[-1]:  # the suites' reads: no range, no __len__
-            r = bisect_right(starts, i) - 1
-            a, row = self._rows[r]
-            k = row[i - starts[r]]
-            return _trusted_morphism(a, self._codomains[k], self._maps[k])
+        r = bisect_right(starts, i) - 1
+        a, row = self._rows[r]
+        k = row[i - starts[r]]
+        return _trusted_morphism(a, self._codomains[k], self._maps[k])
+
+    def __getitem__(self, i):
+        # a negative index counts from the end; out of range raises
         if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
-        return self[range(len(self))[i]]  # a negative index counts from the end; out of range raises
+            return tuple(map(self._at, range(len(self))[i]))
+        return self._at(range(len(self))[i])
 
     def __iter__(self) -> Iterator[Morphism]:
         cods, maps = self._codomains.__getitem__, self._maps.__getitem__
@@ -366,11 +374,33 @@ def _rng(u: UniverseSpec, suite: str) -> random.Random:
     return random.Random(f"{u.seed}:{suite}")
 
 
+def _below(rng: random.Random, size: int) -> Callable[[], int]:
+    """A function drawing from range(size) by the calls rng.randrange(size)
+    makes: getrandbits(size.bit_length()), again while the result is not
+    below size.  A size below 1 raises ValueError, as randrange does."""
+    if size < 1:
+        raise ValueError(f"empty range for a draw of size {size}")
+    bits, getrandbits = size.bit_length(), rng.getrandbits
+
+    def draw() -> int:
+        r = getrandbits(bits)
+        while r >= size:
+            r = getrandbits(bits)
+        return r
+
+    return draw
+
+
+def _read(items: Sequence) -> Callable[[int], object]:
+    """items' read of an index in range: a block table's unchecked one, else []."""
+    return items._at if items.__class__ is _MorphismRows else items.__getitem__
+
+
 def _draws(items, k: int, rng: random.Random, count: int):
     """count seeded k-tuples of items, drawn left to right."""
-    size, draw = len(items), rng.randrange
+    read, draw = _read(items), _below(rng, len(items))
     for _ in range(count):
-        yield tuple([items[draw(size)] for _ in range(k)])
+        yield tuple([read(draw()) for _ in range(k)])
 
 
 def _k_tuples(items, k: int, u: UniverseSpec, rng: random.Random):
@@ -383,12 +413,17 @@ def _k_tuples(items, k: int, u: UniverseSpec, rng: random.Random):
 def _walks(u: UniverseSpec, rng: random.Random, k: int, count: int):
     """count seeded composable chains [f1, ..., fk], drawn step by step."""
     morphs, by_dom, _ = _tables(u)
-    size, draw = len(morphs), rng.randrange
+    read, draw = _read(morphs), _below(rng, len(morphs))
+    # one draw function per out-degree (never 0: the identity is there)
+    below = {n: _below(rng, n) for n in {len(row) for row in by_dom.values()}}
+    outs = {a: (_read(row), below[len(row)]) for a, row in by_dom.items()}
     for _ in range(count):
-        steps = [morphs[draw(size)]]
+        step = read(draw())
+        steps = [step]
         for _ in range(k - 1):
-            outs = by_dom[steps[-1].codomain]  # never empty: the identity is there
-            steps.append(outs[draw(len(outs))])
+            read_out, draw_out = outs[step.codomain]
+            step = read_out(draw_out())
+            steps.append(step)
         yield steps
 
 

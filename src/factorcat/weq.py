@@ -66,7 +66,13 @@ def quotient_witnesses(m: Morphism) -> QuotientWitness:
 
 
 def total_witness(m: Morphism) -> Element:
-    """The unique r with r * prod(domain) == prod(codomain)."""
+    """The unique r with r * prod(domain) == prod(codomain).  It stays the
+    product of the per-index ratios, not prod(codomain) / prod(domain): that
+    division is about 4x faster on tuples of up to 3 entries (270 ns against
+    1,140 ns on Python 3.11), but it multiplies and divides whole-tuple
+    products, so it was 1.5x slower at 200 entries of 20 bits, 4x at 200 of
+    61 bits and 8.9x at 2,000 of 600 bits, and no benchmark workload has
+    long tuples to weigh that against."""
     return _witnesses(m)[1]
 
 

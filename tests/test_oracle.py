@@ -651,7 +651,7 @@ def test_universe_numeric_fields_must_be_integers(field, value):
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        ("max_len", -1, "universe bounds must be positive"),
+        ("max_len", -1, "universe max_len must be non-negative, got -1"),
         ("exhaustive_limit", 0, "universe limits must be positive"),
         ("sample_size", 0, "universe limits must be positive"),
     ],
@@ -1033,6 +1033,18 @@ def test_weak_equivalence_agrees_with_the_quotient_witnesses(u):
         assert is_weak_equivalence(m) == all(monoid.is_invertible(r) for r in witnesses), str(m)
 
 
+@pytest.mark.parametrize("u", DIVISIBILITY_UNIVERSES.values(), ids=DIVISIBILITY_UNIVERSES.keys())
+def test_the_total_witness_is_the_product_ratio_and_the_product_of_the_ratios(u):
+    from factorcat import quotient_witnesses, total_witness
+
+    monoid = u.monoid
+    for m in universe_morphisms(u):
+        r = total_witness(m)
+        assert monoid.op(r, m.domain.product()) == m.codomain.product(), str(m)
+        if m.codomain.entries:
+            assert monoid.product(quotient_witnesses(m).per_index) == r, str(m)
+
+
 @pytest.mark.parametrize("u", CLOSURE_UNIVERSES.values(), ids=CLOSURE_UNIVERSES.keys())
 def test_isomorphism_agrees_with_the_inverse_search(u):
     from factorcat import is_isomorphism
@@ -1301,7 +1313,7 @@ def test_the_blocks_read_like_the_tuple_of_morphisms():
 
 @pytest.mark.parametrize("u", [SMALL, UniverseSpec()], ids=["small", "default"])
 def test_every_kind_of_block_read_matches_the_tuples(u):
-    # the int fast path, and the general one for negative, bool, slice and out-of-range reads
+    # int, negative, bool, slice and out-of-range reads, and the samplers' unchecked one
     blocks, by_dom, _ = oracle._by_domain(u)
     listed, listed_by_dom, _ = oracle._tuples(u)
     a = max(by_dom, key=lambda t: len(by_dom[t]))
@@ -1311,6 +1323,8 @@ def test_every_kind_of_block_read_matches_the_tuples(u):
         edges = [0, n - 1, *rows._starts[:-1], *(s - 1 for s in rows._starts[1:]), -1, -n, True]
         picks = [rng.randrange(n) for _ in range(300)] + edges
         assert [rows[i] for i in picks] == [tup[i] for i in picks]
+        drawn = [i for i in picks if i.__class__ is int and i >= 0]
+        assert [rows._at(i) for i in drawn] == [tup[i] for i in drawn]
         for cut in (slice(None, None, -1), slice(-2, None, -3), slice(n, -n - 5, -7), slice(1, n, -1)):
             assert rows[cut] == tup[cut]
         for i in (n, -n - 1):
@@ -1318,6 +1332,53 @@ def test_every_kind_of_block_read_matches_the_tuples(u):
                 rows[i]
         with pytest.raises(TypeError):
             rows[1.0]
+
+
+# -- seeded draws ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1, "0:monoidal_laws"])
+@pytest.mark.parametrize(
+    "size", [1, 2, 3, 7, 8, 9, 255, 256, 257, 259, 160_991, 2**31, 2**31 + 1, 2**64 + 3])
+def test_a_draw_makes_the_calls_randrange_makes(size, seed):
+    # the universe sizes (objects, morphisms) and the edges of each bit length
+    rng, reference = random.Random(seed), random.Random(seed)
+    draw = oracle._below(rng, size)
+    assert [draw() for _ in range(300)] == [reference.randrange(size) for _ in range(300)]
+    assert rng.getstate() == reference.getstate()
+
+
+def test_a_draw_from_nothing_raises_before_drawing():
+    # getrandbits(0) is always 0, so a rejection loop over it would never end
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        random.Random(0).randrange(0)
+    with pytest.raises(ValueError):
+        oracle._below(rng, 0)
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["tuples", "blocks"])
+def test_the_samplers_draw_what_randrange_draws(forked):
+    # the walks and k-tuples of both tables against the same draws by randrange
+    u = replace(SMALL)
+    if forked:
+        u.__dict__["_forked"] = True  # _tables reads the blocks
+    listed, listed_by_dom, _ = oracle._tuples(u)
+    assert type(oracle._tables(u)[0]) is (oracle._MorphismRows if forked else tuple)
+    rng, reference = random.Random(5), random.Random(5)
+    walks = []
+    for _ in range(300):
+        steps = [listed[reference.randrange(len(listed))]]
+        for _ in range(2):
+            outs = listed_by_dom[steps[-1].codomain]
+            steps.append(outs[reference.randrange(len(outs))])
+        walks.append(steps)
+    assert list(oracle._walks(u, rng, 3, 300)) == walks
+    triples = [tuple(listed[reference.randrange(len(listed))] for _ in range(3)) for _ in range(300)]
+    assert list(oracle._draws(oracle._tables(u)[0], 3, rng, 300)) == triples
+    assert rng.getstate() == reference.getstate()
 
 
 # -- verify on two processes ----------------------------------------------------
