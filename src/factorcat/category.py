@@ -33,7 +33,7 @@ from math import prod
 from typing import Callable, Mapping
 
 from .errors import GuardError, InvalidMorphismError
-from .monoids import Element, Monoid, NAT, ZX
+from .monoids import Element, Monoid, NAT, ZX, _shown, require_monoid
 
 HOM_ENUMERATION_GUARD = 10**7
 HOM_RESULT_GUARD = 10**5  # most maps one hom set may hold; far more than a verify meets
@@ -58,8 +58,14 @@ class FactorTuple:
     entries: tuple = ()
 
     def __post_init__(self):
+        require_monoid(self.monoid)
+        entries = self.entries
+        try:
+            entries = iter(entries)
+        except TypeError:
+            raise ValueError(f"tuple entries are not iterable: {type(entries).__name__}") from None
         validate = self.monoid.validate
-        object.__setattr__(self, "entries", tuple([validate(e) for e in self.entries]))
+        object.__setattr__(self, "entries", tuple([validate(e) for e in entries]))
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -103,24 +109,24 @@ def require_same_monoid(a, b, what: str) -> None:
         raise InvalidMorphismError(f"{what} needs both arguments over the same monoid")
 
 
-def _shown(monoid: Monoid, a: Element) -> str:
-    """The element as a message shows it, or why it cannot, so a message never refuses."""
-    try:
-        return str(monoid.encode(a))
-    except GuardError as exc:  # more digits than str() prints
-        return f"({exc})"
-
-
 def _checked_map(dom_size, cod_size, values) -> tuple:
     """The values of a total function [dom_size] -> [cod_size] as a tuple; the one
-    check of a map from caller data, run by IndexFunction and public Morphism."""
+    check of a map from caller data, run by IndexFunction and _checked_morphism."""
+    if (dom_size.__class__ is int and cod_size.__class__ is int and cod_size >= 0
+            and (values.__class__ is list or values.__class__ is tuple) and len(values) == dom_size):
+        # exact ints in range in one pass; anything else takes the checks below
+        for v in values:
+            if v.__class__ is not int or not 0 < v <= cod_size:
+                break
+        else:
+            return tuple(values)
     try:
         values = tuple(values)
     except TypeError:
-        raise InvalidMorphismError(f"index values {values!r} are not a sequence") from None
+        raise InvalidMorphismError(f"index values {_shown(values)} are not a sequence") from None
     for n in (dom_size, cod_size):
         if isinstance(n, bool) or not isinstance(n, int):
-            raise InvalidMorphismError(f"index set size {n!r} is not an integer")
+            raise InvalidMorphismError(f"index set size {_shown(n)} is not an integer")
     if dom_size < 0 or cod_size < 0:
         raise InvalidMorphismError("index set sizes must be non-negative")
     if dom_size > 0 and cod_size == 0:
@@ -129,7 +135,26 @@ def _checked_map(dom_size, cod_size, values) -> tuple:
         raise InvalidMorphismError(f"expected {dom_size} values, got {len(values)}")
     for v in values:
         if isinstance(v, bool) or not isinstance(v, int) or not 1 <= v <= cod_size:
-            raise InvalidMorphismError(f"value {v!r} outside the 1-based range [{cod_size}]")
+            raise InvalidMorphismError(f"value {_shown(v)} outside the 1-based range [{cod_size}]")
+    return values
+
+
+def _checked_morphism(domain: FactorTuple, codomain: FactorTuple, values) -> tuple:
+    """The map of a morphism domain -> codomain from caller data as a tuple: the
+    map's check, one monoid, then the order constraint fiber by fiber, naming
+    the first failing domain index.  Morphism(...) and decoding both run it."""
+    xs = domain.entries
+    values = _checked_map(len(codomain.entries), len(xs), values)
+    require_same_monoid(domain, codomain, "a morphism")
+    monoid = domain.monoid
+    fibers = monoid.fiber_products(len(xs), codomain.entries, values)
+    for i, x in enumerate(xs):
+        if not monoid.leq(x, fibers[i]):
+            raise InvalidMorphismError(
+                f"order constraint fails at domain index {i + 1}: "
+                f"{_shown(x, monoid.encode)} is not below the fiber product "
+                f"{_shown(fibers[i], monoid.encode)}"
+            )
     return values
 
 
@@ -161,15 +186,17 @@ class Morphism:
 
     ``values`` is the 1-based map from codomain positions to domain
     positions, one value per codomain entry.  Every Morphism in existence is
-    valid.  Public construction (``Morphism(...)`` and decoding) checks the
-    map once, with ``_checked_map(len(codomain), len(domain), values)``, then
-    checks the order constraint fiber by fiber and reports the first failing
-    domain index.  Internal construction goes through ``_trusted_morphism``,
-    which skips the checks, and happens only where validity holds by theorem:
-    the category is closed under identities, composition, inverses, tensor and
-    braiding; the EIP and atomic-chain steps, the legs of the weak
-    divisibility square, the Ore square, the right-cancellation witness and
-    the UFD wedge are morphisms by construction.  The closure tests in
+    valid.  ``Morphism(...)`` refuses a domain or codomain that is not a
+    FactorTuple, then runs ``_checked_morphism``: the map once, with
+    ``_checked_map(len(codomain), len(domain), values)``, then the order
+    constraint fiber by fiber, reporting the first failing domain index.
+    ``decode_morphism`` runs it on the tuples it decoded.  Internal
+    construction goes through ``_trusted_morphism``, which skips the checks,
+    and happens only where validity holds by theorem: the category is closed
+    under identities, composition, inverses, tensor and braiding; the EIP and
+    atomic-chain steps, the legs of the weak divisibility square, the Ore
+    square, the right-cancellation witness and the UFD wedge are morphisms
+    by construction.  The closure tests in
     tests/test_oracle.py re-validate the output of each such operation.
 
     Instances are slotted and immutable.  Two morphisms are equal when their
@@ -184,18 +211,12 @@ class Morphism:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        values = _checked_map(len(self.codomain), len(self.domain), self.values)
-        object.__setattr__(self, "values", values)
-        require_same_monoid(self.domain, self.codomain, "a morphism")
-        monoid = self.domain.monoid
-        fibers = fiber_products(self)
-        for i, x in enumerate(self.domain.entries):
-            if not monoid.leq(x, fibers[i]):
+        for part in (self.domain, self.codomain):
+            if not isinstance(part, FactorTuple):
                 raise InvalidMorphismError(
-                    f"order constraint fails at domain index {i + 1}: "
-                    f"{_shown(monoid, x)} is not below the fiber product "
-                    f"{_shown(monoid, fibers[i])}"
-                )
+                    f"a morphism's domain and codomain are FactorTuples, not {type(part).__name__}")
+        values = _checked_morphism(self.domain, self.codomain, self.values)
+        object.__setattr__(self, "values", values)
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -279,12 +300,8 @@ def _from_element(a: Element, t: FactorTuple) -> Morphism:
 def fiber_products(m: Morphism) -> list:
     """For each domain position n, the product of the codomain entries that
     the map sends to n (the identity for an empty fiber)."""
-    monoid = m.domain.monoid
-    fibers = [monoid.identity()] * len(m.domain.entries)
-    ys = m.codomain.entries
-    for pos, target in enumerate(m.values):
-        fibers[target - 1] = monoid.op(fibers[target - 1], ys[pos])
-    return fibers
+    d = m.domain
+    return d.monoid.fiber_products(len(d.entries), m.codomain.entries, m.values)
 
 
 def _swap_map(n: int, m: int) -> tuple[int, ...]:

@@ -5,17 +5,17 @@ as "p/q" strings in lowest terms, free-monoid elements as sorted "a^2*b"
 strings) and the empty tuple is [].  A morphism is an object with keys
 monoid, domain, codomain, and a 1-based map.
 
-Decoding checks each element and each map once.  ``Monoid.decode`` parses
-and validates an element, so ``decode_tuple`` builds its tuple without
-checking the entries again.  ``decode_morphism`` only tests that the map is
-an array; ``Morphism(...)`` checks its length, its values and the order
-constraint.
+Decoding checks each element and each map once.  ``Monoid.decode_all``
+parses and validates a whole array, so ``decode_tuple`` builds its tuple
+without checking the entries again.  ``decode_morphism`` tests that the map
+is an array, then runs ``Morphism(...)``'s check (the map's length and
+values, then the order constraint) and builds the morphism unchecked.
 """
 
 from __future__ import annotations
 
-from .category import FactorTuple, Morphism, _trusted_tuple
-from .monoids import Monoid, monoid_by_name
+from .category import FactorTuple, Morphism, _checked_morphism, _trusted_morphism, _trusted_tuple
+from .monoids import Monoid, _shown, monoid_by_name
 
 
 def encode_tuple(t: FactorTuple) -> list:
@@ -24,8 +24,8 @@ def encode_tuple(t: FactorTuple) -> list:
 
 def decode_tuple(monoid: Monoid, values) -> FactorTuple:
     if not isinstance(values, list):
-        raise ValueError(f"expected a JSON array of elements, got {values!r}")
-    return _trusted_tuple(monoid, tuple([monoid.decode(v) for v in values]))
+        raise ValueError(f"expected a JSON array of elements, got {_shown(values)}")
+    return _trusted_tuple(monoid, monoid.decode_all(values))
 
 
 def encode_morphism(m: Morphism) -> dict:
@@ -41,7 +41,7 @@ def decode_morphism(obj, monoid: Monoid | None = None) -> Morphism:
     """Parse and validate a morphism object; raises ValueError on malformed
     input and InvalidMorphismError when the map breaks the order constraint."""
     if not isinstance(obj, dict):
-        raise ValueError(f"expected a morphism object, got {obj!r}")
+        raise ValueError(f"expected a morphism object, got {_shown(obj)}")
     for key in ("monoid", "domain", "codomain", "map"):
         if key not in obj:
             raise ValueError(f"morphism object is missing the {key!r} key")
@@ -54,4 +54,4 @@ def decode_morphism(obj, monoid: Monoid | None = None) -> Morphism:
     codomain = decode_tuple(named, obj["codomain"])
     if not isinstance(obj["map"], list):
         raise ValueError("morphism map must be a JSON array of 1-based integers")
-    return Morphism(domain, codomain, obj["map"])
+    return _trusted_morphism(domain, codomain, _checked_morphism(domain, codomain, obj["map"]))

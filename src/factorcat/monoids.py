@@ -42,6 +42,17 @@ DIVISOR_CLASS_GUARD = 10**5
 MONOID_CACHE_SIZE = 2**8
 
 
+def _shown(value, show=repr) -> str:
+    """str(show(value)) as a message shows it, or why it cannot, where value
+    holds an int with more digits than str() prints: a message never refuses."""
+    try:
+        return str(show(value))
+    except GuardError as exc:  # an encode that will not print the element
+        return f"({exc})"
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return f"(over {sys.get_int_max_str_digits()} digits to print)"
+
+
 def _is_prime_int(n: int) -> bool:
     """Deterministic trial division on a non-negative integer."""
     if n < 2:
@@ -138,6 +149,19 @@ class Monoid:
         ``validate``; an instance with its own wire format parses it first."""
         return self.validate(value)
 
+    def decode_all(self, values: list) -> tuple:
+        """``decode`` on each wire value of a list, as a tuple; an override, for
+        speed only, must return and refuse exactly what this does."""
+        return tuple([self.decode(v) for v in values])
+
+    def fiber_products(self, n: int, ys: tuple, values) -> list:
+        """For each of n domain positions, the product of the entries of ys that
+        the 1-based map values send there; an override, for speed only, agrees."""
+        fibers = [self.identity()] * n
+        for y, target in zip(ys, values):
+            fibers[target - 1] = self.op(fibers[target - 1], y)
+        return fibers
+
     # -- divisibility-only operations -------------------------------------
 
     def require_divisibility(self, what: str) -> None:
@@ -225,7 +249,7 @@ class NonzeroIntegers(DivisibilityMonoid):
 
     def validate(self, a):
         if isinstance(a, bool) or not isinstance(a, int):
-            raise ValueError(f"{self.name}: expected a nonzero int, got {a!r}")
+            raise ValueError(f"{self.name}: expected a nonzero int, got {_shown(a)}")
         if a == 0:
             raise ValueError(f"{self.name}: 0 is not an element")
         return a
@@ -238,6 +262,19 @@ class NonzeroIntegers(DivisibilityMonoid):
 
     def product(self, elems):
         return prod(elems)
+
+    def decode_all(self, values):
+        # exact ints (no bool or int subclass) and no 0 in one pass; else value by value
+        for v in values:
+            if v.__class__ is not int or not v:
+                return Monoid.decode_all(self, values)
+        return tuple(values)
+
+    def fiber_products(self, n, ys, values):
+        fibers = [1] * n
+        for y, target in zip(ys, values):
+            fibers[target - 1] *= y
+        return fibers
 
     def leq(self, a, b):
         return b % a == 0
@@ -258,7 +295,7 @@ class NonzeroIntegers(DivisibilityMonoid):
     def _check_bound(self, a):
         if abs(a) > PRIMALITY_BOUND:
             raise GuardError(
-                f"{self.name}: |{a}| exceeds the trial-division bound 2**31"
+                f"{self.name}: |{_shown(a)}| exceeds the trial-division bound 2**31"
             )
 
     def is_irreducible(self, a):
@@ -322,8 +359,12 @@ class PositiveIntegers(NonzeroIntegers):
 
     def validate(self, a):
         if isinstance(a, bool) or not isinstance(a, int) or a < 1:
-            raise ValueError(f"{self.name}: expected a positive int, got {a!r}")
+            raise ValueError(f"{self.name}: expected a positive int, got {_shown(a)}")
         return a
+
+    def decode_all(self, values):
+        entries = NonzeroIntegers.decode_all(self, values)  # which also passes negative ints
+        return entries if min(entries, default=1) > 0 else Monoid.decode_all(self, values)
 
     def is_invertible(self, a):
         return a == 1
@@ -341,13 +382,13 @@ class UnitInterval(Monoid):
 
     def validate(self, a):
         if isinstance(a, bool):
-            raise ValueError(f"{self.name}: expected a rational, got {a!r}")
+            raise ValueError(f"{self.name}: expected a rational, got {_shown(a)}")
         if isinstance(a, int):
             a = Fraction(a)
         if not isinstance(a, Fraction):
-            raise ValueError(f"{self.name}: expected a rational, got {a!r}")
+            raise ValueError(f"{self.name}: expected a rational, got {_shown(a)}")
         if not 0 < a <= 1:
-            raise ValueError(f"{self.name}: {a} is outside (0, 1]")
+            raise ValueError(f"{self.name}: {_shown(a, str)} is outside (0, 1]")
         return a
 
     def identity(self):
@@ -375,7 +416,7 @@ class UnitInterval(Monoid):
 
     def decode(self, value):
         if isinstance(value, bool):
-            raise ValueError(f"{self.name}: expected 'p/q', got {value!r}")
+            raise ValueError(f"{self.name}: expected 'p/q', got {_shown(value)}")
         if isinstance(value, int):
             return self.validate(Fraction(value))
         if isinstance(value, str):
@@ -390,7 +431,7 @@ class UnitInterval(Monoid):
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"{self.name}: cannot parse {value!r}") from exc
             return self.validate(q)
-        raise ValueError(f"{self.name}: expected 'p/q', got {value!r}")
+        raise ValueError(f"{self.name}: expected 'p/q', got {_shown(value)}")
 
 
 class FreeCommutative(DivisibilityMonoid):
@@ -411,7 +452,7 @@ class FreeCommutative(DivisibilityMonoid):
             raise ValueError("free monoid needs at least one generator")
         for g in gens:
             if not isinstance(g, str) or not g.isidentifier():
-                raise ValueError(f"bad generator name {g!r}")
+                raise ValueError(f"bad generator name {_shown(g)}")
         self.generators = gens
         self._index = {g: i for i, g in enumerate(gens)}
         self.name = "free:" + ",".join(gens)
@@ -429,9 +470,9 @@ class FreeCommutative(DivisibilityMonoid):
             for g in a:
                 counts[self._index[g]] += 1
         except KeyError as exc:
-            raise ValueError(f"{self.name}: unknown generator {exc.args[0]!r}") from None
+            raise ValueError(f"{self.name}: unknown generator {_shown(exc.args[0])}") from None
         except TypeError:  # not iterable, or an unhashable item
-            raise ValueError(f"{self.name}: expected a multiset of generators, got {a!r}") from None
+            raise ValueError(f"{self.name}: expected a multiset of generators, got {_shown(a)}") from None
         return tuple(counts)
 
     def identity(self):
@@ -493,7 +534,7 @@ class FreeCommutative(DivisibilityMonoid):
 
     def decode(self, value):
         if not isinstance(value, str):
-            raise ValueError(f"{self.name}: expected a string, got {value!r}")
+            raise ValueError(f"{self.name}: expected a string, got {_shown(value)}")
         if value in ("1", ""):
             return self._identity
         counts, copies = list(self._identity), 0
@@ -513,6 +554,12 @@ class FreeCommutative(DivisibilityMonoid):
                                  f"generator copies")
             counts[self._index[name]] += k
         return self.validate(tuple(counts))
+
+
+def require_monoid(value) -> None:
+    """Raise ValueError unless value is a Monoid, as a tuple's monoid must be."""
+    if not isinstance(value, Monoid):
+        raise ValueError(f"a tuple's monoid must be a Monoid, got {type(value).__name__}")
 
 
 ZX = NonzeroIntegers()
@@ -542,7 +589,7 @@ def free_monoid(alphabet: str | Iterable[str]) -> FreeCommutative:
 def monoid_by_name(name: str) -> Monoid:
     """Resolve a wire-format monoid name: zx, nat, interval, free:<alphabet>."""
     if not isinstance(name, str):
-        raise ValueError(f"monoid name must be a string, got {name!r}")
+        raise ValueError(f"monoid name must be a string, got {_shown(name)}")
     for monoid in (ZX, NAT, INTERVAL):
         if name == monoid.name:
             return monoid

@@ -3,6 +3,7 @@
 import ast
 import gc
 import itertools
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -52,6 +53,10 @@ def zm(dom, cod, values):
 
 
 OMEGA = empty_tuple(ZX)
+UNPRINTABLE = f"(over {getattr(sys, 'get_int_max_str_digits', lambda: 0)()} digits to print)"
+needs_digit_limit = pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+    reason="str() prints a 5,001-digit int when it has no smaller digit limit")
 
 
 class TestValidation:
@@ -68,6 +73,31 @@ class TestValidation:
         big = 10**4000
         with pytest.raises(InvalidMorphismError, match="order constraint fails at domain index 1"):
             zm([7], [big, big], [1, 1])
+
+    @needs_digit_limit
+    def test_a_map_value_too_long_to_print_is_still_refused_by_name(self):
+        for make in (lambda v: zm([2], [6], [v]), lambda v: IndexFunction(1, 1, (v,))):
+            with pytest.raises(InvalidMorphismError) as info:
+                make(10**5000)
+            assert str(info.value) == f"value {UNPRINTABLE} outside the 1-based range [1]"
+
+    def test_a_map_from_any_iterable_of_ints_is_accepted(self):
+        # not a list or tuple of exact ints: the value-by-value checks accept it
+        assert zm([2, 3], [2, 3], range(1, 3)).values == (1, 2)
+        assert IndexFunction(2, 1, (v for v in [1, 1])).values == (1, 1)
+
+    def test_a_morphism_between_non_tuples_is_refused(self):
+        with pytest.raises(InvalidMorphismError, match="are FactorTuples, not list"):
+            Morphism([2], zt(6), (1,))
+        with pytest.raises(InvalidMorphismError, match="are FactorTuples, not NoneType"):
+            Morphism(zt(2), None, (1,))
+
+    def test_a_tuple_needs_a_monoid_and_iterable_entries(self):
+        with pytest.raises(ValueError, match="a tuple's monoid must be a Monoid, got str"):
+            FactorTuple("zx", (1,))
+        with pytest.raises(ValueError, match="tuple entries are not iterable: NoneType"):
+            FactorTuple(ZX, None)
+        assert FactorTuple(ZX, iter([2, 3])).entries == (2, 3)
 
     def test_empty_to_empty_identity(self):
         m = Morphism(OMEGA, OMEGA, [])

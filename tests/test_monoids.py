@@ -129,6 +129,29 @@ def test_validation_rejects_bad_elements():
         free("c")
 
 
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+                    reason="str() prints a 5,001-digit int when it has no smaller digit limit")
+def test_a_caller_int_too_long_to_print_is_still_refused_by_name():
+    big, note = 10**5000, f"(over {sys.get_int_max_str_digits()} digits to print)"
+    for call, error, message in [
+            (lambda: NAT.validate(-big), ValueError, f"nat: expected a positive int, got {note}"),
+            (lambda: ZX.validate([big]), ValueError, f"zx: expected a nonzero int, got {note}"),
+            (lambda: INTERVAL.validate(big), ValueError, f"interval: {note} is outside (0, 1]"),
+            (lambda: ZX.is_prime(big), GuardError, f"zx: |{note}| exceeds the trial-division bound 2**31"),
+            (lambda: INTERVAL.validate([big]), ValueError, f"interval: expected a rational, got {note}"),
+            (lambda: INTERVAL.decode([big]), ValueError, f"interval: expected 'p/q', got {note}"),
+            (lambda: FREE.validate([big]), ValueError, f"free:a,b: unknown generator {note}"),
+            (lambda: FREE.decode(big), ValueError, f"free:a,b: expected a string, got {note}"),
+            (lambda: free_monoid([big]), ValueError, f"bad generator name {note}"),
+            (lambda: monoid_by_name(big), ValueError, f"monoid name must be a string, got {note}")]:
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
+    # printable values keep their messages
+    with pytest.raises(ValueError, match=re.escape("interval: 3/2 is outside (0, 1]")):
+        INTERVAL.validate(Fraction(3, 2))
+
+
 def test_interval_refuses_bools_and_floats():
     for a in (True, 0.5):
         with pytest.raises(ValueError, match=re.escape(f"interval: expected a rational, got {a!r}")):
