@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import lru_cache
+from itertools import accumulate, repeat
 
 from .errors import CapabilityError, GuardError
 from .monoids import Monoid, monoid_by_name
@@ -58,6 +60,14 @@ EXIT_SOFTWARE = 70  # sysexits.h EX_SOFTWARE
 
 GRAPH_NODE_GUARD = 1000
 
+# how deep a JSON argument may nest: a CLI input nests at most 2 deep, and
+# json.loads recurses once per level, into a RecursionError near 1,000 levels
+# on some interpreters but not on others
+JSON_DEPTH_BOUND = 100
+
+_JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"', re.DOTALL)
+_NESTING = {"[": 1, "{": 1, "]": -1, "}": -1}
+
 
 def _monoid_arg(args) -> Monoid:
     if not args.monoid:
@@ -66,12 +76,13 @@ def _monoid_arg(args) -> Monoid:
 
 
 def _json_arg(text: str):
-    """Parse a JSON command-line argument.  Nesting too deep for the parser
-    is a parse error like any other malformed input, not a crash."""
-    try:
-        return json.loads(text)
-    except RecursionError:
-        raise ValueError("JSON argument is nested too deeply") from None
+    """Parse a JSON command-line argument.  Its brackets outside strings are
+    counted before it is parsed, without recursing, and nesting deeper than
+    JSON_DEPTH_BOUND is a parse error, on every interpreter alike."""
+    steps = map(_NESTING.get, _JSON_STRING.sub("", text), repeat(0))
+    if max(accumulate(steps), default=0) > JSON_DEPTH_BOUND:
+        raise ValueError("JSON argument is nested too deeply")
+    return json.loads(text)
 
 
 def _load_morphism(args, attr="morphism"):

@@ -24,17 +24,16 @@ are the tuples of pool elements below them (see ``_by_domain``).  So the
 enumerator is checked against an independent construction, and a build
 leaves nothing in its cache.  Each (codomain, map) that the walk finds a
 domain for is kept once, as a block, and each domain's row as an array of
-block ids: the default universe's 160,991 morphisms are 8,320 blocks, read
-as a sequence that builds a morphism when it is read (``_MorphismRows``).
-A run in one process builds each morphism once, into tuples kept on the
-spec (``_tuples``), so :func:`universe_morphisms` is a tuple there.  The
-brute-force inverse search skips a morphism whose codomain product is not
-below its domain product, since the product is a functor and no morphism
-can then run back.
+block ids: the default universe's 160,991 morphisms are 8,320 blocks, each
+morphism built when it is read (``_MorphismRows``).  The runner hands each
+suite its table: the blocks (``_by_domain``) in both processes of a forked
+run, else the tuple of morphisms built once and kept on the spec
+(``_tuples``), which :func:`universe_morphisms` always returns.  The inverse
+search skips a morphism whose codomain product is not below its domain
+product, since the product is a functor and no morphism can then run back.
 
 :func:`run_suite` runs every suite through one per-suite function, and
-where that pays, runs ``FORKED_SUITES`` in a forked child that reads the
-blocks too (see ``_forked``).
+where that pays, runs ``FORKED_SUITES`` in a forked child (see ``_forked``).
 
 Each law is one entry of the ``LAWS`` registry: its name, the payload key
 and wire kind of each predicate argument, and the predicate.  A suite is a
@@ -67,7 +66,6 @@ import threading
 from array import array
 from bisect import bisect_right
 from collections import defaultdict
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 from itertools import accumulate, chain, islice, product as iter_product, repeat
@@ -227,12 +225,12 @@ def universe_objects(u: UniverseSpec) -> tuple[FactorTuple, ...]:
     return tuple(out)
 
 
-class _MorphismRows(Sequence):
+class _MorphismRows:
     """Morphisms stored as rows (domain, array of block ids), where block k is
     the (codomain, map) pair ``codomains[k]``, ``maps[k]``.  Each morphism is
     built by ``_trusted_morphism`` when it is read, so the table holds one
-    4-byte id per morphism.  Indexing takes ints and slices (a slice gives a
-    tuple), and iteration runs row by row."""
+    4-byte id per morphism.  Only the suites of a forked run read it: by an
+    int in range, as every drawn index is, or row by row by iteration."""
 
     def __init__(self, codomains: list, maps: list, rows: list[tuple[FactorTuple, array]]):
         self._codomains, self._maps, self._rows = codomains, maps, rows
@@ -241,20 +239,12 @@ class _MorphismRows(Sequence):
     def __len__(self) -> int:
         return self._starts[-1]
 
-    def _at(self, i: int) -> Morphism:
-        """The morphism at i, unchecked: i is an int, 0 <= i < len(self), as a
-        drawn index is by construction."""
+    def __getitem__(self, i: int) -> Morphism:  # unchecked: 0 <= i < len(self)
         starts = self._starts
         r = bisect_right(starts, i) - 1
         a, row = self._rows[r]
         k = row[i - starts[r]]
         return _trusted_morphism(a, self._codomains[k], self._maps[k])
-
-    def __getitem__(self, i):
-        # a negative index counts from the end; out of range raises
-        if isinstance(i, slice):
-            return tuple(map(self._at, range(len(self))[i]))
-        return self._at(range(len(self))[i])
 
     def __iter__(self) -> Iterator[Morphism]:
         cods, maps = self._codomains.__getitem__, self._maps.__getitem__
@@ -348,17 +338,10 @@ def _tuples(u: UniverseSpec) -> tuple[tuple[Morphism, ...], dict, int]:
     return tuple(chain.from_iterable(by_dom.values())), by_dom, pairs
 
 
-def _tables(u: UniverseSpec) -> tuple[Sequence[Morphism], dict, int]:
-    """The morphism tables the suites read: the blocks while a forked run
-    shares them (see ``_forked``), else the tuples."""
-    return _by_domain(u) if "_forked" in u.__dict__ else _tuples(u)
-
-
-def universe_morphisms(u: UniverseSpec) -> Sequence[Morphism]:
-    """Every morphism of the universe, by domain, then codomain, then map: a
-    tuple, or inside a forked run the sequence of blocks that builds each
-    morphism when it is read (see ``_MorphismRows``)."""
-    return _tables(u)[0]
+def universe_morphisms(u: UniverseSpec) -> tuple[Morphism, ...]:
+    """The tuple of every morphism of the universe, by domain, then
+    codomain, then map."""
+    return _tuples(u)[0]
 
 
 @_per_spec
@@ -391,14 +374,9 @@ def _below(rng: random.Random, size: int) -> Callable[[], int]:
     return draw
 
 
-def _read(items: Sequence) -> Callable[[int], object]:
-    """items' read of an index in range: a block table's unchecked one, else []."""
-    return items._at if items.__class__ is _MorphismRows else items.__getitem__
-
-
 def _draws(items, k: int, rng: random.Random, count: int):
     """count seeded k-tuples of items, drawn left to right."""
-    read, draw = _read(items), _below(rng, len(items))
+    read, draw = items.__getitem__, _below(rng, len(items))
     for _ in range(count):
         yield tuple([read(draw()) for _ in range(k)])
 
@@ -410,13 +388,13 @@ def _k_tuples(items, k: int, u: UniverseSpec, rng: random.Random):
     return _draws(items, k, rng, u.sample_size)
 
 
-def _walks(u: UniverseSpec, rng: random.Random, k: int, count: int):
-    """count seeded composable chains [f1, ..., fk], drawn step by step."""
-    morphs, by_dom, _ = _tables(u)
-    read, draw = _read(morphs), _below(rng, len(morphs))
+def _walks(table: tuple, rng: random.Random, k: int, count: int):
+    """count seeded composable chains [f1, ..., fk] of table, drawn step by step."""
+    morphs, by_dom, _ = table
+    read, draw = morphs.__getitem__, _below(rng, len(morphs))
     # one draw function per out-degree (never 0: the identity is there)
     below = {n: _below(rng, n) for n in {len(row) for row in by_dom.values()}}
-    outs = {a: (_read(row), below[len(row)]) for a, row in by_dom.items()}
+    outs = {a: (row.__getitem__, below[len(row)]) for a, row in by_dom.items()}
     for _ in range(count):
         step = read(draw())
         steps = [step]
@@ -427,11 +405,11 @@ def _walks(u: UniverseSpec, rng: random.Random, k: int, count: int):
         yield steps
 
 
-def _composable_pairs(u: UniverseSpec, rng: random.Random):
+def _composable_pairs(u: UniverseSpec, table: tuple, rng: random.Random):
     """Pairs (f, g) with g composable after f, exhaustive or sampled."""
-    morphs, by_dom, total = _tables(u)
+    morphs, by_dom, total = table
     if total > u.exhaustive_limit:
-        return _walks(u, rng, 2, u.sample_size)
+        return _walks(table, rng, 2, u.sample_size)
     return ((f, g) for f in morphs for g in by_dom[f.codomain])
 
 
@@ -693,7 +671,7 @@ LAWS: dict[str, Law] = {law.name: law for law in (
 # -- suites ------------------------------------------------------------------
 
 
-def _homset_formulas(u: UniverseSpec, rng: random.Random):
+def _homset_formulas(u: UniverseSpec, rng: random.Random, tables: Callable):
     """Counting formulas for hom sets in and out of the empty tuple and the
     1-tuples, checked against raw enumeration."""
     monoid = u.monoid
@@ -706,28 +684,29 @@ def _homset_formulas(u: UniverseSpec, rng: random.Random):
         (monoid, y, t) for y in u.pool for t in objs]
 
 
-def _epic_monic(u: UniverseSpec, rng: random.Random):
+def _epic_monic(u: UniverseSpec, rng: random.Random, tables: Callable):
     """Cancellation-based epic/monic decisions, probed on the universe
     extended by one unit entry, against the injective/surjective predicates."""
-    yield ("epic_agreement", "monic_agreement"), zip(universe_morphisms(u))
+    yield ("epic_agreement", "monic_agreement"), zip(tables(u)[0])
 
 
-def _iso(u: UniverseSpec, rng: random.Random):
+def _iso(u: UniverseSpec, rng: random.Random, tables: Callable):
     """The isomorphism predicate against brute-force two-sided inverse search."""
-    yield ("iso_agreement", "inverse_roundtrip"), zip(universe_morphisms(u))
+    yield ("iso_agreement", "inverse_roundtrip"), zip(tables(u)[0])
 
 
-def _two_of_three(u: UniverseSpec, rng: random.Random):
+def _two_of_three(u: UniverseSpec, rng: random.Random, tables: Callable):
     """The 2-of-3 property of the weak equivalence class on composable
     pairs, membership of every isomorphism, and membership consistency
     along sampled composition chains of MAX_CHAIN morphisms."""
-    yield ("two_of_three",), _composable_pairs(u, rng)
-    yield ("iso_in_w",), zip(universe_morphisms(u))
-    chains = _walks(u, _rng(u, "two_of_three:chains"), MAX_CHAIN, min(u.sample_size, 2000))
+    table = tables(u)
+    yield ("two_of_three",), _composable_pairs(u, table, rng)
+    yield ("iso_in_w",), zip(table[0])
+    chains = _walks(table, _rng(u, "two_of_three:chains"), MAX_CHAIN, min(u.sample_size, 2000))
     yield ("chain_membership",), zip(chains)
 
 
-def _monoidal_laws(u: UniverseSpec, rng: random.Random):
+def _monoidal_laws(u: UniverseSpec, rng: random.Random, tables: Callable):
     """Strict associativity and units, length additivity, braiding
     involution/isomorphism/naturality, the hexagon, and bifunctoriality."""
     objs = universe_objects(u)
@@ -737,19 +716,20 @@ def _monoidal_laws(u: UniverseSpec, rng: random.Random):
         pair_laws += ("braiding_iso",)
     yield pair_laws, _k_tuples(objs, 2, u, rng)
     yield ("tensor_assoc_objects", "hexagon"), _k_tuples(objs, 3, u, rng)
-    morphs = universe_morphisms(u)
-    yield ("tensor_unit_morphism",), zip(morphs)
-    yield ("braiding_naturality",), _k_tuples(morphs, 2, u, rng)
-    pairs = zip(_composable_pairs(u, rng), _composable_pairs(u, _rng(u, "monoidal_laws:second")))
+    table = tables(u)
+    yield ("tensor_unit_morphism",), zip(table[0])
+    yield ("braiding_naturality",), _k_tuples(table[0], 2, u, rng)
+    pairs = zip(_composable_pairs(u, table, rng),
+                _composable_pairs(u, table, _rng(u, "monoidal_laws:second")))
     yield ("bifunctoriality",), (
         (f, h, g, k) for (f, h), (g, k) in islice(pairs, min(u.sample_size, u.exhaustive_limit)))
 
 
-def _weakdiv(u: UniverseSpec, rng: random.Random):
+def _weakdiv(u: UniverseSpec, rng: random.Random, tables: Callable):
     """Weak divisibility: witness-division against the product-divisibility
     criterion, pre-order laws, minimality of the weak equivalences, and
     well-formedness of the produced squares."""
-    morphs = universe_morphisms(u)
+    morphs = tables(u)[0]
     pairs = iter(_k_tuples(morphs, 2, u, rng))
     for _ in range(200):  # each of the first 200 dividing pairs also checks its square
         for pair in pairs:
@@ -758,11 +738,12 @@ def _weakdiv(u: UniverseSpec, rng: random.Random):
                 break
             yield ("weakdiv_agreement",), (pair,)
     yield ("weakdiv_agreement",), pairs
-    yield ("weakdiv_reflexive", "weakdiv_weq_minimal"), zip(morphs[:: max(1, len(morphs) // 500)])
+    every = range(0, len(morphs), max(1, len(morphs) // 500))
+    yield ("weakdiv_reflexive", "weakdiv_weq_minimal"), zip(map(morphs.__getitem__, every))
     yield ("weakdiv_transitive",), _draws(morphs, 3, rng, min(u.sample_size, 2000))
 
 
-def _adjunction(u: UniverseSpec, rng: random.Random):
+def _adjunction(u: UniverseSpec, rng: random.Random, tables: Callable):
     """Adjunction cardinalities: hom from a 1-tuple matches the order
     relation of the underlying monoid, and product-after-embed is the identity."""
     monoid = u.monoid
@@ -795,9 +776,9 @@ FORKED_SUITES = ("epic_monic", "iso", "two_of_three")
 _WITHOUT_MORPHISMS = ("homset_formulas", "adjunction")
 
 
-def _run(u: UniverseSpec, name: str) -> SuiteReport:
+def _run(u: UniverseSpec, name: str, tables: Callable) -> SuiteReport:
     report = SuiteReport(name, u.monoid.name)
-    report.run(SUITES[name][0](u, _rng(u, name)))
+    report.run(SUITES[name][0](u, _rng(u, name), tables))
     return report
 
 
@@ -816,17 +797,16 @@ def _forked(u: UniverseSpec, names: list[str], in_child: list[bool]) -> list[Sui
     """Run the suites flagged ``in_child`` in a forked child and the others
     here; return every report in the order of ``names``.
 
-    The blocks are built before the fork and both processes read them, not
-    the tuples, so the child copies few pages of the parent's heap.  The
-    child writes its reports to a pipe as JSON and leaves by os._exit, so
-    nothing of the caller's runs in it.  An Exception in the build, the
-    pipe, the fork, this process's share or the child's reply kills and
-    reaps the child, if there is one, and every suite runs again here in
-    list order, so the reports, and the first error, are those of a run in
-    one process.  Any other BaseException kills and reaps it and propagates."""
+    The blocks are built before the fork, and both processes' suites read them
+    (``_by_domain``), not the tuples, so the child copies few pages of the
+    parent's heap.  The child writes its reports to a pipe as JSON and leaves by
+    os._exit, so nothing of the caller's runs in it.  An Exception in the build,
+    the pipe, the fork, this process's share or the child's reply kills and
+    reaps the child, if there is one, and every suite runs again here in list
+    order, so the reports, and the first error, are those of a run in one
+    process.  Any other BaseException kills and reaps it and propagates."""
     theirs = [n for n, child in zip(names, in_child) if child]
     pid = 0  # the child's, until it is reaped
-    u.__dict__["_forked"] = True  # both processes read the blocks (see _tables)
     try:
         _by_domain(u)
         read_end, write_end = os.pipe()
@@ -834,13 +814,14 @@ def _forked(u: UniverseSpec, names: list[str], in_child: list[bool]) -> list[Sui
             pid = os.fork()
             if pid == 0:
                 try:
-                    json.dump([vars(_run(u, n)) for n in theirs], out)
+                    json.dump([vars(_run(u, n, _by_domain)) for n in theirs], out)
                     out.flush()
                     os._exit(0)
                 finally:
                     os._exit(1)  # the share raised
             out.close()  # so the read ends once the child's copy closes
-            reports = [None if child else _run(u, n) for n, child in zip(names, in_child)]
+            reports = [None if child else _run(u, n, _by_domain)
+                       for n, child in zip(names, in_child)]
             data = pipe.read()
         _, status = os.waitpid(pid, 0)
         pid = 0
@@ -855,8 +836,7 @@ def _forked(u: UniverseSpec, names: list[str], in_child: list[bool]) -> list[Sui
         if pid:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        del u.__dict__["_forked"]
-    return [_run(u, n) for n in names]
+    return [_run(u, n, _tuples) for n in names]
 
 
 def run_suite(u: UniverseSpec, names: Iterable[str] | None = None) -> list[SuiteReport]:
@@ -880,7 +860,7 @@ def run_suite(u: UniverseSpec, names: Iterable[str] | None = None) -> list[Suite
     here_reads_morphisms = any(n not in FORKED_SUITES + _WITHOUT_MORPHISMS for n in names)
     if any(in_child) and here_reads_morphisms and _can_fork():
         return _forked(u, names, in_child)
-    return [_run(u, n) for n in names]
+    return [_run(u, n, _tuples) for n in names]
 
 
 def all_passed(reports: Iterable[SuiteReport]) -> bool:

@@ -1,20 +1,16 @@
-"""Fixtures shared across test modules."""
+"""Fixtures shared across test modules, and the benchmark's cold start
+(``clear_library_caches``), so a test starts cold the way a benchmarked
+verify does."""
 
 import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
-
-def sweep_library_caches():
-    """Empty every functools cache of the library through its cache_clear,
-    the way a benchmarked verify starts cold."""
-    for name, module in list(sys.modules.items()):
-        if name == "factorcat" or name.startswith("factorcat."):
-            for obj in vars(module).values():
-                if callable(getattr(obj, "cache_clear", None)):
-                    obj.cache_clear()
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import clear_library_caches  # noqa: E402
 
 
 @dataclass(frozen=True)
@@ -35,7 +31,7 @@ def cold_default_verify():
     from factorcat import SUITES, UniverseSpec, hom_index_tuples, run_suite
 
     u = UniverseSpec()
-    sweep_library_caches()
+    clear_library_caches()
     start = time.perf_counter()
     reports = [report for name in SUITES for report in run_suite(u, [name])]
     elapsed = time.perf_counter() - start

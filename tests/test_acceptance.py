@@ -32,17 +32,10 @@ from factorcat import (
     zeta_obj,
 )
 
+from builders import zm, zt
 from sampling import sample_extension, sample_morphism
 
 DEFAULT_POOL = (-1, 1, 2, 3, 5, 6)
-
-
-def zt(*entries):
-    return FactorTuple(ZX, entries)
-
-
-def zm(dom, cod, values):
-    return Morphism(zt(*dom), zt(*cod), values)
 
 
 def criterion(number, label, budget_seconds, body, elapsed=None):

@@ -41,15 +41,9 @@ import factorcat.category as category
 from factorcat.category import HOM_CACHE_SIZE, HOM_RESULT_GUARD
 from factorcat.monoids import FreeCommutative, Monoid
 
+from builders import zm, zt
+
 FREE = free_monoid("ab")
-
-
-def zt(*entries):
-    return FactorTuple(ZX, entries)
-
-
-def zm(dom, cod, values):
-    return Morphism(zt(*dom), zt(*cod), values)
 
 
 OMEGA = empty_tuple(ZX)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from factorcat import decode_morphism
-from factorcat.cli import main
+from factorcat.cli import JSON_DEPTH_BOUND, _json_arg, main
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -69,6 +69,13 @@ class TestHom:
         deep = "[" * 20000 + "]" * 20000
         code, _, err = run(capsys, "hom", "--monoid", "zx", deep, "[1]")
         assert code == 2 and "nested too deeply" in err
+
+    def test_json_nested_to_the_bound_is_parsed_and_one_level_past_it_is_refused(self, capsys):
+        at = "[" * JSON_DEPTH_BOUND + "]" * JSON_DEPTH_BOUND
+        code, _, err = run(capsys, "hom", "--monoid", "zx", at, "[1]")
+        assert code == 2 and err.startswith("error: zx: expected")  # parsed, then not an element
+        code, _, err = run(capsys, "hom", "--monoid", "zx", f"[{at}]", "[1]")
+        assert code == 2 and err == "error: JSON argument is nested too deeply\n"
 
     def test_non_string_monoid_name_is_parse_error(self, capsys):
         m = json.dumps({"monoid": 1, "domain": [], "codomain": [], "map": []})
@@ -413,3 +420,24 @@ def test_round_trip_every_emitted_morphism(capsys):
     assert code == 0
     for obj in payload["morphisms"]:
         decode_morphism(obj)
+
+
+@pytest.mark.parametrize("text", [
+    "[" * JSON_DEPTH_BOUND + "]" * JSON_DEPTH_BOUND,
+    '{"map": ' * (JSON_DEPTH_BOUND - 1) + "[]" + "}" * (JSON_DEPTH_BOUND - 1),
+    json.dumps(["[" * 5000, "{" * 5000]),  # brackets inside strings do not nest
+    json.dumps([['"', "]" * 5000 + "[" * 5000]]),  # nor after an escaped quote
+], ids=["lists", "objects", "strings", "escaped quote"])
+def test_a_json_argument_within_the_depth_bound_parses_as_json_loads_does(text):
+    assert _json_arg(text) == json.loads(text)
+
+
+@pytest.mark.parametrize("text", [
+    "[" * (JSON_DEPTH_BOUND + 1) + "]" * (JSON_DEPTH_BOUND + 1),
+    '{"map": ' * JSON_DEPTH_BOUND + "[]" + "}" * JSON_DEPTH_BOUND,
+    "[" * 5000,  # unclosed: refused by depth before the parser sees it
+], ids=["lists", "objects", "unclosed"])
+def test_a_json_argument_past_the_depth_bound_is_refused_before_parsing(text, monkeypatch):
+    monkeypatch.setattr(json, "loads", None)  # never reached
+    with pytest.raises(ValueError, match="^JSON argument is nested too deeply$"):
+        _json_arg(text)

@@ -7,17 +7,11 @@ change is intended, print the new digest with
 moved.
 """
 
-import sys
-
-import pytest
-
 from cli_corpus import corpus_digest
 
 DIGEST = "e08d132aacf3ee51ac34b0b05a8b4e0ba87cbbe0bbaa0d55eb9d7b0c2111e690"
 
 
-@pytest.mark.skipif(sys.version_info[:2] >= (3, 13),
-                    reason="3.13 words the nested-JSON refusal differently")
 def test_cli_bytes_match_the_pinned_corpus_digest():
     digest, count = corpus_digest()
     assert count == 846

@@ -49,17 +49,10 @@ from factorcat import (
 )
 from factorcat.monoids import FreeCommutative
 
+from builders import zm, zt
 from sampling import sample_extension, sample_morphism
 
 FREE = free_monoid("ab")
-
-
-def zt(*entries):
-    return FactorTuple(ZX, entries)
-
-
-def zm(dom, cod, values):
-    return Morphism(zt(*dom), zt(*cod), values)
 
 
 F_2_6 = lambda: zm([2], [6], [1])

@@ -6,7 +6,6 @@ import pytest
 from factorcat import (
     FactorTuple,
     InvalidMorphismError,
-    Morphism,
     NAT,
     ZX,
     braiding,
@@ -20,15 +19,9 @@ from factorcat import (
 )
 from factorcat.oracle import LAWS
 
+from builders import zm, zt
+
 OMEGA = empty_tuple(ZX)
-
-
-def zt(*entries):
-    return FactorTuple(ZX, entries)
-
-
-def zm(dom, cod, values):
-    return Morphism(zt(*dom), zt(*cod), values)
 
 
 def small_objects():

@@ -12,7 +12,6 @@ import threading
 import time
 import weakref
 import zlib
-from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
@@ -63,7 +62,7 @@ from factorcat import (
 )
 from factorcat.oracle import universe_homs
 
-from conftest import sweep_library_caches
+from conftest import clear_library_caches
 from sampling import sample_extension, sample_morphism
 
 SMALL = UniverseSpec(pool=(-1, 1, 2, 6), max_len=2, exhaustive_limit=40_000, sample_size=4_000)
@@ -395,7 +394,7 @@ def test_probe_caches_hold_each_distinct_input_once():
         assert info.maxsize == oracle.PROBE_CACHE_SIZE
         assert info.currsize == len(keys) < len(morphisms)
         assert info.misses == info.currsize  # no eviction
-    sweep_library_caches()  # reaches both probes
+    clear_library_caches()  # reaches both probes
     assert [probe.cache_info().currsize for probe in distinct] == [0, 0]
 
 
@@ -700,7 +699,7 @@ CLOSURE_UNIVERSES = {
     "u", [*CLOSURE_UNIVERSES.values(), UniverseSpec()], ids=[*CLOSURE_UNIVERSES, "default"]
 )
 def test_morphisms_share_one_map_object_per_distinct_map(u):
-    sweep_library_caches()
+    clear_library_caches()
     morphs = universe_morphisms(replace(u))  # a fresh spec builds its tables cold
     assert len({id(m.values) for m in morphs}) == len({m.values for m in morphs})
 
@@ -710,7 +709,7 @@ def test_shared_map_cache_is_bounded_and_swept():
     assert shared.cache_info().maxsize == category.SHARED_CACHE_SIZE
     maps = hom_index_tuples.__wrapped__(FactorTuple(ZX, (2, 3)), FactorTuple(ZX, (6, 6)))
     assert maps == ((1, 2), (2, 1)) and shared.cache_info().currsize >= 3
-    sweep_library_caches()
+    clear_library_caches()
     assert shared.cache_info().currsize == 0
 
 
@@ -874,7 +873,7 @@ def test_product_prefilter_keeps_every_non_empty_hom_set(u):
 
 @pytest.mark.parametrize("u", BUILD_UNIVERSES.values(), ids=BUILD_UNIVERSES.keys())
 def test_a_cold_build_does_not_call_the_enumerator(u):
-    sweep_library_caches()
+    clear_library_caches()
     before = hom_index_tuples.cache_info()
     fresh = replace(u)  # a fresh spec builds its tables cold
     assert universe_morphisms(fresh) and universe_homs(fresh)
@@ -1101,7 +1100,7 @@ def test_braid_maps_are_shared_only_within_the_shape_bound():
             second = braiding(FactorTuple(ZX, (5,) * n), FactorTuple(ZX, (7,) * m)).values
             assert first is second == reference_swap(n, m)  # one map per shape, whatever the entries
             shared[n, m] = first
-    sweep_library_caches()  # a cold start keeps the shared maps
+    clear_library_caches()  # a cold start keeps the shared maps
     assert all(braiding(FactorTuple(ZX, (2,) * n), FactorTuple(ZX, (3,) * m)).values is v
                for (n, m), v in shared.items())
     for n, m in ((bound - 2, 3), (0, bound + 1), (bound + 1, 0), (bound, bound)):
@@ -1235,7 +1234,7 @@ def test_a_cold_monoidal_run_builds_and_asks_no_more_than_measured(monkeypatch):
 
     monkeypatch.setattr(monoidal, "_trusted_arrow", arrow)
     monkeypatch.setattr(NonzeroIntegers, "are_associates", associates)
-    sweep_library_caches()
+    clear_library_caches()
     report = run_suite(replace(MUTANT_UNIVERSE), ["monoidal_laws"])[0]
     assert report.passed
     assert calls["arrow"] <= 12972
@@ -1298,40 +1297,26 @@ def test_the_blocks_read_like_the_tuple_of_morphisms():
     # a forked run reads the blocks where a run in one process reads the tuples
     blocks, by_dom, pairs = oracle._by_domain(SMALL)
     listed, listed_by_dom, listed_pairs = oracle._tuples(SMALL)
-    assert isinstance(blocks, Sequence) and len(blocks) == len(listed) == 559 and pairs == listed_pairs
+    assert len(blocks) == len(listed) == 559 and pairs == listed_pairs
     assert tuple(blocks) == listed == universe_morphisms(SMALL)
-    assert [blocks[i] for i in (0, 1, 280, -1, -559)] == [listed[i] for i in (0, 1, 280, -1, -559)]
-    assert blocks[3:500:7] == listed[3:500:7] and blocks[::-1] == listed[::-1]
-    for i in (559, -560):
-        with pytest.raises(IndexError):
-            blocks[i]
-    assert random.Random(1).sample(blocks, 9) == random.Random(1).sample(listed, 9)
     assert list(by_dom) == list(listed_by_dom)
+    assert all(row[0] == listed_by_dom[a][0] and row[len(row) - 1] == listed_by_dom[a][-1]
+               for a, row in by_dom.items())
     assert all(tuple(row) == listed_by_dom[a] for a, row in by_dom.items())
-    assert all(row[len(row) - 1] == listed_by_dom[a][-1] for a, row in by_dom.items())
 
 
 @pytest.mark.parametrize("u", [SMALL, UniverseSpec()], ids=["small", "default"])
-def test_every_kind_of_block_read_matches_the_tuples(u):
-    # int, negative, bool, slice and out-of-range reads, and the samplers' unchecked one
+def test_every_in_range_block_read_matches_the_tuples(u):
+    # the samplers read a block table by an int in range, row starts and ends included
     blocks, by_dom, _ = oracle._by_domain(u)
     listed, listed_by_dom, _ = oracle._tuples(u)
     a = max(by_dom, key=lambda t: len(by_dom[t]))
     for rows, tup in ((blocks, listed), (by_dom[a], listed_by_dom[a])):
         n = len(tup)
         rng = random.Random(25)
-        edges = [0, n - 1, *rows._starts[:-1], *(s - 1 for s in rows._starts[1:]), -1, -n, True]
+        edges = [0, n - 1, *rows._starts[:-1], *(s - 1 for s in rows._starts[1:])]
         picks = [rng.randrange(n) for _ in range(300)] + edges
         assert [rows[i] for i in picks] == [tup[i] for i in picks]
-        drawn = [i for i in picks if i.__class__ is int and i >= 0]
-        assert [rows._at(i) for i in drawn] == [tup[i] for i in drawn]
-        for cut in (slice(None, None, -1), slice(-2, None, -3), slice(n, -n - 5, -7), slice(1, n, -1)):
-            assert rows[cut] == tup[cut]
-        for i in (n, -n - 1):
-            with pytest.raises(IndexError):
-                rows[i]
-        with pytest.raises(TypeError):
-            rows[1.0]
 
 
 # -- seeded draws ------------------------------------------------------------------
@@ -1359,14 +1344,13 @@ def test_a_draw_from_nothing_raises_before_drawing():
     assert rng.getstate() == state
 
 
-@pytest.mark.parametrize("forked", [False, True], ids=["tuples", "blocks"])
-def test_the_samplers_draw_what_randrange_draws(forked):
-    # the walks and k-tuples of both tables against the same draws by randrange
+@pytest.mark.parametrize("build", ["_tuples", "_by_domain"], ids=["tuples", "blocks"])
+def test_the_samplers_draw_what_randrange_draws(build):
+    # the walks and k-tuples of either table against the same draws by randrange
     u = replace(SMALL)
-    if forked:
-        u.__dict__["_forked"] = True  # _tables reads the blocks
+    table = getattr(oracle, build)(u)
+    assert type(table[0]) is (oracle._MorphismRows if build == "_by_domain" else tuple)
     listed, listed_by_dom, _ = oracle._tuples(u)
-    assert type(oracle._tables(u)[0]) is (oracle._MorphismRows if forked else tuple)
     rng, reference = random.Random(5), random.Random(5)
     walks = []
     for _ in range(300):
@@ -1375,9 +1359,9 @@ def test_the_samplers_draw_what_randrange_draws(forked):
             outs = listed_by_dom[steps[-1].codomain]
             steps.append(outs[reference.randrange(len(outs))])
         walks.append(steps)
-    assert list(oracle._walks(u, rng, 3, 300)) == walks
+    assert list(oracle._walks(table, rng, 3, 300)) == walks
     triples = [tuple(listed[reference.randrange(len(listed))] for _ in range(3)) for _ in range(300)]
-    assert list(oracle._draws(oracle._tables(u)[0], 3, rng, 300)) == triples
+    assert list(oracle._draws(table[0], 3, rng, 300)) == triples
     assert rng.getstate() == reference.getstate()
 
 
@@ -1417,21 +1401,30 @@ def test_a_forked_run_reports_what_an_in_process_run_does(monkeypatch):
     names = ["weakdiv", "iso", "monoidal_laws", "homset_formulas", "iso", "adjunction"]
     in_process = [run_suite(replace(MUTANT_UNIVERSE), n) for n in (None, names)]
     forks = _count_forks(monkeypatch)
-    read, reflexive = [], oracle.LAWS["weakdiv_reflexive"].predicate
-    monkeypatch.setitem(oracle.LAWS, "weakdiv_reflexive", replace(
-        oracle.LAWS["weakdiv_reflexive"], predicate=lambda f: read.append(type(universe_morphisms(u))) or reflexive(f)))
-    forked = []
-    for n in (None, names):
-        u = replace(MUTANT_UNIVERSE)
-        forked.append(run_suite(u, n))
-        assert type(universe_morphisms(u)) is tuple  # once the child is reaped, the tuples
-    assert len(forks) == 2 and set(read) == {oracle._MorphismRows}  # this process read the blocks
+    read, run = [], oracle._run
+    monkeypatch.setattr(oracle, "_run", lambda u, name, tables: read.append(tables) or run(u, name, tables))
+    forked = [run_suite(replace(MUTANT_UNIVERSE), n) for n in (None, names)]
+    assert len(forks) == 2 and set(read) == {oracle._by_domain}  # this process read the blocks
     assert [[r.suite for r in reports] for reports in forked] == [list(SUITES), names]
     assert forked[0][2].failed_by_law and forked[0][4].failed_by_law  # iso in the child, monoidal_laws here
     as_data = [[vars(r) for r in reports] for reports in forked]
     assert as_data == [[vars(r) for r in reports] for reports in in_process]
     assert json.dumps(as_data) == json.dumps([[vars(r) for r in reports] for reports in in_process])
     _assert_no_child_is_left()
+
+
+@needs_fork
+def test_a_forked_run_leaves_the_tuples_unbuilt_and_universe_morphisms_a_tuple(monkeypatch):
+    # the blocks stay inside the run: outside it, universe_morphisms builds and returns the tuple
+    forks = _count_forks(monkeypatch)
+    u, v = replace(MUTANT_UNIVERSE), replace(MUTANT_UNIVERSE)
+    before = universe_morphisms(v)
+    assert type(before) is tuple
+    assert all_passed(run_suite(u)) and all_passed(run_suite(v)) and len(forks) == 2
+    built = {"_" + table.__name__ for table in (universe_objects, oracle._by_domain)}
+    assert {key for key in vars(u) if key.startswith("_")} == built  # _per_spec's keys
+    assert universe_morphisms(v) is before and type(universe_morphisms(u)) is tuple
+    assert universe_morphisms(u) == before
 
 
 @pytest.mark.parametrize(
@@ -1505,12 +1498,14 @@ def test_any_failure_of_a_forked_run_reaps_the_child_and_runs_every_suite_here(
         error = TypeError if failure == "a TypeError here" else KeyboardInterrupt
         monkeypatch.setitem(oracle.LAWS, "weakdiv_reflexive", replace(
             oracle.LAWS["weakdiv_reflexive"], predicate=_raising(error, "miswired")))
-    ran, run = [], oracle._run
-    monkeypatch.setattr(oracle, "_run", lambda u, name: ran.append(name) or run(u, name))
+    ran, run = [], oracle._run  # (suite, the table builder its run received)
+    monkeypatch.setattr(
+        oracle, "_run", lambda u, name, tables: ran.append((name, tables.__name__)) or run(u, name, tables))
     with monkeypatch.context() as one_process:
         one_process.setattr(oracle, "_can_fork", lambda: False)
         expected = _outcome(lambda: run_suite(replace(MUTANT_UNIVERSE)))
-    in_process, ran[:] = ran[:], []
+    assert {t for _, t in ran} == {"_tuples"}  # a run in one process reads the tuples
+    in_process, ran[:] = [name for name, _ in ran], []
     forks = _count_forks(monkeypatch)
     if failure == "the build raises":
         monkeypatch.setattr(oracle, "_by_domain", _raising_once(oracle._by_domain, MemoryError))
@@ -1525,23 +1520,13 @@ def test_any_failure_of_a_forked_run_reaps_the_child_and_runs_every_suite_here(
         monkeypatch.setattr(json, "dump", lambda value, out: out.write("[{"))  # only the child dumps
     kills, kill = [], os.kill
     monkeypatch.setattr(os, "kill", lambda pid, sig: kills.append((pid, sig)) or kill(pid, sig))
-    reads, tables = [], oracle._tables
-
-    def read(u):  # notes which run read which table
-        found = tables(u)
-        reads.append((len(ran), type(found[0])))
-        return found
-
-    monkeypatch.setattr(oracle, "_tables", read)
     u, fds = replace(MUTANT_UNIVERSE), len(os.listdir("/dev/fd"))
     assert _outcome(lambda: run_suite(u)) == expected
-    assert ran == share + (in_process if rerun else [])
+    assert ran == [(n, "_by_domain") for n in share] + [(n, "_tuples") for n in in_process if rerun]
     assert len(forks) == bool(share)
     assert kills == ([(forks[0], signal.SIGKILL)] if failure.endswith("here") else [])
     _assert_no_child_is_left()
     assert len(os.listdir("/dev/fd")) == fds
-    assert {t for k, t in reads if k <= len(share)} <= {oracle._MorphismRows}
-    assert {t for k, t in reads if k > len(share)} == ({tuple} if rerun else set())
     assert type(universe_morphisms(u)) is tuple
 
 

@@ -31,17 +31,10 @@ from factorcat import (
     total_witness,
 )
 
+from builders import zm, zt
 from sampling import sample_extension, sample_morphism
 
 OMEGA = empty_tuple(ZX)
-
-
-def zt(*entries):
-    return FactorTuple(ZX, entries)
-
-
-def zm(dom, cod, values):
-    return Morphism(zt(*dom), zt(*cod), values)
 
 
 class TestWitnesses:
