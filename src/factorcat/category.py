@@ -8,8 +8,8 @@ for every n, x_n is below the product of the codomain entries mapped to n
 from codomain positions to domain positions, and composition composes maps
 the opposite way round.  ``underlying_function`` returns the map as an
 ``IndexFunction``, the value of the underlying functor to finite sets.
-The maps of small hom sets are shared immutable tuples, one object per
-distinct map, but equal maps may be distinct objects: never compare by identity.
+Maps are immutable tuples and are not interned: equal maps may be distinct
+objects, so never compare them by identity.
 
 A braiding's map depends only on the two lengths, and the identity on t is
 the braiding of t with ().  Braidings and identities of at most
@@ -38,8 +38,7 @@ from .monoids import Element, Monoid, NAT, ZX, _shown, require_monoid
 HOM_ENUMERATION_GUARD = 10**7
 HOM_RESULT_GUARD = 10**5  # most maps one hom set may hold; far more than a verify meets
 HOM_CACHE_SIZE = 2**17  # hom_index_tuples entries; far more than a default verify fills
-SHARED_CACHE_SIZE = 2**12  # maps and hom sets kept to share; more than searched shapes have
-SHARED_SHAPE_BOUND = 2**8  # most max(N, 2)^max(M, 1) of a cached, shared hom set of N to M entries
+CACHED_SHAPE_BOUND = 2**8  # most max(N, 2)^max(M, 1) of a cached hom set of N to M entries
 BRAID_SHAPE_BOUND = 2**4  # most entries in all of a braiding or identity whose map is shared
 
 
@@ -336,17 +335,11 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     return _trusted_morphism(f.domain, g.codomain, tuple([fv[v - 1] for v in g.values]))
 
 
-@lru_cache(maxsize=SHARED_CACHE_SIZE)
-def _shared(value: tuple) -> tuple:
-    """The one object kept for an index tuple equal to value."""
-    return value
-
-
 def _small_shape(n: int, m: int) -> bool:
-    """Whether hom sets from n entries to m are cached and shared, that is
-    max(n, 2) ** max(m, 1) <= SHARED_SHAPE_BOUND; every hom_index_tuples
+    """Whether hom sets from n entries to m are cached, that is
+    max(n, 2) ** max(m, 1) <= CACHED_SHAPE_BOUND; every hom_index_tuples
     call asks, and max() would more than double the cost of a cache hit."""
-    return (n if n > 2 else 2) ** (m if m > 1 else 1) <= SHARED_SHAPE_BOUND
+    return (n if n > 2 else 2) ** (m if m > 1 else 1) <= CACHED_SHAPE_BOUND
 
 
 def hom_index_tuples(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[int, ...], ...]:
@@ -357,12 +350,11 @@ def hom_index_tuples(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[
     soon as some fiber can no longer satisfy its constraint.  Requests with
     N^M above the 10^7 guard are rejected, and so is a hom set of more than
     HOM_RESULT_GUARD maps, as soon as the walk finds one map too many.  Only
-    small shapes, max(N, 2)^max(M, 1) <= SHARED_SHAPE_BOUND (at most 2^8 maps
-    of at most 8 entries), are cached, the HOM_CACHE_SIZE most recent, and
-    they return equal maps and equal results as one shared tuple from
-    ``_shared``, so the cached hom sets hold one object per distinct map.
-    Other hom sets are built afresh, so the caches stay bounded in bytes.
-    Equal maps may still be distinct objects: never compare them by identity.
+    small shapes, max(N, 2)^max(M, 1) <= CACHED_SHAPE_BOUND (at most 2^8 maps
+    of at most 8 entries), are cached, the HOM_CACHE_SIZE most recent, so a
+    repeated call returns the same result object.  Other hom sets are built
+    afresh, so the cache stays bounded in bytes.  Maps are not interned:
+    equal maps may be distinct objects, so never compare them by identity.
     """
     if _small_shape(len(domain.entries), len(codomain.entries)):
         return _cached_hom(domain, codomain)
@@ -379,7 +371,6 @@ def _enumerate_hom(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[in
     monoid = domain.monoid
     xs, ys = domain.entries, codomain.entries
     n, m = len(xs), len(ys)
-    small = _small_shape(n, m)
     if n == 0:
         # no functions into the empty index set except from itself
         return ((),) if m == 0 else ()
@@ -387,7 +378,7 @@ def _enumerate_hom(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[in
         # the single candidate sends everything to 1; it needs no search
         if not monoid.leq(xs[0], monoid.product(ys)):
             return ()
-        return (_shared((1,) * m) if small else (1,) * m,)
+        return ((1,) * m,)
     if n**m > HOM_ENUMERATION_GUARD:
         raise GuardError(f"hom enumeration over {n}^{m} candidates exceeds the 10^7 guard")
     one = monoid.identity()
@@ -426,7 +417,7 @@ def _enumerate_hom(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[in
         walk(0)
     finally:
         del walk  # walk holds itself through its cell; drop that cycle here
-    return _shared(tuple(map(_shared, out))) if small else tuple(out)
+    return tuple(out)
 
 
 _cached_hom = lru_cache(maxsize=HOM_CACHE_SIZE)(_enumerate_hom)

@@ -99,6 +99,7 @@ from .encoding import decode_morphism, decode_tuple, encode_morphism, encode_tup
 DEFAULT_POOL = (-1, 1, 2, 3, 5, 6)
 
 UNIVERSE_OBJECT_GUARD = 2000
+UNIVERSE_RUN_GUARD = 10**6  # most exhaustive cases or draws a law group may ask for
 
 # candidate index maps over all pairs of objects; every map kept as a
 # morphism costs memory
@@ -119,8 +120,9 @@ CASE_ERRORS = (ArithmeticError, LookupError, ValueError)
 class UniverseSpec:
     """A bounded universe: a pool of elements, a tuple-length cap, and the
     determinism knobs (seed, exhaustive limit, sample size).  Construction
-    counts the tuples into ``object_count`` and stops at the object guard,
-    then stops at the candidate guard, counted from the tuple lengths alone.
+    refuses either of the last two above the run guard, counts the tuples
+    into ``object_count`` and stops at the object guard, then stops at the
+    candidate guard, counted from the tuple lengths alone.
     The objects and morphisms are built on first use, the morphisms by one
     codomain-first walk over the index maps, and kept on the spec with the
     hom table grouped from them, so they live as long as the spec does."""
@@ -143,6 +145,9 @@ class UniverseSpec:
             raise ValueError(f"universe max_len must be non-negative, got {self.max_len}")
         if self.exhaustive_limit < 1 or self.sample_size < 1:
             raise ValueError("universe limits must be positive")
+        for name in ("exhaustive_limit", "sample_size"):
+            if (value := getattr(self, name)) > UNIVERSE_RUN_GUARD:
+                raise GuardError(f"universe {name} is {value}; the guard is {UNIVERSE_RUN_GUARD}")
         count, layers = 1, [1]  # layers: the number of objects of each length
         for _ in range(self.max_len if self.pool else 0):
             layers.append(layers[-1] * len(self.pool))

@@ -1,7 +1,6 @@
 """Wire-format round trips for tuples and morphisms."""
 
 import json
-import sys
 from fractions import Fraction
 
 import pytest
@@ -22,6 +21,8 @@ from factorcat import (
     free_monoid,
 )
 from factorcat.monoids import monoid_by_name
+
+from builders import UNPRINTABLE, needs_digit_limit
 
 FREE = free_monoid("ab")
 
@@ -257,7 +258,7 @@ def shown(value, monoid=None) -> str:
     except GuardError as exc:
         return f"({exc})"
     except ValueError:
-        return f"(over {sys.get_int_max_str_digits()} digits to print)"
+        return UNPRINTABLE
 
 
 JUNK = st.one_of(st.integers(-40, 40), st.booleans(), st.none(), st.text(max_size=2),
@@ -310,10 +311,6 @@ def test_decoding_agrees_with_checking_each_value_on_its_own(obj):
 
 
 BIG = 10**5000  # past str()'s default limit of 4,300 digits
-UNPRINTABLE = f"(over {getattr(sys, 'get_int_max_str_digits', lambda: 0)()} digits to print)"
-needs_digit_limit = pytest.mark.skipif(
-    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
-    reason="str() prints a 5,001-digit int when it has no smaller digit limit")
 
 
 @needs_digit_limit

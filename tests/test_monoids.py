@@ -27,6 +27,8 @@ from factorcat import (
 )
 from factorcat.monoids import FREE_DECODE_BOUND, INTERVAL_EXPONENT_BOUND
 
+from builders import UNPRINTABLE, needs_digit_limit
+
 FREE = free_monoid("ab")
 
 
@@ -129,10 +131,9 @@ def test_validation_rejects_bad_elements():
         free("c")
 
 
-@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
-                    reason="str() prints a 5,001-digit int when it has no smaller digit limit")
+@needs_digit_limit
 def test_a_caller_int_too_long_to_print_is_still_refused_by_name():
-    big, note = 10**5000, f"(over {sys.get_int_max_str_digits()} digits to print)"
+    big, note = 10**5000, UNPRINTABLE
     for call, error, message in [
             (lambda: NAT.validate(-big), ValueError, f"nat: expected a positive int, got {note}"),
             (lambda: ZX.validate([big]), ValueError, f"zx: expected a nonzero int, got {note}"),

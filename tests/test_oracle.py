@@ -60,7 +60,7 @@ from factorcat import (
     weak_div_diagram,
     weakly_divides,
 )
-from factorcat.oracle import universe_homs
+from factorcat.oracle import UNIVERSE_RUN_GUARD, universe_homs
 
 from conftest import clear_library_caches
 from sampling import sample_extension, sample_morphism
@@ -653,11 +653,24 @@ def test_universe_numeric_fields_must_be_integers(field, value):
         ("max_len", -1, "universe max_len must be non-negative, got -1"),
         ("exhaustive_limit", 0, "universe limits must be positive"),
         ("sample_size", 0, "universe limits must be positive"),
+        ("exhaustive_limit", UNIVERSE_RUN_GUARD, None),
+        ("sample_size", UNIVERSE_RUN_GUARD, None),
+        ("exhaustive_limit", UNIVERSE_RUN_GUARD + 1,
+         "universe exhaustive_limit is 1000001; the guard is 1000000"),
+        ("sample_size", UNIVERSE_RUN_GUARD + 1, "universe sample_size is 1000001; the guard is 1000000"),
+        # either knob of the spec whose weakdiv suite would walk 160,991^2 pairs, about a day
+        ("exhaustive_limit", 10**12, "universe exhaustive_limit is 1000000000000; the guard is 1000000"),
+        ("sample_size", 10**9, "universe sample_size is 1000000000; the guard is 1000000"),
     ],
 )
 def test_universe_bounds_must_be_in_range(field, value, message):
-    with pytest.raises(ValueError, match=message):
-        UniverseSpec(**{field: value})
+    start = time.perf_counter()
+    if message is None:  # at the bound: accepted
+        assert getattr(UniverseSpec(**{field: value}), field) == value
+    else:
+        with pytest.raises(GuardError if value > UNIVERSE_RUN_GUARD else ValueError, match=message):
+            UniverseSpec(**{field: value})
+    assert time.perf_counter() - start < 1
 
 
 def test_universe_object_guard():
@@ -702,15 +715,6 @@ def test_morphisms_share_one_map_object_per_distinct_map(u):
     clear_library_caches()
     morphs = universe_morphisms(replace(u))  # a fresh spec builds its tables cold
     assert len({id(m.values) for m in morphs}) == len({m.values for m in morphs})
-
-
-def test_shared_map_cache_is_bounded_and_swept():
-    shared = category._shared
-    assert shared.cache_info().maxsize == category.SHARED_CACHE_SIZE
-    maps = hom_index_tuples.__wrapped__(FactorTuple(ZX, (2, 3)), FactorTuple(ZX, (6, 6)))
-    assert maps == ((1, 2), (2, 1)) and shared.cache_info().currsize >= 3
-    clear_library_caches()
-    assert shared.cache_info().currsize == 0
 
 
 def rebuilt(m):
