@@ -38,7 +38,7 @@ from .monoids import Element, Monoid, NAT, ZX, _shown, require_monoid
 HOM_ENUMERATION_GUARD = 10**7
 HOM_RESULT_GUARD = 10**5  # most maps one hom set may hold; far more than a verify meets
 HOM_CACHE_SIZE = 2**17  # hom_index_tuples entries; far more than a default verify fills
-CACHED_SHAPE_BOUND = 2**8  # most max(N, 2)^max(M, 1) of a cached hom set of N to M entries
+CACHED_SHAPE_BOUND = 2**8  # most N^M of a cached hom set of N >= 2 to M entries, so M <= 8
 BRAID_SHAPE_BOUND = 2**4  # most entries in all of a braiding or identity whose map is shared
 
 
@@ -336,10 +336,10 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
 
 
 def _small_shape(n: int, m: int) -> bool:
-    """Whether hom sets from n entries to m are cached, that is
-    max(n, 2) ** max(m, 1) <= CACHED_SHAPE_BOUND; every hom_index_tuples
-    call asks, and max() would more than double the cost of a cache hit."""
-    return (n if n > 2 else 2) ** (m if m > 1 else 1) <= CACHED_SHAPE_BOUND
+    """Whether hom sets from n entries to m are cached: those whose finding
+    takes a search, n >= 2 and m >= 2, with n ** m <= CACHED_SHAPE_BOUND
+    (so m <= 8, checked before the power is taken)."""
+    return n > 1 and 1 < m <= 8 and n**m <= CACHED_SHAPE_BOUND
 
 
 def hom_index_tuples(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[int, ...], ...]:
@@ -349,12 +349,13 @@ def hom_index_tuples(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[
     Enumerates the N^M candidate functions depth-first, pruning a branch as
     soon as some fiber can no longer satisfy its constraint.  Requests with
     N^M above the 10^7 guard are rejected, and so is a hom set of more than
-    HOM_RESULT_GUARD maps, as soon as the walk finds one map too many.  Only
-    small shapes, max(N, 2)^max(M, 1) <= CACHED_SHAPE_BOUND (at most 2^8 maps
-    of at most 8 entries), are cached, the HOM_CACHE_SIZE most recent, so a
-    repeated call returns the same result object.  Other hom sets are built
-    afresh, so the cache stays bounded in bytes.  Maps are not interned:
-    equal maps may be distinct objects, so never compare them by identity.
+    HOM_RESULT_GUARD maps, as soon as the walk finds one map too many.  The
+    HOM_CACHE_SIZE most recent hom sets whose finding takes a search (see
+    ``_small_shape``) are cached, so a repeated call returns the same result
+    object.  Out of () or a 1-tuple a hom set has a closed form, into either
+    a walk at most one level deep, and a larger shape would make the cache
+    unbounded in bytes.  Maps are not interned: equal maps may be distinct
+    objects, so never compare them by identity.
     """
     if _small_shape(len(domain.entries), len(codomain.entries)):
         return _cached_hom(domain, codomain)

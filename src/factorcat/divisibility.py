@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidMorphismError
-from .monoids import Element, Monoid
+from .monoids import Element, Monoid, _shown
 from .category import (
     FactorTuple,
     Morphism,
@@ -235,8 +235,11 @@ def enumerate_irreducible_factorizations(
     oracle; on the shipped instances it always finds exactly one class.
     Units have the single empty factorization.  Integer inputs beyond 10**6
     in absolute value and free-monoid inputs with more than 256 generator
-    copies are rejected rather than scanned, and so is a negative cap.
+    copies are rejected rather than scanned, and so is a cap that is not a
+    non-negative int.
     """
+    if isinstance(max_count, bool) or not isinstance(max_count, int):
+        raise ValueError(f"max_count must be an integer, got {_shown(max_count)}")
     if max_count < 0:
         raise ValueError(f"max_count must be non-negative, got {max_count}")
     monoid.require_ufd("factorization enumeration")

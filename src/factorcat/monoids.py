@@ -556,10 +556,10 @@ class FreeCommutative(DivisibilityMonoid):
         return self.validate(tuple(counts))
 
 
-def require_monoid(value) -> None:
-    """Raise ValueError unless value is a Monoid, as a tuple's monoid must be."""
+def require_monoid(value, owner: str = "tuple") -> None:
+    """Raise ValueError unless value is a Monoid, as a tuple's or a universe's monoid must be."""
     if not isinstance(value, Monoid):
-        raise ValueError(f"a tuple's monoid must be a Monoid, got {type(value).__name__}")
+        raise ValueError(f"a {owner}'s monoid must be a Monoid, got {type(value).__name__}")
 
 
 ZX = NonzeroIntegers()

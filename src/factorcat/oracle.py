@@ -72,7 +72,7 @@ from itertools import accumulate, chain, islice, product as iter_product, repeat
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import GuardError
-from .monoids import MONOID_CACHE_SIZE, ZX, Monoid, monoid_by_name
+from .monoids import MONOID_CACHE_SIZE, ZX, Monoid, _shown, monoid_by_name, require_monoid
 from .category import (
     HOM_RESULT_GUARD,
     FactorTuple,
@@ -135,7 +135,12 @@ class UniverseSpec:
     sample_size: int = 20_000
 
     def __post_init__(self):
-        pool = dict.fromkeys(map(self.monoid.validate, self.pool))  # keeps first-seen order
+        require_monoid(self.monoid, "universe")
+        try:
+            pool = iter(self.pool)
+        except TypeError:
+            raise ValueError(f"universe pool is not iterable: {type(self.pool).__name__}") from None
+        pool = dict.fromkeys(map(self.monoid.validate, pool))  # keeps first-seen order
         object.__setattr__(self, "pool", tuple(pool))
         for name in ("max_len", "exhaustive_limit", "sample_size"):
             value = getattr(self, name)
@@ -874,8 +879,20 @@ def all_passed(reports: Iterable[SuiteReport]) -> bool:
 
 def recheck(failure: Mapping) -> bool:
     """Deserialize a reported counterexample and re-run its law; returns
-    True when the failure reproduces, by a false result or by a raise."""
-    law = LAWS[failure["law"]]
+    True when the failure reproduces, by a false result or by a raise.  A
+    payload that is not a mapping, names no known law or lacks a key its law
+    reads raises ValueError."""
+    if not isinstance(failure, Mapping):
+        raise ValueError(f"a payload is a mapping, not {type(failure).__name__}")
+    if "law" not in failure:
+        raise ValueError("payload lacks the key 'law'")
+    name = failure["law"]
+    if not isinstance(name, str) or name not in LAWS:
+        raise ValueError(f"unknown law {_shown(name)}")
+    law = LAWS[name]
+    for key in ("monoid", *(key for key, _ in law.args)):
+        if key not in failure:
+            raise ValueError(f"{name} payload lacks the key {key!r}")
     args = law.decode(monoid_by_name(failure["monoid"]), failure)
     try:
         return not law.predicate(*args)

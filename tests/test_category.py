@@ -521,6 +521,14 @@ def test_only_small_shapes_are_cached():
     long_ones = hom_index_tuples(zt(1), zt(*[1] * 9))  # one map, but 9 entries long
     assert long_ones == ((1,) * 9,) and hom_index_tuples.cache_info().currsize == 1
     assert hom_index_tuples(zt(1), zt(*[1] * 9))[0] is not long_ones[0]
+    # out of () or a 1-tuple a hom set has a closed form, and into () or a
+    # 1-tuple the walk is at most one level deep: none of them is kept
+    for domain, codomain in [((), ()), ((), (2, 3, 6)), ((2,), ()), ((2,), (2, 3, 6)),
+                             ((2, 3, 6), ()), ((2, 3, 6), (6,)), ([1] * 20, (1,))]:
+        hom_index_tuples(zt(*domain), zt(*codomain))
+        assert hom_index_tuples.cache_info().currsize == 1, (domain, codomain)
+    assert hom_index_tuples(zt(2, 3), zt(3, 2)) == ((2, 1),)  # 2^2 candidates: searched and kept
+    assert hom_index_tuples.cache_info().currsize == 2
 
 
 def test_a_cold_enumeration_is_freed_without_the_cycle_collector():

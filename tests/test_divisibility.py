@@ -364,6 +364,11 @@ class TestFactorizationEnumeration:
         with pytest.raises(ValueError, match="max_count"):
             enumerate_irreducible_factorizations(ZX, 12, max_count=-1)
 
+    @pytest.mark.parametrize("cap", ["3", True, 2.0, None])
+    def test_a_cap_that_is_not_an_int_is_rejected(self, cap):
+        with pytest.raises(ValueError, match="max_count must be an integer"):
+            enumerate_irreducible_factorizations(ZX, 12, max_count=cap)
+
     def test_guard(self):
         with pytest.raises(GuardError):
             enumerate_irreducible_factorizations(ZX, 10**6 + 1)

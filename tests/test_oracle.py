@@ -463,8 +463,21 @@ def test_recheck_covers_passing_payloads():
         assert not recheck(payload), law
         for key in keys:  # every pinned key is needed to re-run the law
             partial = {k: v for k, v in payload.items() if k != key}
-            with pytest.raises(KeyError):
+            with pytest.raises(ValueError, match=f"lacks the key '{key}'"):
                 recheck(partial)
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [({}, "payload lacks the key 'law'"),
+     ({"law": "iso_agreement", "monoid": "zx"}, "iso_agreement payload lacks the key 'morphism'"),
+     ({"law": "no_such_law", "monoid": "zx"}, "unknown law 'no_such_law'"),
+     ({"law": ["iso_agreement"], "monoid": "zx"}, r"unknown law \['iso_agreement'\]"),
+     ("law", "a payload is a mapping, not str"), ([], "a payload is a mapping, not list")],
+)
+def test_recheck_refuses_a_malformed_payload(payload, message):
+    with pytest.raises(ValueError, match=message):
+        recheck(payload)
 
 
 def test_failure_payloads_come_from_the_registry(monkeypatch):
@@ -644,6 +657,17 @@ def test_universe_pool_validation():
 )
 def test_universe_numeric_fields_must_be_integers(field, value):
     with pytest.raises(ValueError, match=field):
+        UniverseSpec(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("monoid", "zx", "a universe's monoid must be a Monoid, got str"),
+     ("monoid", None, "a universe's monoid must be a Monoid, got NoneType"),
+     ("pool", 5, "universe pool is not iterable: int")],
+)
+def test_universe_monoid_and_pool_are_checked_as_caller_data(field, value, message):
+    with pytest.raises(ValueError, match=message):
         UniverseSpec(**{field: value})
 
 
@@ -894,11 +918,21 @@ def test_the_build_refuses_a_hom_set_past_the_result_guard(monkeypatch):
         universe_morphisms(replace(u))
 
 
-def test_a_cold_default_verify_misses_the_hom_cache_at_most_7239_times(cold_default_verify):
+def test_a_cold_default_verify_misses_the_hom_cache_at_most_3662_times(cold_default_verify):
     # one-sided: a change that needs fewer enumerations lowers the bound; the
     # session fixture swept the caches and ran the default verify
     assert all_passed(cold_default_verify.reports)
-    assert cold_default_verify.hom_cache.misses <= 7239
+    assert cold_default_verify.hom_cache.misses <= 3662
+
+
+def test_a_forked_parents_share_leaves_the_hom_cache_empty():
+    # this process's share of a forked verify asks only for hom sets out of
+    # or into () or a 1-tuple, which are never cached
+    u, share = UniverseSpec(), [n for n in SUITES if n not in oracle.FORKED_SUITES]
+    assert share == ["homset_formulas", "monoidal_laws", "weakdiv", "adjunction"]
+    clear_library_caches()
+    assert all_passed([oracle._run(u, n, oracle._by_domain) for n in share])
+    assert hom_index_tuples.cache_info().currsize == 0
 
 
 def iso_by_unfiltered_search(m):
