@@ -16,7 +16,8 @@ the braiding of t with ().  Braidings and identities of at most
 BRAID_SHAPE_BOUND entries share one map per shape from ``_SWAPS``, a table
 built once at import; longer ones build theirs afresh with ``_swap_map``.
 
-Index values are 1-based throughout, matching the wire format.
+Index values are 1-based throughout, matching the wire format.  The hom-set
+enumerator keeps nothing between calls; the oracle memoizes what it repeats.
 
 Outputs valid by theorem skip validation through the trusted builders below,
 ``_trusted_arrow`` building a tensor's or braiding's morphism and both its
@@ -28,7 +29,6 @@ and ``is`` on the two monoids) and call ``require_divisibility`` or
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import prod
 from typing import Callable, Mapping
 
@@ -37,8 +37,6 @@ from .monoids import Element, Monoid, NAT, ZX, _shown, require_monoid
 
 HOM_ENUMERATION_GUARD = 10**7
 HOM_RESULT_GUARD = 10**5  # most maps one hom set may hold; far more than a verify meets
-HOM_CACHE_SIZE = 2**17  # hom_index_tuples entries; far more than a default verify fills
-CACHED_SHAPE_BOUND = 2**8  # most N^M of a cached hom set of N >= 2 to M entries, so M <= 8
 BRAID_SHAPE_BOUND = 2**4  # most entries in all of a braiding or identity whose map is shared
 
 
@@ -106,6 +104,14 @@ def require_same_monoid(a, b, what: str) -> None:
     over the same monoid."""
     if a.monoid is not b.monoid and a.monoid != b.monoid:
         raise InvalidMorphismError(f"{what} needs both arguments over the same monoid")
+
+
+def _require_tuples(domain, codomain) -> None:
+    """The one type check of Morphism(...) and hom_index_tuples on their tuples."""
+    for part in (domain, codomain):
+        if not isinstance(part, FactorTuple):
+            raise InvalidMorphismError(
+                f"a morphism's domain and codomain are FactorTuples, not {type(part).__name__}")
 
 
 def _checked_map(dom_size, cod_size, values) -> tuple:
@@ -210,10 +216,7 @@ class Morphism:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        for part in (self.domain, self.codomain):
-            if not isinstance(part, FactorTuple):
-                raise InvalidMorphismError(
-                    f"a morphism's domain and codomain are FactorTuples, not {type(part).__name__}")
+        _require_tuples(self.domain, self.codomain)
         values = _checked_morphism(self.domain, self.codomain, self.values)
         object.__setattr__(self, "values", values)
 
@@ -335,11 +338,9 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     return _trusted_morphism(f.domain, g.codomain, tuple([fv[v - 1] for v in g.values]))
 
 
-def _small_shape(n: int, m: int) -> bool:
-    """Whether hom sets from n entries to m are cached: those whose finding
-    takes a search, n >= 2 and m >= 2, with n ** m <= CACHED_SHAPE_BOUND
-    (so m <= 8, checked before the power is taken)."""
-    return n > 1 and 1 < m <= 8 and n**m <= CACHED_SHAPE_BOUND
+def _too_many_maps(n: int, m: int) -> GuardError:
+    """The refusal of a hom set over n^m candidates with more than HOM_RESULT_GUARD maps."""
+    return GuardError(f"hom set over {n}^{m} candidates has more than 10^5 maps")
 
 
 def hom_index_tuples(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[int, ...], ...]:
@@ -349,25 +350,12 @@ def hom_index_tuples(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[
     Enumerates the N^M candidate functions depth-first, pruning a branch as
     soon as some fiber can no longer satisfy its constraint.  Requests with
     N^M above the 10^7 guard are rejected, and so is a hom set of more than
-    HOM_RESULT_GUARD maps, as soon as the walk finds one map too many.  The
-    HOM_CACHE_SIZE most recent hom sets whose finding takes a search (see
-    ``_small_shape``) are cached, so a repeated call returns the same result
-    object.  Out of () or a 1-tuple a hom set has a closed form, into either
-    a walk at most one level deep, and a larger shape would make the cache
-    unbounded in bytes.  Maps are not interned: equal maps may be distinct
-    objects, so never compare them by identity.
+    HOM_RESULT_GUARD maps, as soon as the walk finds one map too many.
+    Nothing is kept between calls: a repeated call enumerates again.  Maps
+    are not interned: equal maps may be distinct objects, so never compare
+    them by identity.
     """
-    if _small_shape(len(domain.entries), len(codomain.entries)):
-        return _cached_hom(domain, codomain)
-    return _enumerate_hom(domain, codomain)
-
-
-def _too_many_maps(n: int, m: int) -> GuardError:
-    """The refusal of a hom set over n^m candidates with more than HOM_RESULT_GUARD maps."""
-    return GuardError(f"hom set over {n}^{m} candidates has more than 10^5 maps")
-
-
-def _enumerate_hom(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[int, ...], ...]:
+    _require_tuples(domain, codomain)
     require_same_monoid(domain, codomain, "a hom set")
     monoid = domain.monoid
     xs, ys = domain.entries, codomain.entries
@@ -419,12 +407,6 @@ def _enumerate_hom(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[in
     finally:
         del walk  # walk holds itself through its cell; drop that cycle here
     return tuple(out)
-
-
-_cached_hom = lru_cache(maxsize=HOM_CACHE_SIZE)(_enumerate_hom)
-hom_index_tuples.cache_info = _cached_hom.cache_info
-hom_index_tuples.cache_clear = _cached_hom.cache_clear
-hom_index_tuples.__wrapped__ = _enumerate_hom
 
 
 def hom_set(domain: FactorTuple, codomain: FactorTuple) -> list[Morphism]:

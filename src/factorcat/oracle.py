@@ -22,7 +22,7 @@ The morphisms are built codomain first, without the hom-set enumerator: a
 codomain and a map fix every fiber product, and the domains with that map
 are the tuples of pool elements below them (see ``_by_domain``).  So the
 enumerator is checked against an independent construction, and a build
-leaves nothing in its cache.  Each (codomain, map) that the walk finds a
+never calls it.  Each (codomain, map) that the walk finds a
 domain for is kept once, as a block, and each domain's row as an array of
 block ids: the default universe's 160,991 morphisms are 8,320 blocks, each
 morphism built when it is read (``_MorphismRows``).  The runner hands each
@@ -53,7 +53,10 @@ in lru_caches of ``PROBE_CACHE_SIZE`` entries: a universe has far fewer
 distinct probe inputs than morphisms.  The checked predicates
 ``is_epic``/``is_monic`` still run on every morphism, as a cache on the
 probe's key would hide a fault that depends on the rest of the morphism.
-A test that swaps a global the probes call must clear them.
+The probes and the inverse search, the only checks that ask for a hom set
+again, read it through ``_homs``, as large an lru_cache; the counting laws
+call the enumerator directly.  A test that swaps a global they call must
+clear them.
 """
 
 from __future__ import annotations
@@ -81,7 +84,6 @@ from .category import (
     empty_tuple,
     embed,
     hom_index_tuples,
-    hom_set,
     identity_morphism,
     inverse,
     is_epic,
@@ -108,7 +110,7 @@ UNIVERSE_CANDIDATE_GUARD = 2_000_000
 # morphisms per sampled composition chain in the two_of_three suite
 MAX_CHAIN = 3
 
-# distinct inputs each cancellation probe keeps (see the module docstring)
+# entries of each oracle memo: the two probes and _homs (see the module docstring)
 PROBE_CACHE_SIZE = 2**13
 
 # what a predicate raises on the values of a bad case, so the case fails; any
@@ -463,12 +465,18 @@ def _unit_constants(monoid: Monoid) -> tuple[FactorTuple, Morphism]:
 
 
 @lru_cache(maxsize=PROBE_CACHE_SIZE)
+def _homs(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[int, ...], ...]:
+    """The hom set's maps from ``hom_index_tuples``, looked up at call time."""
+    return hom_index_tuples(domain, codomain)
+
+
+@lru_cache(maxsize=PROBE_CACHE_SIZE)
 def _epic_probe(codomain: FactorTuple, values: tuple[int, ...]) -> bool:
     """No distinct post-compositions collide on the probe target obtained by
     appending a unit entry to the codomain."""
     target = tensor_objects(codomain, _unit_constants(codomain.monoid)[0])
     seen = set()
-    for gv in hom_index_tuples(codomain, target):
+    for gv in _homs(codomain, target):
         c = tuple([values[x - 1] for x in gv])
         if c in seen:
             return False
@@ -480,7 +488,7 @@ def _epic_probe(codomain: FactorTuple, values: tuple[int, ...]) -> bool:
 def _monic_probe(domain: FactorTuple, values: tuple[int, ...]) -> bool:
     source = tensor_objects(domain, _unit_constants(domain.monoid)[0])
     seen = set()
-    for gv in hom_index_tuples(source, domain):
+    for gv in _homs(source, domain):
         c = tuple([gv[x - 1] for x in values])
         if c in seen:
             return False
@@ -491,12 +499,12 @@ def _monic_probe(domain: FactorTuple, values: tuple[int, ...]) -> bool:
 def _iso_by_bruteforce(m: Morphism) -> bool:
     if not m.domain.monoid.leq(m.codomain.product(), m.domain.product()):
         return False  # the product is a functor, so there is no morphism back
-    candidates = hom_set(m.codomain, m.domain)
+    candidates = _homs(m.codomain, m.domain)
     if not candidates:  # the usual case; it needs no identities
         return False
     id_dom = identity_morphism(m.domain)
     id_cod = identity_morphism(m.codomain)
-    for g in candidates:
+    for g in map(_trusted_morphism, repeat(m.codomain), repeat(m.domain), candidates):
         if compose(g, m) == id_dom and compose(m, g) == id_cod:
             return True
     return False
@@ -851,18 +859,23 @@ def _forked(u: UniverseSpec, names: list[str], in_child: list[bool]) -> list[Sui
 
 def run_suite(u: UniverseSpec, names: Iterable[str] | None = None) -> list[SuiteReport]:
     """Run the named suites (all capability-compatible ones by default) and
-    return their reports in order.  Unknown names raise ValueError, and a
+    return their reports in order.  A spec that is not a UniverseSpec, names
+    given as one str or not iterable, and unknown names raise ValueError; a
     divisibility-only suite on another monoid raises CapabilityError, before
     any suite runs.
 
     A forked child may run ``FORKED_SUITES`` (see ``_forked``); the reports
     are those of a run in one process."""
+    if not isinstance(u, UniverseSpec):
+        raise ValueError(f"suites run on a UniverseSpec, not {type(u).__name__}")
     if names is None:
         names = [n for n, (_, div) in SUITES.items() if u.monoid.is_divisibility or not div]
+    elif isinstance(names, str) or not isinstance(names, Iterable):
+        raise ValueError(f"suite names are an iterable of str, not {type(names).__name__}")
     names = list(names)
     for n in names:
-        if n not in SUITES:
-            raise ValueError(f"unknown suite {n!r}")
+        if n.__class__ is not str or n not in SUITES:
+            raise ValueError(f"unknown suite {_shown(n)}")
     for n in names:
         if SUITES[n][1]:
             u.monoid.require_divisibility(f"suite {n!r}")

@@ -19,20 +19,21 @@ class ColdVerify:
 
     reports: list
     elapsed: float  # seconds, wall clock
-    hom_cache: tuple  # hom_index_tuples.cache_info() right after the run
+    hom_memo: tuple  # the oracle's hom-set memo's cache_info() right after the run
 
 
 @pytest.fixture(scope="session")
 def cold_default_verify():
     """The default verify, run once per session from empty caches, for the
-    tests that check its outcome, its time budget and its hom-cache misses.
+    tests that check its outcome, its time budget and its hom-memo misses.
     It asks for one suite per call, so every suite runs in this process and
-    the cache counts the misses of all seven."""
-    from factorcat import SUITES, UniverseSpec, hom_index_tuples, run_suite
+    the memo counts the misses of all seven."""
+    from factorcat import SUITES, UniverseSpec, run_suite
+    from factorcat.oracle import _homs
 
     u = UniverseSpec()
     clear_library_caches()
     start = time.perf_counter()
     reports = [report for name in SUITES for report in run_suite(u, [name])]
     elapsed = time.perf_counter() - start
-    return ColdVerify(reports, elapsed, hom_index_tuples.cache_info())
+    return ColdVerify(reports, elapsed, _homs.cache_info())

@@ -222,6 +222,21 @@ def test_unknown_suite_name():
         run_suite(SMALL, ["bogus"])
 
 
+@pytest.mark.parametrize("spec, names, message", [
+    (ZX, None, "suites run on a UniverseSpec, not NonzeroIntegers"),
+    ({"pool": [1]}, ["iso"], "suites run on a UniverseSpec, not dict"),
+    (SMALL, 5, "suite names are an iterable of str, not int"),
+    (SMALL, "iso", "suite names are an iterable of str, not str"),
+    (SMALL, [["x"]], "unknown suite ['x']"),
+    (SMALL, ["iso", 3], "unknown suite 3"),
+], ids=["monoid", "dict", "int", "str", "list", "int_name"])
+def test_run_suite_refuses_malformed_input_before_any_work(monkeypatch, spec, names, message):
+    monkeypatch.setattr(oracle, "_run", lambda *args: pytest.fail("a suite ran"))
+    with pytest.raises(ValueError) as info:
+        run_suite(spec, names)
+    assert str(info.value) == message
+
+
 def test_empty_name_list_is_a_pass():
     reports = run_suite(SMALL, [])
     assert reports == [] and all_passed(reports)
@@ -900,12 +915,14 @@ def test_product_prefilter_keeps_every_non_empty_hom_set(u):
 
 
 @pytest.mark.parametrize("u", BUILD_UNIVERSES.values(), ids=BUILD_UNIVERSES.keys())
-def test_a_cold_build_does_not_call_the_enumerator(u):
-    clear_library_caches()
-    before = hom_index_tuples.cache_info()
+def test_a_cold_build_does_not_call_the_enumerator(monkeypatch, u):
+    def refuse(domain, codomain):
+        raise AssertionError("the build called the enumerator")
+
+    monkeypatch.setattr(oracle, "hom_index_tuples", refuse)
+    monkeypatch.setattr(category, "hom_index_tuples", refuse)
     fresh = replace(u)  # a fresh spec builds its tables cold
     assert universe_morphisms(fresh) and universe_homs(fresh)
-    assert hom_index_tuples.cache_info() == before
 
 
 def test_the_build_refuses_a_hom_set_past_the_result_guard(monkeypatch):
@@ -918,21 +935,40 @@ def test_the_build_refuses_a_hom_set_past_the_result_guard(monkeypatch):
         universe_morphisms(replace(u))
 
 
-def test_a_cold_default_verify_misses_the_hom_cache_at_most_3662_times(cold_default_verify):
+def test_a_cold_default_verify_misses_the_hom_memo_at_most_3876_times(cold_default_verify):
     # one-sided: a change that needs fewer enumerations lowers the bound; the
     # session fixture swept the caches and ran the default verify
     assert all_passed(cold_default_verify.reports)
-    assert cold_default_verify.hom_cache.misses <= 3662
+    assert cold_default_verify.hom_memo.misses <= 3876
 
 
-def test_a_forked_parents_share_leaves_the_hom_cache_empty():
-    # this process's share of a forked verify asks only for hom sets out of
-    # or into () or a 1-tuple, which are never cached
+def test_a_forked_parents_share_leaves_the_hom_memo_empty():
+    # this process's share of a forked verify checks the counting laws, which
+    # call the enumerator directly, so it keeps no hom set
     u, share = UniverseSpec(), [n for n in SUITES if n not in oracle.FORKED_SUITES]
     assert share == ["homset_formulas", "monoidal_laws", "weakdiv", "adjunction"]
     clear_library_caches()
     assert all_passed([oracle._run(u, n, oracle._by_domain) for n in share])
-    assert hom_index_tuples.cache_info().currsize == 0
+    assert oracle._homs.cache_info().currsize == 0
+
+
+def test_epic_monic_enumerates_each_distinct_hom_set_once(monkeypatch):
+    # the enumerator keeps nothing, and the memo keeps every hom set the two
+    # probes ask for, whatever its shape: from (1,1,1,1,1) to (1,1,1,1) there
+    # are 5^4 candidate maps
+    assert not hasattr(hom_index_tuples, "cache_info")
+    u, one, calls = UniverseSpec(pool=(1, 2), max_len=4), FactorTuple(ZX, (1,)), []
+    distinct = set()
+    for m in universe_morphisms(u):
+        distinct.add((m.codomain, tensor_objects(m.codomain, one)))  # the epic probe's
+        distinct.add((tensor_objects(m.domain, one), m.domain))  # the monic probe's
+    monkeypatch.setattr(oracle, "hom_index_tuples",
+                        lambda a, b: calls.append((a, b)) or hom_index_tuples(a, b))
+    clear_library_caches()
+    assert run_suite(u, ["epic_monic"])[0].passed
+    info = oracle._homs.cache_info()
+    assert info.misses == info.currsize == len(calls) == len(set(calls)) == len(distinct) == 62
+    assert set(calls) == distinct
 
 
 def iso_by_unfiltered_search(m):
