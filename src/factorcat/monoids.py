@@ -434,6 +434,17 @@ class UnitInterval(Monoid):
         raise ValueError(f"{self.name}: expected 'p/q', got {_shown(value)}")
 
 
+def _alphabet(generators) -> tuple[str, ...]:
+    """The sorted distinct names of a non-empty iterable of str identifiers, else ValueError."""
+    names = tuple(generators) if isinstance(generators, Iterable) else ()
+    if not names:
+        raise ValueError(f"free monoid needs at least one generator, got {_shown(generators)}")
+    for g in names:
+        if not isinstance(g, str) or not g.isidentifier():
+            raise ValueError(f"bad generator name {_shown(g)}")
+    return tuple(sorted(set(names)))
+
+
 class FreeCommutative(DivisibilityMonoid):
     """Free commutative monoid over a finite alphabet.
 
@@ -447,13 +458,7 @@ class FreeCommutative(DivisibilityMonoid):
     is_ufd = True
 
     def __init__(self, generators: Iterable[str]):
-        gens = tuple(sorted(set(generators)))
-        if not gens:
-            raise ValueError("free monoid needs at least one generator")
-        for g in gens:
-            if not isinstance(g, str) or not g.isidentifier():
-                raise ValueError(f"bad generator name {_shown(g)}")
-        self.generators = gens
+        self.generators = gens = _alphabet(generators)
         self._index = {g: i for i, g in enumerate(gens)}
         self.name = "free:" + ",".join(gens)
         self._identity = (0,) * len(gens)
@@ -567,9 +572,7 @@ NAT = PositiveIntegers()
 INTERVAL = UnitInterval()
 
 
-@lru_cache(maxsize=MONOID_CACHE_SIZE)
-def _free_cached(gens: tuple[str, ...]) -> FreeCommutative:
-    return FreeCommutative(gens)
+_free_cached = lru_cache(maxsize=MONOID_CACHE_SIZE)(FreeCommutative)
 
 
 def free_monoid(alphabet: str | Iterable[str]) -> FreeCommutative:
@@ -577,13 +580,12 @@ def free_monoid(alphabet: str | Iterable[str]) -> FreeCommutative:
 
     A string alphabet is split on commas when present ("a,b" or "ab" both
     give generators a and b); the MONOID_CACHE_SIZE most recent instances are
-    cached per alphabet.
+    cached per alphabet.  An alphabet that is not a non-empty iterable of
+    str identifiers raises ValueError.
     """
-    if isinstance(alphabet, str):
-        gens = tuple(alphabet.split(",")) if "," in alphabet else tuple(alphabet)
-    else:
-        gens = tuple(alphabet)
-    return _free_cached(tuple(sorted(set(gens))))
+    if isinstance(alphabet, str) and "," in alphabet:
+        alphabet = alphabet.split(",")
+    return _free_cached(_alphabet(alphabet))
 
 
 def monoid_by_name(name: str) -> Monoid:

@@ -11,8 +11,8 @@ re-run through :func:`recheck`; a case whose predicate raises one of
 
 Suites are exhaustive while the case count stays within the universe's
 limit and fall back to seeded sampling beyond it, so every report is
-deterministic for a given UniverseSpec, which builds its objects, hom table
-and morphisms on first use and keeps them for its own lifetime.  A sample
+deterministic for a given UniverseSpec, which builds its objects and
+morphisms on first use and keeps them for its own lifetime.  A sample
 draws an index below n as random.Random.randrange(n) does, by
 getrandbits(n.bit_length()) again until the result is below n (see
 ``_below``), so reports depend on the Mersenne Twister's output alone and
@@ -25,12 +25,11 @@ enumerator is checked against an independent construction, and a build
 never calls it.  Each (codomain, map) that the walk finds a
 domain for is kept once, as a block, and each domain's row as an array of
 block ids: the default universe's 160,991 morphisms are 8,320 blocks, each
-morphism built when it is read (``_MorphismRows``).  The runner hands each
-suite its table: the blocks (``_by_domain``) in both processes of a forked
-run, else the tuple of morphisms built once and kept on the spec
-(``_tuples``), which :func:`universe_morphisms` always returns.  The inverse
-search skips a morphism whose codomain product is not below its domain
-product, since the product is a functor and no morphism can then run back.
+morphism built when it is read (``_MorphismRows``), and every suite reads
+them there (``_by_domain``); only :func:`universe_morphisms` builds the
+tuple of them all.  The inverse search skips a morphism whose codomain
+product is not below its domain product, since the product is a functor
+and no morphism can then run back.
 
 :func:`run_suite` runs every suite through one per-suite function, and
 where that pays, runs ``FORKED_SUITES`` in a forked child (see ``_forked``).
@@ -126,8 +125,8 @@ class UniverseSpec:
     into ``object_count`` and stops at the object guard, then stops at the
     candidate guard, counted from the tuple lengths alone.
     The objects and morphisms are built on first use, the morphisms by one
-    codomain-first walk over the index maps, and kept on the spec with the
-    hom table grouped from them, so they live as long as the spec does."""
+    codomain-first walk over the index maps, and kept on the spec as blocks
+    grouped by domain, so they live as long as the spec does."""
 
     monoid: Monoid = ZX
     pool: tuple = DEFAULT_POOL
@@ -241,8 +240,8 @@ class _MorphismRows:
     """Morphisms stored as rows (domain, array of block ids), where block k is
     the (codomain, map) pair ``codomains[k]``, ``maps[k]``.  Each morphism is
     built by ``_trusted_morphism`` when it is read, so the table holds one
-    4-byte id per morphism.  Only the suites of a forked run read it: by an
-    int in range, as every drawn index is, or row by row by iteration."""
+    4-byte id per morphism.  The suites read it by an int in range, as every
+    drawn index is, or row by row by iteration."""
 
     def __init__(self, codomains: list, maps: list, rows: list[tuple[FactorTuple, array]]):
         self._codomains, self._maps, self._rows = codomains, maps, rows
@@ -342,18 +341,10 @@ def _by_domain(u: UniverseSpec) -> tuple[_MorphismRows, dict, int]:
 
 
 @_per_spec
-def _tuples(u: UniverseSpec) -> tuple[tuple[Morphism, ...], dict, int]:
-    """The tables of ``_by_domain`` with each morphism built once: the tuple
-    of every morphism, and the tuple out of each domain, sharing them."""
-    _, by_dom, pairs = _by_domain(u)
-    by_dom = {a: tuple(row) for a, row in by_dom.items()}  # in object order, as the rows are
-    return tuple(chain.from_iterable(by_dom.values())), by_dom, pairs
-
-
 def universe_morphisms(u: UniverseSpec) -> tuple[Morphism, ...]:
     """The tuple of every morphism of the universe, by domain, then
     codomain, then map."""
-    return _tuples(u)[0]
+    return tuple(_by_domain(u)[0])
 
 
 @_per_spec
@@ -400,9 +391,9 @@ def _k_tuples(items, k: int, u: UniverseSpec, rng: random.Random):
     return _draws(items, k, rng, u.sample_size)
 
 
-def _walks(table: tuple, rng: random.Random, k: int, count: int):
-    """count seeded composable chains [f1, ..., fk] of table, drawn step by step."""
-    morphs, by_dom, _ = table
+def _walks(u: UniverseSpec, rng: random.Random, k: int, count: int):
+    """count seeded composable chains [f1, ..., fk] of the universe, drawn step by step."""
+    morphs, by_dom, _ = _by_domain(u)
     read, draw = morphs.__getitem__, _below(rng, len(morphs))
     # one draw function per out-degree (never 0: the identity is there)
     below = {n: _below(rng, n) for n in {len(row) for row in by_dom.values()}}
@@ -417,11 +408,11 @@ def _walks(table: tuple, rng: random.Random, k: int, count: int):
         yield steps
 
 
-def _composable_pairs(u: UniverseSpec, table: tuple, rng: random.Random):
+def _composable_pairs(u: UniverseSpec, rng: random.Random):
     """Pairs (f, g) with g composable after f, exhaustive or sampled."""
-    morphs, by_dom, total = table
+    morphs, by_dom, total = _by_domain(u)
     if total > u.exhaustive_limit:
-        return _walks(table, rng, 2, u.sample_size)
+        return _walks(u, rng, 2, u.sample_size)
     return ((f, g) for f in morphs for g in by_dom[f.codomain])
 
 
@@ -593,37 +584,48 @@ def _weakdiv_diagram_ok(f: Morphism, g: Morphism) -> bool:
 
 # -- the law registry ----------------------------------------------------------
 
-# wire kind -> (encode, decode); both take the monoid and a value
+
+def _decode_steps(monoid: Monoid, value) -> list[Morphism]:
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"expected a non-empty JSON array of morphisms, got {_shown(value)}")
+    return [decode_morphism(m, monoid) for m in value]
+
+
+# wire kind -> (encode, decode); both take the payload's monoid and a value
 _WIRE: dict[str, tuple[Callable, Callable]] = {
     "monoid": (lambda mo, v: mo.name, lambda mo, v: monoid_by_name(v)),
     "element": (lambda mo, v: mo.encode(v), lambda mo, v: mo.decode(v)),
     "tuple": (lambda mo, v: encode_tuple(v), decode_tuple),
-    "morphism": (lambda mo, v: encode_morphism(v), lambda mo, v: decode_morphism(v)),
-    "morphisms": (
-        lambda mo, v: [encode_morphism(m) for m in v],
-        lambda mo, v: [decode_morphism(m) for m in v],
-    ),
+    "morphism": (lambda mo, v: encode_morphism(v), lambda mo, v: decode_morphism(v, mo)),
+    "morphisms": (lambda mo, v: [encode_morphism(m) for m in v], _decode_steps),
 }
 
 
 @dataclass(frozen=True)
 class Law:
-    """A law: its name, the (payload key, wire kind) of each predicate
-    argument in order, and the predicate, which is True on a passing case."""
+    """A law: its name, the (payload key, wire kind) of each argument, the
+    predicate, True on a passing case, and the key runs whose morphisms compose."""
 
     name: str
     args: tuple[tuple[str, str], ...]
     predicate: Callable[..., bool]
+    composes: tuple[tuple[str, ...], ...] = ()
 
     def encode(self, monoid: Monoid, args) -> dict:
         return {key: _WIRE[kind][0](monoid, a) for (key, kind), a in zip(self.args, args)}
 
     def decode(self, monoid: Monoid, payload: Mapping) -> list:
-        return [_WIRE[kind][1](monoid, payload[key]) for key, kind in self.args]
+        """The predicate's arguments; ValueError on a case no suite yields."""
+        args = {key: _WIRE[kind][1](monoid, payload[key]) for key, kind in self.args}
+        for keys in self.composes:  # a list is a run of steps in itself
+            steps = [m for key in keys for m in (args[key] if isinstance(args[key], list) else [args[key]])]
+            if any(f.codomain != g.domain for f, g in zip(steps, steps[1:])):
+                raise ValueError(f"{self.name} payload: {' then '.join(keys)} do not compose")
+        return list(args.values())
 
 
-def _law(name: str, predicate: Callable[..., bool], **kinds: str) -> Law:
-    return Law(name, tuple(kinds.items()), predicate)
+def _law(name: str, predicate: Callable[..., bool], *, composes=(), **kinds: str) -> Law:
+    return Law(name, tuple(kinds.items()), predicate, composes)
 
 
 LAWS: dict[str, Law] = {law.name: law for law in (
@@ -647,10 +649,10 @@ LAWS: dict[str, Law] = {law.name: law for law in (
          morphism="morphism"),
     _law("inverse_roundtrip", _inverse_ok, morphism="morphism"),
     # two_of_three
-    _law("two_of_three", _two_of_three_ok, f="morphism", g="morphism"),
+    _law("two_of_three", _two_of_three_ok, f="morphism", g="morphism", composes=(("f", "g"),)),
     _law("iso_in_w", lambda m: not is_isomorphism(m) or is_weak_equivalence(m),
          morphism="morphism"),
-    _law("chain_membership", _chain_membership_ok, steps="morphisms"),
+    _law("chain_membership", _chain_membership_ok, steps="morphisms", composes=(("steps",),)),
     # monoidal_laws
     _law("tensor_unit_object", _tensor_unit_object_ok, tuple="tuple"),
     _law("tensor_length", lambda x, y: len(tensor_objects(x, y)) == len(x) + len(y),
@@ -665,7 +667,7 @@ LAWS: dict[str, Law] = {law.name: law for law in (
     _law("tensor_unit_morphism", _tensor_unit_morphism_ok, morphism="morphism"),
     _law("braiding_naturality", _braiding_natural_ok, f="morphism", g="morphism"),
     _law("bifunctoriality", _bifunctoriality_ok,
-         f="morphism", h="morphism", g="morphism", k="morphism"),
+         f="morphism", h="morphism", g="morphism", k="morphism", composes=(("f", "h"), ("g", "k"))),
     # weakdiv
     _law("weakdiv_agreement", _weakdiv_agreement_ok, f="morphism", g="morphism"),
     _law("weakdiv_diagram", _weakdiv_diagram_ok, f="morphism", g="morphism"),
@@ -689,7 +691,7 @@ LAWS: dict[str, Law] = {law.name: law for law in (
 # -- suites ------------------------------------------------------------------
 
 
-def _homset_formulas(u: UniverseSpec, rng: random.Random, tables: Callable):
+def _homset_formulas(u: UniverseSpec, rng: random.Random):
     """Counting formulas for hom sets in and out of the empty tuple and the
     1-tuples, checked against raw enumeration."""
     monoid = u.monoid
@@ -702,29 +704,28 @@ def _homset_formulas(u: UniverseSpec, rng: random.Random, tables: Callable):
         (monoid, y, t) for y in u.pool for t in objs]
 
 
-def _epic_monic(u: UniverseSpec, rng: random.Random, tables: Callable):
+def _epic_monic(u: UniverseSpec, rng: random.Random):
     """Cancellation-based epic/monic decisions, probed on the universe
     extended by one unit entry, against the injective/surjective predicates."""
-    yield ("epic_agreement", "monic_agreement"), zip(tables(u)[0])
+    yield ("epic_agreement", "monic_agreement"), zip(_by_domain(u)[0])
 
 
-def _iso(u: UniverseSpec, rng: random.Random, tables: Callable):
+def _iso(u: UniverseSpec, rng: random.Random):
     """The isomorphism predicate against brute-force two-sided inverse search."""
-    yield ("iso_agreement", "inverse_roundtrip"), zip(tables(u)[0])
+    yield ("iso_agreement", "inverse_roundtrip"), zip(_by_domain(u)[0])
 
 
-def _two_of_three(u: UniverseSpec, rng: random.Random, tables: Callable):
+def _two_of_three(u: UniverseSpec, rng: random.Random):
     """The 2-of-3 property of the weak equivalence class on composable
     pairs, membership of every isomorphism, and membership consistency
     along sampled composition chains of MAX_CHAIN morphisms."""
-    table = tables(u)
-    yield ("two_of_three",), _composable_pairs(u, table, rng)
-    yield ("iso_in_w",), zip(table[0])
-    chains = _walks(table, _rng(u, "two_of_three:chains"), MAX_CHAIN, min(u.sample_size, 2000))
+    yield ("two_of_three",), _composable_pairs(u, rng)
+    yield ("iso_in_w",), zip(_by_domain(u)[0])
+    chains = _walks(u, _rng(u, "two_of_three:chains"), MAX_CHAIN, min(u.sample_size, 2000))
     yield ("chain_membership",), zip(chains)
 
 
-def _monoidal_laws(u: UniverseSpec, rng: random.Random, tables: Callable):
+def _monoidal_laws(u: UniverseSpec, rng: random.Random):
     """Strict associativity and units, length additivity, braiding
     involution/isomorphism/naturality, the hexagon, and bifunctoriality."""
     objs = universe_objects(u)
@@ -734,20 +735,19 @@ def _monoidal_laws(u: UniverseSpec, rng: random.Random, tables: Callable):
         pair_laws += ("braiding_iso",)
     yield pair_laws, _k_tuples(objs, 2, u, rng)
     yield ("tensor_assoc_objects", "hexagon"), _k_tuples(objs, 3, u, rng)
-    table = tables(u)
-    yield ("tensor_unit_morphism",), zip(table[0])
-    yield ("braiding_naturality",), _k_tuples(table[0], 2, u, rng)
-    pairs = zip(_composable_pairs(u, table, rng),
-                _composable_pairs(u, table, _rng(u, "monoidal_laws:second")))
+    morphs = _by_domain(u)[0]
+    yield ("tensor_unit_morphism",), zip(morphs)
+    yield ("braiding_naturality",), _k_tuples(morphs, 2, u, rng)
+    pairs = zip(_composable_pairs(u, rng), _composable_pairs(u, _rng(u, "monoidal_laws:second")))
     yield ("bifunctoriality",), (
         (f, h, g, k) for (f, h), (g, k) in islice(pairs, min(u.sample_size, u.exhaustive_limit)))
 
 
-def _weakdiv(u: UniverseSpec, rng: random.Random, tables: Callable):
+def _weakdiv(u: UniverseSpec, rng: random.Random):
     """Weak divisibility: witness-division against the product-divisibility
     criterion, pre-order laws, minimality of the weak equivalences, and
     well-formedness of the produced squares."""
-    morphs = tables(u)[0]
+    morphs = _by_domain(u)[0]
     pairs = iter(_k_tuples(morphs, 2, u, rng))
     for _ in range(200):  # each of the first 200 dividing pairs also checks its square
         for pair in pairs:
@@ -761,7 +761,7 @@ def _weakdiv(u: UniverseSpec, rng: random.Random, tables: Callable):
     yield ("weakdiv_transitive",), _draws(morphs, 3, rng, min(u.sample_size, 2000))
 
 
-def _adjunction(u: UniverseSpec, rng: random.Random, tables: Callable):
+def _adjunction(u: UniverseSpec, rng: random.Random):
     """Adjunction cardinalities: hom from a 1-tuple matches the order
     relation of the underlying monoid, and product-after-embed is the identity."""
     monoid = u.monoid
@@ -794,9 +794,9 @@ FORKED_SUITES = ("epic_monic", "iso", "two_of_three")
 _WITHOUT_MORPHISMS = ("homset_formulas", "adjunction")
 
 
-def _run(u: UniverseSpec, name: str, tables: Callable) -> SuiteReport:
+def _run(u: UniverseSpec, name: str) -> SuiteReport:
     report = SuiteReport(name, u.monoid.name)
-    report.run(SUITES[name][0](u, _rng(u, name), tables))
+    report.run(SUITES[name][0](u, _rng(u, name)))
     return report
 
 
@@ -811,17 +811,17 @@ def _can_fork() -> bool:
     )
 
 
-def _forked(u: UniverseSpec, names: list[str], in_child: list[bool]) -> list[SuiteReport]:
+def _forked(u: UniverseSpec, names: list[str], in_child: list[bool]) -> list[SuiteReport] | None:
     """Run the suites flagged ``in_child`` in a forked child and the others
     here; return every report in the order of ``names``.
 
-    The blocks are built before the fork, and both processes' suites read them
-    (``_by_domain``), not the tuples, so the child copies few pages of the
+    The blocks (``_by_domain``) are built before the fork, and both
+    processes' suites read them, so the child copies few pages of the
     parent's heap.  The child writes its reports to a pipe as JSON and leaves by
     os._exit, so nothing of the caller's runs in it.  An Exception in the build,
     the pipe, the fork, this process's share or the child's reply kills and
-    reaps the child, if there is one, and every suite runs again here in list
-    order, so the reports, and the first error, are those of a run in one
+    reaps the child, if there is one, and returns None, so run_suite runs every
+    suite here and the reports, and the first error, are those of a run in one
     process.  Any other BaseException kills and reaps it and propagates."""
     theirs = [n for n, child in zip(names, in_child) if child]
     pid = 0  # the child's, until it is reaped
@@ -832,14 +832,13 @@ def _forked(u: UniverseSpec, names: list[str], in_child: list[bool]) -> list[Sui
             pid = os.fork()
             if pid == 0:
                 try:
-                    json.dump([vars(_run(u, n, _by_domain)) for n in theirs], out)
+                    json.dump([vars(_run(u, n)) for n in theirs], out)
                     out.flush()
                     os._exit(0)
                 finally:
                     os._exit(1)  # the share raised
             out.close()  # so the read ends once the child's copy closes
-            reports = [None if child else _run(u, n, _by_domain)
-                       for n, child in zip(names, in_child)]
+            reports = [None if child else _run(u, n) for n, child in zip(names, in_child)]
             data = pipe.read()
         _, status = os.waitpid(pid, 0)
         pid = 0
@@ -849,12 +848,11 @@ def _forked(u: UniverseSpec, names: list[str], in_child: list[bool]) -> list[Sui
         received = iter(received)
         return [next(received) if child else r for r, child in zip(reports, in_child)]
     except Exception:
-        pass  # every suite runs below, once the child is reaped
+        return None  # run_suite runs every suite here, once the child is reaped
     finally:
         if pid:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return [_run(u, n, _tuples) for n in names]
 
 
 def run_suite(u: UniverseSpec, names: Iterable[str] | None = None) -> list[SuiteReport]:
@@ -881,9 +879,8 @@ def run_suite(u: UniverseSpec, names: Iterable[str] | None = None) -> list[Suite
             u.monoid.require_divisibility(f"suite {n!r}")
     in_child = [n in FORKED_SUITES for n in names]
     here_reads_morphisms = any(n not in FORKED_SUITES + _WITHOUT_MORPHISMS for n in names)
-    if any(in_child) and here_reads_morphisms and _can_fork():
-        return _forked(u, names, in_child)
-    return [_run(u, n, _tuples) for n in names]
+    forked = any(in_child) and here_reads_morphisms and _can_fork() and _forked(u, names, in_child)
+    return forked or [_run(u, n) for n in names]
 
 
 def all_passed(reports: Iterable[SuiteReport]) -> bool:
@@ -893,8 +890,8 @@ def all_passed(reports: Iterable[SuiteReport]) -> bool:
 def recheck(failure: Mapping) -> bool:
     """Deserialize a reported counterexample and re-run its law; returns
     True when the failure reproduces, by a false result or by a raise.  A
-    payload that is not a mapping, names no known law or lacks a key its law
-    reads raises ValueError."""
+    payload that is not a mapping, names no known law, lacks a key its law
+    reads or holds a case no suite yields (see ``Law.decode``) raises ValueError."""
     if not isinstance(failure, Mapping):
         raise ValueError(f"a payload is a mapping, not {type(failure).__name__}")
     if "law" not in failure:

@@ -193,11 +193,19 @@ def test_free_monoids_are_shared_per_alphabet():
     assert free_monoid(["b", "a"]) is free_monoid("ab")
 
 
-def test_free_monoid_alphabets_must_be_non_empty_identifiers():
-    with pytest.raises(ValueError, match="free monoid needs at least one generator"):
-        free_monoid("")
-    with pytest.raises(ValueError, match="bad generator name '1'"):
-        free_monoid("a,1")
+@pytest.mark.parametrize("build, alphabet, message", [
+    (free_monoid, "", "free monoid needs at least one generator"),
+    (free_monoid, "a,1", "bad generator name '1'"),
+    # checked before sorting: an int would not iterate, and names of mixed types would not sort
+    (free_monoid, ["a", 1], "bad generator name 1"),
+    (free_monoid, 5, "needs at least one generator, got 5"),
+    (free_monoid, [["a"]], r"bad generator name \['a'\]"),
+    (monoids.FreeCommutative, None, "needs at least one generator, got None"),
+    (monoids.FreeCommutative, ("a", ("b",)), r"bad generator name \('b',\)"),
+])
+def test_free_monoid_alphabets_must_be_non_empty_identifiers(build, alphabet, message):
+    with pytest.raises(ValueError, match=message):
+        build(alphabet)
 
 
 def test_monoid_repr_names_the_monoid():

@@ -482,13 +482,40 @@ def test_recheck_covers_passing_payloads():
                 recheck(partial)
 
 
+def _identity_on(monoid, *entries) -> dict:
+    return encode_morphism(identity_morphism(FactorTuple(monoid, entries)))
+
+
+_TWO, _THREE = _identity_on(ZX, 2), _identity_on(ZX, 3)  # (2) -> (2) and (3) -> (3) do not compose
+
+
 @pytest.mark.parametrize(
     "payload, message",
     [({}, "payload lacks the key 'law'"),
      ({"law": "iso_agreement", "monoid": "zx"}, "iso_agreement payload lacks the key 'morphism'"),
      ({"law": "no_such_law", "monoid": "zx"}, "unknown law 'no_such_law'"),
      ({"law": ["iso_agreement"], "monoid": "zx"}, r"unknown law \['iso_agreement'\]"),
-     ("law", "a payload is a mapping, not str"), ([], "a payload is a mapping, not list")],
+     ("law", "a payload is a mapping, not str"), ([], "a payload is a mapping, not list"),
+     # cases no suite yields: a morphism over another monoid, a chain that is
+     # not a non-empty list, morphisms that do not compose where the law composes them
+     ({"law": "weakdiv_agreement", "monoid": "zx", "f": _TWO, "g": _identity_on(NAT, 2)},
+      "morphism is over 'nat' but 'zx' was requested"),
+     ({"law": "iso_agreement", "monoid": "nat", "morphism": _TWO},
+      "morphism is over 'zx' but 'nat' was requested"),
+     ({"law": "two_of_three", "monoid": "zx", "f": _TWO, "g": _THREE},
+      "two_of_three payload: f then g do not compose"),
+     ({"law": "bifunctoriality", "monoid": "zx", "f": _TWO, "h": _THREE, "g": _TWO, "k": _TWO},
+      "bifunctoriality payload: f then h do not compose"),
+     ({"law": "bifunctoriality", "monoid": "zx", "f": _TWO, "h": _TWO, "g": _TWO, "k": _THREE},
+      "bifunctoriality payload: g then k do not compose"),
+     ({"law": "chain_membership", "monoid": "zx", "steps": []},
+      r"expected a non-empty JSON array of morphisms, got \[\]"),
+     ({"law": "chain_membership", "monoid": "zx", "steps": 5},
+      "expected a non-empty JSON array of morphisms, got 5"),
+     ({"law": "chain_membership", "monoid": "zx", "steps": _TWO},
+      "expected a non-empty JSON array of morphisms"),
+     ({"law": "chain_membership", "monoid": "zx", "steps": [_TWO, _TWO, _THREE]},
+      "chain_membership payload: steps do not compose")],
 )
 def test_recheck_refuses_a_malformed_payload(payload, message):
     with pytest.raises(ValueError, match=message):
@@ -948,7 +975,7 @@ def test_a_forked_parents_share_leaves_the_hom_memo_empty():
     u, share = UniverseSpec(), [n for n in SUITES if n not in oracle.FORKED_SUITES]
     assert share == ["homset_formulas", "monoidal_laws", "weakdiv", "adjunction"]
     clear_library_caches()
-    assert all_passed([oracle._run(u, n, oracle._by_domain) for n in share])
+    assert all_passed([oracle._run(u, n) for n in share])
     assert oracle._homs.cache_info().currsize == 0
 
 
@@ -1367,23 +1394,35 @@ def test_one_checked_case_counts_once():
 # -- the universe as blocks -----------------------------------------------------
 
 
+def _grouped_by_domain(morphs) -> dict:
+    """The morphisms out of each domain, as tuples, in first-seen order."""
+    out = {}
+    for m in morphs:
+        out.setdefault(m.domain, []).append(m)
+    return {a: tuple(row) for a, row in out.items()}
+
+
 def test_the_blocks_read_like_the_tuple_of_morphisms():
-    # a forked run reads the blocks where a run in one process reads the tuples
+    # every suite reads the blocks; universe_morphisms lists them as one tuple
     blocks, by_dom, pairs = oracle._by_domain(SMALL)
-    listed, listed_by_dom, listed_pairs = oracle._tuples(SMALL)
-    assert len(blocks) == len(listed) == 559 and pairs == listed_pairs
-    assert tuple(blocks) == listed == universe_morphisms(SMALL)
-    assert list(by_dom) == list(listed_by_dom)
+    listed = universe_morphisms(SMALL)
+    listed_by_dom = _grouped_by_domain(listed)
+    assert len(blocks) == len(listed) == 559
+    assert tuple(blocks) == listed
+    assert list(by_dom) == list(listed_by_dom) == list(universe_objects(SMALL))
     assert all(row[0] == listed_by_dom[a][0] and row[len(row) - 1] == listed_by_dom[a][-1]
                for a, row in by_dom.items())
     assert all(tuple(row) == listed_by_dom[a] for a, row in by_dom.items())
+    # g composes after f for each morphism g out of f's codomain
+    assert pairs == sum(len(listed_by_dom[m.codomain]) for m in listed)
 
 
 @pytest.mark.parametrize("u", [SMALL, UniverseSpec()], ids=["small", "default"])
 def test_every_in_range_block_read_matches_the_tuples(u):
     # the samplers read a block table by an int in range, row starts and ends included
     blocks, by_dom, _ = oracle._by_domain(u)
-    listed, listed_by_dom, _ = oracle._tuples(u)
+    listed = universe_morphisms(u)
+    listed_by_dom = _grouped_by_domain(listed)
     a = max(by_dom, key=lambda t: len(by_dom[t]))
     for rows, tup in ((blocks, listed), (by_dom[a], listed_by_dom[a])):
         n = len(tup)
@@ -1418,13 +1457,13 @@ def test_a_draw_from_nothing_raises_before_drawing():
     assert rng.getstate() == state
 
 
-@pytest.mark.parametrize("build", ["_tuples", "_by_domain"], ids=["tuples", "blocks"])
-def test_the_samplers_draw_what_randrange_draws(build):
-    # the walks and k-tuples of either table against the same draws by randrange
+def test_the_samplers_draw_what_randrange_draws():
+    # the walks and k-tuples of the blocks against the same draws by randrange
     u = replace(SMALL)
-    table = getattr(oracle, build)(u)
-    assert type(table[0]) is (oracle._MorphismRows if build == "_by_domain" else tuple)
-    listed, listed_by_dom, _ = oracle._tuples(u)
+    table = oracle._by_domain(u)
+    assert type(table[0]) is oracle._MorphismRows
+    listed = universe_morphisms(u)
+    listed_by_dom = _grouped_by_domain(listed)
     rng, reference = random.Random(5), random.Random(5)
     walks = []
     for _ in range(300):
@@ -1433,7 +1472,7 @@ def test_the_samplers_draw_what_randrange_draws(build):
             outs = listed_by_dom[steps[-1].codomain]
             steps.append(outs[reference.randrange(len(outs))])
         walks.append(steps)
-    assert list(oracle._walks(table, rng, 3, 300)) == walks
+    assert list(oracle._walks(u, rng, 3, 300)) == walks
     triples = [tuple(listed[reference.randrange(len(listed))] for _ in range(3)) for _ in range(300)]
     assert list(oracle._draws(table[0], 3, rng, 300)) == triples
     assert rng.getstate() == reference.getstate()
@@ -1476,9 +1515,10 @@ def test_a_forked_run_reports_what_an_in_process_run_does(monkeypatch):
     in_process = [run_suite(replace(MUTANT_UNIVERSE), n) for n in (None, names)]
     forks = _count_forks(monkeypatch)
     read, run = [], oracle._run
-    monkeypatch.setattr(oracle, "_run", lambda u, name, tables: read.append(tables) or run(u, name, tables))
+    monkeypatch.setattr(oracle, "_run", lambda u, name: read.append(name) or run(u, name))
     forked = [run_suite(replace(MUTANT_UNIVERSE), n) for n in (None, names)]
-    assert len(forks) == 2 and set(read) == {oracle._by_domain}  # this process read the blocks
+    assert len(forks) == 2
+    assert read == [n for n in [*SUITES, *names] if n not in oracle.FORKED_SUITES]  # this process's shares
     assert [[r.suite for r in reports] for reports in forked] == [list(SUITES), names]
     assert forked[0][2].failed_by_law and forked[0][4].failed_by_law  # iso in the child, monoidal_laws here
     as_data = [[vars(r) for r in reports] for reports in forked]
@@ -1499,6 +1539,15 @@ def test_a_forked_run_leaves_the_tuples_unbuilt_and_universe_morphisms_a_tuple(m
     assert {key for key in vars(u) if key.startswith("_")} == built  # _per_spec's keys
     assert universe_morphisms(v) is before and type(universe_morphisms(u)) is tuple
     assert universe_morphisms(u) == before
+
+
+def test_a_run_in_one_process_keeps_only_the_blocks(monkeypatch):
+    # every suite reads the blocks in one process too, so no tuple of morphisms is built
+    monkeypatch.setattr(oracle, "_can_fork", lambda: False)
+    u = replace(MUTANT_UNIVERSE)
+    assert all_passed(run_suite(u))
+    built = {"_" + table.__name__ for table in (universe_objects, oracle._by_domain)}
+    assert {key for key in vars(u) if key.startswith("_")} == built  # _per_spec's keys
 
 
 @pytest.mark.parametrize(
@@ -1566,20 +1615,18 @@ _HERE = [n for n in SUITES if n not in oracle.FORKED_SUITES]  # a forked run's s
 ])
 def test_any_failure_of_a_forked_run_reaps_the_child_and_runs_every_suite_here(
         monkeypatch, failure, share, rerun):
-    # share: the suites this process runs before the failure, with the
-    # blocks; rerun: whether every suite then runs here, with the tuples
+    # share: the suites this process runs before the failure; rerun:
+    # whether every suite then runs here, as in a run in one process
     if failure.endswith("here"):  # a fault of the code, which a run in one process meets too
         error = TypeError if failure == "a TypeError here" else KeyboardInterrupt
         monkeypatch.setitem(oracle.LAWS, "weakdiv_reflexive", replace(
             oracle.LAWS["weakdiv_reflexive"], predicate=_raising(error, "miswired")))
-    ran, run = [], oracle._run  # (suite, the table builder its run received)
-    monkeypatch.setattr(
-        oracle, "_run", lambda u, name, tables: ran.append((name, tables.__name__)) or run(u, name, tables))
+    ran, run = [], oracle._run  # the suites run in this process
+    monkeypatch.setattr(oracle, "_run", lambda u, name: ran.append(name) or run(u, name))
     with monkeypatch.context() as one_process:
         one_process.setattr(oracle, "_can_fork", lambda: False)
         expected = _outcome(lambda: run_suite(replace(MUTANT_UNIVERSE)))
-    assert {t for _, t in ran} == {"_tuples"}  # a run in one process reads the tuples
-    in_process, ran[:] = [name for name, _ in ran], []
+    in_process, ran[:] = ran[:], []
     forks = _count_forks(monkeypatch)
     if failure == "the build raises":
         monkeypatch.setattr(oracle, "_by_domain", _raising_once(oracle._by_domain, MemoryError))
@@ -1596,7 +1643,7 @@ def test_any_failure_of_a_forked_run_reaps_the_child_and_runs_every_suite_here(
     monkeypatch.setattr(os, "kill", lambda pid, sig: kills.append((pid, sig)) or kill(pid, sig))
     u, fds = replace(MUTANT_UNIVERSE), len(os.listdir("/dev/fd"))
     assert _outcome(lambda: run_suite(u)) == expected
-    assert ran == [(n, "_by_domain") for n in share] + [(n, "_tuples") for n in in_process if rerun]
+    assert ran == share + (in_process if rerun else [])
     assert len(forks) == bool(share)
     assert kills == ([(forks[0], signal.SIGKILL)] if failure.endswith("here") else [])
     _assert_no_child_is_left()
