@@ -9,7 +9,7 @@ concatenation tensor with its symmetric braiding, and ships brute-force
 verification suites for all of the above laws over bounded universes.
 """
 
-from .errors import CapabilityError, FactorcatError, GuardError, InvalidMorphismError
+from .errors import CapabilityError, FactorcatError, GuardError, InvalidInputError, InvalidMorphismError
 from .monoids import (
     INTERVAL,
     NAT,

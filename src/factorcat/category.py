@@ -28,12 +28,14 @@ and ``is`` on the two monoids) and call ``require_divisibility`` or
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import prod
 from typing import Callable, Mapping
 
-from .errors import GuardError, InvalidMorphismError
-from .monoids import Element, Monoid, NAT, ZX, _shown, require_monoid
+from .errors import (GuardError, InvalidInputError, InvalidMorphismError, _shown, require_instance,
+                     require_int, require_iterable)
+from .monoids import Element, Monoid, NAT, ZX
 
 HOM_ENUMERATION_GUARD = 10**7
 HOM_RESULT_GUARD = 10**5  # most maps one hom set may hold; far more than a verify meets
@@ -55,14 +57,9 @@ class FactorTuple:
     entries: tuple = ()
 
     def __post_init__(self):
-        require_monoid(self.monoid)
-        entries = self.entries
-        try:
-            entries = iter(entries)
-        except TypeError:
-            raise ValueError(f"tuple entries are not iterable: {type(entries).__name__}") from None
-        validate = self.monoid.validate
-        object.__setattr__(self, "entries", tuple([validate(e) for e in entries]))
+        monoid = require_instance(self.monoid, Monoid, "a tuple's monoid must be a Monoid, got {}")
+        entries = require_iterable(self.entries, "tuple entries are not iterable: {}")
+        object.__setattr__(self, "entries", tuple([monoid.validate(e) for e in entries]))
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -109,9 +106,13 @@ def require_same_monoid(a, b, what: str) -> None:
 def _require_tuples(domain, codomain) -> None:
     """The one type check of Morphism(...) and hom_index_tuples on their tuples."""
     for part in (domain, codomain):
-        if not isinstance(part, FactorTuple):
-            raise InvalidMorphismError(
-                f"a morphism's domain and codomain are FactorTuples, not {type(part).__name__}")
+        require_instance(part, FactorTuple, "a morphism's domain and codomain are FactorTuples, not {}",
+                         InvalidMorphismError)
+
+
+def _size(n) -> int:
+    """n when it is the size of an index set: an int from 0 to sys.maxsize, as len() returns."""
+    return require_int(n, "index set size", 0, sys.maxsize, InvalidMorphismError)
 
 
 def _checked_map(dom_size, cod_size, values) -> tuple:
@@ -125,22 +126,15 @@ def _checked_map(dom_size, cod_size, values) -> tuple:
                 break
         else:
             return tuple(values)
-    try:
-        values = tuple(values)
-    except TypeError:
-        raise InvalidMorphismError(f"index values {_shown(values)} are not a sequence") from None
-    for n in (dom_size, cod_size):
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise InvalidMorphismError(f"index set size {_shown(n)} is not an integer")
-    if dom_size < 0 or cod_size < 0:
-        raise InvalidMorphismError("index set sizes must be non-negative")
+    values = require_iterable(values, "index values {} are not a sequence", error=InvalidMorphismError)
+    dom_size, cod_size = _size(dom_size), _size(cod_size)
     if dom_size > 0 and cod_size == 0:
         raise InvalidMorphismError("no function from a non-empty index set to the empty one")
     if len(values) != dom_size:
         raise InvalidMorphismError(f"expected {dom_size} values, got {len(values)}")
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, int) or not 1 <= v <= cod_size:
-            raise InvalidMorphismError(f"value {_shown(v)} outside the 1-based range [{cod_size}]")
+        require_int(v, f"value {{}} outside the 1-based range [{cod_size}]", 1, cod_size,
+                    InvalidMorphismError)
     return values
 
 
@@ -182,7 +176,7 @@ class IndexFunction:
 
     @staticmethod
     def identity(n: int) -> "IndexFunction":
-        return IndexFunction(n, n, tuple(range(1, n + 1)))
+        return IndexFunction(n, n, tuple(range(1, _size(n) + 1)))
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -217,8 +211,7 @@ class Morphism:
 
     def __post_init__(self):
         _require_tuples(self.domain, self.codomain)
-        values = _checked_morphism(self.domain, self.codomain, self.values)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _checked_morphism(self.domain, self.codomain, self.values))
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -512,12 +505,13 @@ class MonoidHom:
         """Free monoid into the integers, sending each generator to a prime."""
         generators = getattr(source, "generators", None)
         if generators is None:
-            raise ValueError("primes_for_generators needs a free monoid source")
+            raise InvalidInputError("primes_for_generators needs a free monoid source")
+        require_instance(assignment, Mapping, "a generator assignment is a mapping, not {}")
         for g in generators:
             if g not in assignment:
-                raise ValueError(f"no image assigned to generator {g!r}")
-            if not ZX.is_prime(assignment[g]):
-                raise ValueError(f"image of {g!r} must be a prime integer")
+                raise InvalidInputError(f"no image assigned to generator {g!r}")
+            if not ZX.is_prime(ZX.validate(assignment[g])):
+                raise InvalidInputError(f"image of {g!r} must be a prime integer")
 
         primes = [assignment[g] for g in generators]  # aligned with each exponent vector
         label = source.name + "->zx[" + ",".join(f"{g}:{assignment[g]}" for g in generators) + "]"
@@ -526,7 +520,7 @@ class MonoidHom:
 
 def map_tuple(hom: MonoidHom, t: FactorTuple) -> FactorTuple:
     if t.monoid != hom.source:
-        raise ValueError(f"tuple lives in {t.monoid.name}, not {hom.source.name}")
+        raise InvalidInputError(f"tuple lives in {t.monoid.name}, not {hom.source.name}")
     validate, apply = hom.target.validate, hom._elem_map  # t's entries are valid in the source
     return _trusted_tuple(hom.target, tuple([validate(apply(a)) for a in t.entries]))
 

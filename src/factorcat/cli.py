@@ -11,10 +11,10 @@ otherwise, and maps ``ok`` to exit code 0 or 1.  A payload of None means the
 text is printed in both modes (the DOT of ``graph``); a text of None means
 there is nothing to print (``graph --out`` wrote a file).
 
-Exit codes: 0 ok or true, 1 false or suite failure, 2 parse or validation
-error (a ValueError, raised on caller data only), 3 resource guard exceeded,
-4 capability error, 70 any other exception (a fault in factorcat itself,
-a TypeError or KeyError too, reported on one line without a traceback).
+Exit codes: 0 ok or true, 1 false or suite failure, 2 an InvalidInputError
+(caller data), 3 a GuardError, 4 a CapabilityError, 70 any other exception (a
+fault in factorcat itself, a plain ValueError, TypeError or KeyError too,
+reported on one line without a traceback).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import sys
 from functools import lru_cache
 from itertools import accumulate, repeat
 
-from .errors import CapabilityError, GuardError
+from .errors import CapabilityError, GuardError, InvalidInputError
 from .monoids import Monoid, monoid_by_name
 from .category import (
     FactorTuple,
@@ -71,18 +71,21 @@ _NESTING = {"[": 1, "{": 1, "]": -1, "}": -1}
 
 def _monoid_arg(args) -> Monoid:
     if not args.monoid:
-        raise ValueError("--monoid is required for this command")
+        raise InvalidInputError("--monoid is required for this command")
     return monoid_by_name(args.monoid)
 
 
 def _json_arg(text: str):
     """Parse a JSON command-line argument.  Its brackets outside strings are
-    counted before it is parsed, without recursing, and nesting deeper than
-    JSON_DEPTH_BOUND is a parse error, on every interpreter alike."""
+    counted first, without recursing: nesting past JSON_DEPTH_BOUND is a parse
+    error on every interpreter, as is any ValueError of json.loads."""
     steps = map(_NESTING.get, _JSON_STRING.sub("", text), repeat(0))
     if max(accumulate(steps), default=0) > JSON_DEPTH_BOUND:
-        raise ValueError("JSON argument is nested too deeply")
-    return json.loads(text)
+        raise InvalidInputError("JSON argument is nested too deeply")
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise InvalidInputError(str(exc)) from None
 
 
 def _load_morphism(args, attr="morphism"):
@@ -214,7 +217,9 @@ def _cmd_graph(args):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(dot + "\n")
     except OSError as exc:
-        raise ValueError(f"cannot write the graph: {exc}") from None
+        raise InvalidInputError(f"cannot write the graph: {exc}") from None
+    except ValueError as exc:  # a path open() refuses, as one holding a NUL
+        raise InvalidInputError(str(exc)) from None
     return None, None, True
 
 
@@ -244,7 +249,7 @@ def _render_dot(u: UniverseSpec) -> str:
 def _cmd_verify(args):
     monoid = monoid_by_name(args.monoid or "zx")
     if args.pool is None and monoid.name != "zx":
-        raise ValueError("--pool is required for non-default monoids")
+        raise InvalidInputError("--pool is required for non-default monoids")
     pool = DEFAULT_POOL if args.pool is None else decode_tuple(monoid, _json_arg(args.pool)).entries
     u = UniverseSpec(monoid=monoid, pool=pool, max_len=args.max_len, seed=args.seed)
     reports = run_suite(u, args.suite or None)  # a module global: benchmarks patch cli.run_suite
@@ -319,15 +324,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload, text, ok = args.handler(args)
-    except GuardError as exc:
+    except (InvalidInputError, GuardError, CapabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except CapabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPABILITY
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return (EXIT_GUARD if isinstance(exc, GuardError)
+                else EXIT_CAPABILITY if isinstance(exc, CapabilityError) else EXIT_PARSE)
     except Exception as exc:
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOFTWARE

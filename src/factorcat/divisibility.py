@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidMorphismError
-from .monoids import Element, Monoid, _shown
+from .errors import InvalidInputError, InvalidMorphismError, require_int
+from .monoids import Element, Monoid
 from .category import (
     FactorTuple,
     Morphism,
@@ -62,7 +62,7 @@ class WeakDivDiagram:
 
 def weak_div_diagram(f: Morphism, g: Morphism) -> WeakDivDiagram:
     if not weakly_divides(f, g):
-        raise ValueError("no diagram: f does not weakly divide g")
+        raise InvalidInputError("no diagram: f does not weakly divide g")
     monoid = f.monoid
     a = f.domain.product()
     b = g.domain.product()
@@ -141,7 +141,7 @@ def atomic_chain(m: Morphism) -> AtomicChain:
     step.  Identity steps at either end are omitted.
     """
     if len(m.domain) == 0 or len(m.codomain) == 0:
-        raise ValueError("atomic chains need non-empty domain and codomain")
+        raise InvalidInputError("atomic chains need non-empty domain and codomain")
     if is_weak_equivalence(m):
         return AtomicChain((m,), (WEAK_EQUIVALENCE,), 0)
     monoid = m.monoid
@@ -204,7 +204,7 @@ def chain_stabilizes(chain) -> int | None:
     """
     steps = list(chain)
     if not steps:
-        raise ValueError("chain must contain at least one morphism")
+        raise InvalidInputError("chain must contain at least one morphism")
     for i in range(len(steps) - 1):
         if steps[i].domain != steps[i + 1].codomain:
             raise InvalidMorphismError(f"chain break between entries {i + 1} and {i + 2}")
@@ -238,10 +238,7 @@ def enumerate_irreducible_factorizations(
     copies are rejected rather than scanned, and so is a cap that is not a
     non-negative int.
     """
-    if isinstance(max_count, bool) or not isinstance(max_count, int):
-        raise ValueError(f"max_count must be an integer, got {_shown(max_count)}")
-    if max_count < 0:
-        raise ValueError(f"max_count must be non-negative, got {max_count}")
+    require_int(max_count, "max_count", 0)
     monoid.require_ufd("factorization enumeration")
     a = monoid.validate(a)
     classes: list[tuple] = []
@@ -281,7 +278,7 @@ def ufd_wedge(f: Morphism, g: Morphism):
     if f.codomain != g.codomain:
         raise InvalidMorphismError("both morphisms must share a codomain")
     if not is_weakly_irreducible_tuple(f.domain) or not is_weakly_irreducible_tuple(g.domain):
-        raise ValueError("both domains must be weakly irreducible tuples")
+        raise InvalidInputError("both domains must be weakly irreducible tuples")
     v = f.domain.entries
     w = g.domain.entries
     # both products are irreducible: each tuple has exactly one non-unit entry, its core

@@ -15,7 +15,8 @@ values, then the order constraint) and builds the morphism unchecked.
 from __future__ import annotations
 
 from .category import FactorTuple, Morphism, _checked_morphism, _trusted_morphism, _trusted_tuple
-from .monoids import Monoid, _shown, monoid_by_name
+from .errors import InvalidInputError, _shown
+from .monoids import Monoid, monoid_by_name
 
 
 def encode_tuple(t: FactorTuple) -> list:
@@ -24,7 +25,7 @@ def encode_tuple(t: FactorTuple) -> list:
 
 def decode_tuple(monoid: Monoid, values) -> FactorTuple:
     if not isinstance(values, list):
-        raise ValueError(f"expected a JSON array of elements, got {_shown(values)}")
+        raise InvalidInputError(f"expected a JSON array of elements, got {_shown(values)}")
     return _trusted_tuple(monoid, monoid.decode_all(values))
 
 
@@ -38,20 +39,20 @@ def encode_morphism(m: Morphism) -> dict:
 
 
 def decode_morphism(obj, monoid: Monoid | None = None) -> Morphism:
-    """Parse and validate a morphism object; raises ValueError on malformed
-    input and InvalidMorphismError when the map breaks the order constraint."""
+    """Parse and validate a morphism object; raises InvalidInputError on malformed
+    input, and its subclass InvalidMorphismError when the map breaks its checks."""
     if not isinstance(obj, dict):
-        raise ValueError(f"expected a morphism object, got {_shown(obj)}")
+        raise InvalidInputError(f"expected a morphism object, got {_shown(obj)}")
     for key in ("monoid", "domain", "codomain", "map"):
         if key not in obj:
-            raise ValueError(f"morphism object is missing the {key!r} key")
+            raise InvalidInputError(f"morphism object is missing the {key!r} key")
     named = monoid_by_name(obj["monoid"])
     if monoid is not None and named != monoid:
-        raise ValueError(
+        raise InvalidInputError(
             f"morphism is over {named.name!r} but {monoid.name!r} was requested"
         )
     domain = decode_tuple(named, obj["domain"])
     codomain = decode_tuple(named, obj["codomain"])
     if not isinstance(obj["map"], list):
-        raise ValueError("morphism map must be a JSON array of 1-based integers")
+        raise InvalidInputError("morphism map must be a JSON array of 1-based integers")
     return _trusted_morphism(domain, codomain, _checked_morphism(domain, codomain, obj["map"]))

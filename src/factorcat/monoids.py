@@ -18,7 +18,8 @@ from math import isqrt, prod
 from operator import add, le, sub
 from typing import Iterable, Iterator
 
-from .errors import CapabilityError, GuardError
+from .errors import (CapabilityError, GuardError, InvalidInputError, _shown, require_instance,
+                     require_int, require_iterable)
 
 Element = object  # int | Fraction | tuple[int, ...] depending on the instance
 
@@ -40,17 +41,6 @@ DIVISOR_CLASS_GUARD = 10**5
 # entries of each cache keyed on a monoid or an alphabet; monoids are equal
 # by name, so one rebuilt after eviction equals the evicted one
 MONOID_CACHE_SIZE = 2**8
-
-
-def _shown(value, show=repr) -> str:
-    """str(show(value)) as a message shows it, or why it cannot, where value
-    holds an int with more digits than str() prints: a message never refuses."""
-    try:
-        return str(show(value))
-    except GuardError as exc:  # an encode that will not print the element
-        return f"({exc})"
-    except ValueError:  # past sys.get_int_max_str_digits()
-        return f"(over {sys.get_int_max_str_digits()} digits to print)"
 
 
 def _is_prime_int(n: int) -> bool:
@@ -118,7 +108,7 @@ class Monoid:
     # -- core algebra --------------------------------------------------
 
     def validate(self, a: Element) -> Element:
-        """Return the normalized element, or raise ValueError."""
+        """Return the normalized element, or raise InvalidInputError."""
         raise NotImplementedError
 
     def identity(self) -> Element:
@@ -144,7 +134,7 @@ class Monoid:
 
     def decode(self, value) -> Element:
         """Return the validated, normalized element a wire value encodes, or
-        raise ValueError; decoded tuples trust this and skip ``validate``.
+        raise InvalidInputError; decoded tuples trust this and skip ``validate``.
         By default the wire value is the element itself, so this is
         ``validate``; an instance with its own wire format parses it first."""
         return self.validate(value)
@@ -248,10 +238,8 @@ class NonzeroIntegers(DivisibilityMonoid):
     is_ufd = True
 
     def validate(self, a):
-        if isinstance(a, bool) or not isinstance(a, int):
-            raise ValueError(f"{self.name}: expected a nonzero int, got {_shown(a)}")
-        if a == 0:
-            raise ValueError(f"{self.name}: 0 is not an element")
+        if not require_int(a, self.name + ": expected a nonzero int, got {}"):
+            raise InvalidInputError(f"{self.name}: 0 is not an element")
         return a
 
     def identity(self):
@@ -358,9 +346,7 @@ class PositiveIntegers(NonzeroIntegers):
     name = "nat"
 
     def validate(self, a):
-        if isinstance(a, bool) or not isinstance(a, int) or a < 1:
-            raise ValueError(f"{self.name}: expected a positive int, got {_shown(a)}")
-        return a
+        return require_int(a, self.name + ": expected a positive int, got {}", 1)
 
     def decode_all(self, values):
         entries = NonzeroIntegers.decode_all(self, values)  # which also passes negative ints
@@ -381,14 +367,10 @@ class UnitInterval(Monoid):
     name = "interval"
 
     def validate(self, a):
-        if isinstance(a, bool):
-            raise ValueError(f"{self.name}: expected a rational, got {_shown(a)}")
-        if isinstance(a, int):
-            a = Fraction(a)
         if not isinstance(a, Fraction):
-            raise ValueError(f"{self.name}: expected a rational, got {_shown(a)}")
+            a = Fraction(require_int(a, self.name + ": expected a rational, got {}"))
         if not 0 < a <= 1:
-            raise ValueError(f"{self.name}: {_shown(a, str)} is outside (0, 1]")
+            raise InvalidInputError(f"{self.name}: {_shown(a, str)} is outside (0, 1]")
         return a
 
     def identity(self):
@@ -415,33 +397,29 @@ class UnitInterval(Monoid):
             raise GuardError(f"{self.name}: element has over {limit} digits to print") from None
 
     def decode(self, value):
-        if isinstance(value, bool):
-            raise ValueError(f"{self.name}: expected 'p/q', got {_shown(value)}")
-        if isinstance(value, int):
-            return self.validate(Fraction(value))
-        if isinstance(value, str):
-            try:  # Fraction expands a decimal exponent in full: refuse a large one first
-                exponent = abs(int(value.lower().partition("e")[2]))
-            except ValueError:  # none, or malformed, which Fraction rejects below
-                exponent = 0
-            if exponent > INTERVAL_EXPONENT_BOUND:
-                raise GuardError(f"{self.name}: exponent of {value!r} exceeds {INTERVAL_EXPONENT_BOUND}")
-            try:
-                q = Fraction(value)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"{self.name}: cannot parse {value!r}") from exc
-            return self.validate(q)
-        raise ValueError(f"{self.name}: expected 'p/q', got {_shown(value)}")
+        if not isinstance(value, str):
+            return self.validate(Fraction(require_int(value, self.name + ": expected 'p/q', got {}")))
+        try:  # Fraction expands a decimal exponent in full: refuse a large one first
+            exponent = abs(int(value.lower().partition("e")[2]))
+        except ValueError:  # none, or malformed, which Fraction rejects below
+            exponent = 0
+        if exponent > INTERVAL_EXPONENT_BOUND:
+            raise GuardError(f"{self.name}: exponent of {value!r} exceeds {INTERVAL_EXPONENT_BOUND}")
+        try:
+            q = Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InvalidInputError(f"{self.name}: cannot parse {value!r}") from exc
+        return self.validate(q)
 
 
 def _alphabet(generators) -> tuple[str, ...]:
-    """The sorted distinct names of a non-empty iterable of str identifiers, else ValueError."""
-    names = tuple(generators) if isinstance(generators, Iterable) else ()
+    """The sorted distinct names of a non-empty iterable of str identifiers."""
+    names = require_iterable(generators, "free monoid generators are not iterable: {}")
     if not names:
-        raise ValueError(f"free monoid needs at least one generator, got {_shown(generators)}")
+        raise InvalidInputError(f"free monoid needs at least one generator, got {_shown(generators)}")
     for g in names:
         if not isinstance(g, str) or not g.isidentifier():
-            raise ValueError(f"bad generator name {_shown(g)}")
+            raise InvalidInputError(f"bad generator name {_shown(g)}")
     return tuple(sorted(set(names)))
 
 
@@ -468,16 +446,12 @@ class FreeCommutative(DivisibilityMonoid):
         if type(a) is tuple and len(a) == len(self._identity) and all(
                 type(k) is int and k >= 0 for k in a):
             return a  # already an exponent vector
-        if isinstance(a, str):
-            raise ValueError(f"{self.name}: elements are iterables of generator names, not strings")
         counts = list(self._identity)
-        try:
-            for g in a:
-                counts[self._index[g]] += 1
-        except KeyError as exc:
-            raise ValueError(f"{self.name}: unknown generator {_shown(exc.args[0])}") from None
-        except TypeError:  # not iterable, or an unhashable item
-            raise ValueError(f"{self.name}: expected a multiset of generators, got {_shown(a)}") from None
+        names = require_iterable(a, self.name + ": expected an iterable of generator names, got {}", str)
+        for g in names:
+            if g not in self._index:
+                raise InvalidInputError(f"{self.name}: unknown generator {_shown(g)}")
+            counts[self._index[g]] += 1
         return tuple(counts)
 
     def identity(self):
@@ -538,9 +512,7 @@ class FreeCommutative(DivisibilityMonoid):
         return "*".join(parts) or "1"
 
     def decode(self, value):
-        if not isinstance(value, str):
-            raise ValueError(f"{self.name}: expected a string, got {_shown(value)}")
-        if value in ("1", ""):
+        if require_instance(value, str, self.name + ": expected a string, got {}") in ("1", ""):
             return self._identity
         counts, copies = list(self._identity), 0
         for part in value.split("*"):
@@ -550,21 +522,15 @@ class FreeCommutative(DivisibilityMonoid):
             except ValueError:
                 k = 0
             if k < 1:
-                raise ValueError(f"{self.name}: bad exponent in {part!r}")
+                raise InvalidInputError(f"{self.name}: bad exponent in {part!r}")
             if name not in self._index:
-                raise ValueError(f"{self.name}: unknown generator {name!r}")
+                raise InvalidInputError(f"{self.name}: unknown generator {name!r}")
             copies += k
             if copies > FREE_DECODE_BOUND:
                 raise GuardError(f"{self.name}: element has more than {FREE_DECODE_BOUND} "
                                  f"generator copies")
             counts[self._index[name]] += k
         return self.validate(tuple(counts))
-
-
-def require_monoid(value, owner: str = "tuple") -> None:
-    """Raise ValueError unless value is a Monoid, as a tuple's or a universe's monoid must be."""
-    if not isinstance(value, Monoid):
-        raise ValueError(f"a {owner}'s monoid must be a Monoid, got {type(value).__name__}")
 
 
 ZX = NonzeroIntegers()
@@ -581,7 +547,7 @@ def free_monoid(alphabet: str | Iterable[str]) -> FreeCommutative:
     A string alphabet is split on commas when present ("a,b" or "ab" both
     give generators a and b); the MONOID_CACHE_SIZE most recent instances are
     cached per alphabet.  An alphabet that is not a non-empty iterable of
-    str identifiers raises ValueError.
+    str identifiers raises InvalidInputError.
     """
     if isinstance(alphabet, str) and "," in alphabet:
         alphabet = alphabet.split(",")
@@ -591,10 +557,10 @@ def free_monoid(alphabet: str | Iterable[str]) -> FreeCommutative:
 def monoid_by_name(name: str) -> Monoid:
     """Resolve a wire-format monoid name: zx, nat, interval, free:<alphabet>."""
     if not isinstance(name, str):
-        raise ValueError(f"monoid name must be a string, got {_shown(name)}")
+        raise InvalidInputError(f"monoid name must be a string, got {_shown(name)}")
     for monoid in (ZX, NAT, INTERVAL):
         if name == monoid.name:
             return monoid
     if name.startswith("free:"):
         return free_monoid(name[len("free:"):])
-    raise ValueError(f"unknown monoid {name!r}")
+    raise InvalidInputError(f"unknown monoid {name!r}")

@@ -73,8 +73,9 @@ from functools import lru_cache, wraps
 from itertools import accumulate, chain, islice, product as iter_product, repeat
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .errors import GuardError
-from .monoids import MONOID_CACHE_SIZE, ZX, Monoid, _shown, monoid_by_name, require_monoid
+from .errors import (GuardError, InvalidInputError, _shown, require_instance, require_int,
+                     require_iterable)
+from .monoids import MONOID_CACHE_SIZE, ZX, Monoid, monoid_by_name
 from .category import (
     HOM_RESULT_GUARD,
     FactorTuple,
@@ -136,24 +137,13 @@ class UniverseSpec:
     sample_size: int = 20_000
 
     def __post_init__(self):
-        require_monoid(self.monoid, "universe")
-        try:
-            pool = iter(self.pool)
-        except TypeError:
-            raise ValueError(f"universe pool is not iterable: {type(self.pool).__name__}") from None
-        pool = dict.fromkeys(map(self.monoid.validate, pool))  # keeps first-seen order
-        object.__setattr__(self, "pool", tuple(pool))
-        for name in ("max_len", "exhaustive_limit", "sample_size"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"universe {name} must be an integer, got {value!r}")
-        if self.max_len < 0:
-            raise ValueError(f"universe max_len must be non-negative, got {self.max_len}")
-        if self.exhaustive_limit < 1 or self.sample_size < 1:
-            raise ValueError("universe limits must be positive")
+        monoid = require_instance(self.monoid, Monoid, "a universe's monoid must be a Monoid, got {}")
+        pool = require_iterable(self.pool, "universe pool is not iterable: {}")
+        object.__setattr__(self, "pool", tuple(dict.fromkeys(map(monoid.validate, pool))))
+        require_int(self.max_len, "universe max_len", 0)
         for name in ("exhaustive_limit", "sample_size"):
-            if (value := getattr(self, name)) > UNIVERSE_RUN_GUARD:
-                raise GuardError(f"universe {name} is {value}; the guard is {UNIVERSE_RUN_GUARD}")
+            if require_int(value := getattr(self, name), f"universe {name}", 1) > UNIVERSE_RUN_GUARD:
+                raise GuardError(f"universe {name} is {_shown(value)}; the guard is {UNIVERSE_RUN_GUARD}")
         count, layers = 1, [1]  # layers: the number of objects of each length
         for _ in range(self.max_len if self.pool else 0):
             layers.append(layers[-1] * len(self.pool))
@@ -587,7 +577,7 @@ def _weakdiv_diagram_ok(f: Morphism, g: Morphism) -> bool:
 
 def _decode_steps(monoid: Monoid, value) -> list[Morphism]:
     if not isinstance(value, list) or not value:
-        raise ValueError(f"expected a non-empty JSON array of morphisms, got {_shown(value)}")
+        raise InvalidInputError(f"expected a non-empty JSON array of morphisms, got {_shown(value)}")
     return [decode_morphism(m, monoid) for m in value]
 
 
@@ -615,12 +605,12 @@ class Law:
         return {key: _WIRE[kind][0](monoid, a) for (key, kind), a in zip(self.args, args)}
 
     def decode(self, monoid: Monoid, payload: Mapping) -> list:
-        """The predicate's arguments; ValueError on a case no suite yields."""
+        """The predicate's arguments; InvalidInputError on a case no suite yields."""
         args = {key: _WIRE[kind][1](monoid, payload[key]) for key, kind in self.args}
         for keys in self.composes:  # a list is a run of steps in itself
             steps = [m for key in keys for m in (args[key] if isinstance(args[key], list) else [args[key]])]
             if any(f.codomain != g.domain for f, g in zip(steps, steps[1:])):
-                raise ValueError(f"{self.name} payload: {' then '.join(keys)} do not compose")
+                raise InvalidInputError(f"{self.name} payload: {' then '.join(keys)} do not compose")
         return list(args.values())
 
 
@@ -858,22 +848,19 @@ def _forked(u: UniverseSpec, names: list[str], in_child: list[bool]) -> list[Sui
 def run_suite(u: UniverseSpec, names: Iterable[str] | None = None) -> list[SuiteReport]:
     """Run the named suites (all capability-compatible ones by default) and
     return their reports in order.  A spec that is not a UniverseSpec, names
-    given as one str or not iterable, and unknown names raise ValueError; a
-    divisibility-only suite on another monoid raises CapabilityError, before
+    given as one str or not iterable, and unknown names raise InvalidInputError;
+    a divisibility-only suite on another monoid raises CapabilityError, before
     any suite runs.
 
     A forked child may run ``FORKED_SUITES`` (see ``_forked``); the reports
     are those of a run in one process."""
-    if not isinstance(u, UniverseSpec):
-        raise ValueError(f"suites run on a UniverseSpec, not {type(u).__name__}")
+    require_instance(u, UniverseSpec, "suites run on a UniverseSpec, not {}")
     if names is None:
         names = [n for n, (_, div) in SUITES.items() if u.monoid.is_divisibility or not div]
-    elif isinstance(names, str) or not isinstance(names, Iterable):
-        raise ValueError(f"suite names are an iterable of str, not {type(names).__name__}")
-    names = list(names)
+    names = require_iterable(names, "suite names are an iterable of str, not {}", str)
     for n in names:
-        if n.__class__ is not str or n not in SUITES:
-            raise ValueError(f"unknown suite {_shown(n)}")
+        if n not in SUITES:
+            raise InvalidInputError(f"unknown suite {_shown(n)}")
     for n in names:
         if SUITES[n][1]:
             u.monoid.require_divisibility(f"suite {n!r}")
@@ -890,19 +877,18 @@ def all_passed(reports: Iterable[SuiteReport]) -> bool:
 def recheck(failure: Mapping) -> bool:
     """Deserialize a reported counterexample and re-run its law; returns
     True when the failure reproduces, by a false result or by a raise.  A
-    payload that is not a mapping, names no known law, lacks a key its law
-    reads or holds a case no suite yields (see ``Law.decode``) raises ValueError."""
-    if not isinstance(failure, Mapping):
-        raise ValueError(f"a payload is a mapping, not {type(failure).__name__}")
+    payload that is not a mapping, names no known law, lacks a key its law reads
+    or holds a case no suite yields (see ``Law.decode``) is an InvalidInputError."""
+    require_instance(failure, Mapping, "a payload is a mapping, not {}")
     if "law" not in failure:
-        raise ValueError("payload lacks the key 'law'")
+        raise InvalidInputError("payload lacks the key 'law'")
     name = failure["law"]
     if not isinstance(name, str) or name not in LAWS:
-        raise ValueError(f"unknown law {_shown(name)}")
+        raise InvalidInputError(f"unknown law {_shown(name)}")
     law = LAWS[name]
     for key in ("monoid", *(key for key, _ in law.args)):
         if key not in failure:
-            raise ValueError(f"{name} payload lacks the key {key!r}")
+            raise InvalidInputError(f"{name} payload lacks the key {key!r}")
     args = law.decode(monoid_by_name(failure["monoid"]), failure)
     try:
         return not law.predicate(*args)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import InvalidMorphismError
+from .errors import InvalidInputError, InvalidMorphismError
 from .monoids import Element
 from .category import (
     Morphism,
@@ -109,7 +109,7 @@ class EIPDecomposition:
 def decompose_eip(m: Morphism) -> EIPDecomposition:
     m.monoid.require_divisibility("decompose_eip")
     if len(m.domain) == 0 or len(m.codomain) == 0:
-        raise ValueError("the decomposition needs non-empty domain and codomain")
+        raise InvalidInputError("the decomposition needs non-empty domain and codomain")
     monoid = m.monoid
     per_index = tuple(_ratios(m))
     values = m.values
@@ -152,7 +152,7 @@ def ore_square(f: Morphism, g: Morphism) -> tuple[Morphism, Morphism]:
     """
     require_same_monoid(f, g, "ore_square")
     if not is_weak_equivalence(f):
-        raise ValueError("the first morphism must be a weak equivalence")
+        raise InvalidInputError("the first morphism must be a weak equivalence")
     if f.codomain != g.codomain:
         raise InvalidMorphismError("the cospan legs must share a codomain")
     # prod z divides prod y, an associate of prod x since f is in W; both
@@ -168,8 +168,8 @@ def right_cancel_witness(f: Morphism, f2: Morphism, g: Morphism) -> Morphism:
     if f.domain != f2.domain or f.codomain != f2.codomain:
         raise InvalidMorphismError("the first two morphisms must be parallel")
     if not is_weak_equivalence(g):
-        raise ValueError("the cancelling morphism must be a weak equivalence")
+        raise InvalidInputError("the cancelling morphism must be a weak equivalence")
     if compose(g, f) != compose(g, f2):
-        raise ValueError("the composites with the weak equivalence differ")
+        raise InvalidInputError("the composites with the weak equivalence differ")
     # f o h and f2 o h are parallel morphisms out of a 1-tuple, so they are equal
     return _from_element(f.domain.product(), f.domain)

@@ -3,6 +3,7 @@
 import ast
 import gc
 import itertools
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from factorcat import (
     GuardError,
     IndexFunction,
     INTERVAL,
+    InvalidInputError,
     InvalidMorphismError,
     MonoidHom,
     Morphism,
@@ -76,22 +78,22 @@ class TestValidation:
         assert IndexFunction(2, 1, (v for v in [1, 1])).values == (1, 1)
 
     def test_a_morphism_between_non_tuples_is_refused(self):
-        with pytest.raises(InvalidMorphismError, match="are FactorTuples, not list"):
+        with pytest.raises(InvalidMorphismError, match=r"are FactorTuples, not \[2\]"):
             Morphism([2], zt(6), (1,))
-        with pytest.raises(InvalidMorphismError, match="are FactorTuples, not NoneType"):
+        with pytest.raises(InvalidMorphismError, match="are FactorTuples, not None"):
             Morphism(zt(2), None, (1,))
 
     @pytest.mark.parametrize("enumerate_homs", [hom_index_tuples, hom_set])
     def test_a_hom_set_between_non_tuples_is_refused_as_a_morphism_is(self, enumerate_homs):
-        for domain, codomain, shown in [(1, 2, "int"), ([2], zt(6), "list"), (zt(2), None, "NoneType")]:
+        for domain, codomain, shown in [(1, 2, "1"), ([2], zt(6), "[2]"), (zt(2), None, "None")]:
             with pytest.raises(InvalidMorphismError) as info:
                 enumerate_homs(domain, codomain)
             assert str(info.value) == f"a morphism's domain and codomain are FactorTuples, not {shown}"
 
     def test_a_tuple_needs_a_monoid_and_iterable_entries(self):
-        with pytest.raises(ValueError, match="a tuple's monoid must be a Monoid, got str"):
+        with pytest.raises(InvalidInputError, match="a tuple's monoid must be a Monoid, got 'zx'"):
             FactorTuple("zx", (1,))
-        with pytest.raises(ValueError, match="tuple entries are not iterable: NoneType"):
+        with pytest.raises(InvalidInputError, match="tuple entries are not iterable: None"):
             FactorTuple(ZX, None)
         assert FactorTuple(ZX, iter([2, 3])).entries == (2, 3)
 
@@ -143,9 +145,23 @@ class TestValidation:
         with pytest.raises(InvalidMorphismError):
             Morphism(zt(2), FactorTuple(NAT, (6,)), (1,))
 
-    def test_negative_index_set_size_rejected(self):
-        with pytest.raises(InvalidMorphismError, match="index set sizes must be non-negative"):
-            IndexFunction(-1, 1, ())
+    @pytest.mark.parametrize("size, message", [
+        (-1, "index set size must be non-negative, got -1"),
+        pytest.param(10**5000, f"index set size must be at most {sys.maxsize}, got {UNPRINTABLE}",
+                     marks=needs_digit_limit, id="past-the-digit-limit"),
+    ])
+    def test_an_index_set_size_out_of_range_is_rejected(self, size, message):
+        with pytest.raises(InvalidMorphismError) as info:
+            IndexFunction(size, 3, ())
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("size, shown", [
+        (None, "None"), (2.5, "2.5"), ("3", "'3'"), (True, "True"),
+        pytest.param(10**5000, UNPRINTABLE, marks=needs_digit_limit, id="past-the-digit-limit")])
+    def test_an_identity_size_is_checked_as_an_index_set_size_is(self, size, shown):
+        with pytest.raises(InvalidMorphismError, match="^index set size must be ") as info:
+            IndexFunction.identity(size)
+        assert str(info.value).endswith(f", got {shown}")
 
     def test_index_function_into_empty_unrepresentable(self):
         with pytest.raises(InvalidMorphismError):
@@ -481,6 +497,18 @@ class TestFunctors:
     def test_hom_repr_names_the_map(self):
         assert repr(MonoidHom.identity(ZX)) == "MonoidHom(id[zx])"
         assert repr(MonoidHom.naturals_into_integers()) == "MonoidHom(nat->zx)"
+
+    @pytest.mark.parametrize("assignment, message", [
+        ({"a": 2.5, "b": 3}, "zx: expected a nonzero int, got 2.5"),
+        ({"a": 2, "b": 3.0}, "zx: expected a nonzero int, got 3.0"),
+        ({"a": "2", "b": 3}, "zx: expected a nonzero int, got '2'"),
+        (None, "a generator assignment is a mapping, not None"),
+        (5, "a generator assignment is a mapping, not 5"),
+    ])
+    def test_an_assignment_that_is_not_a_mapping_to_ints_is_refused(self, assignment, message):
+        with pytest.raises(InvalidInputError) as info:
+            MonoidHom.primes_for_generators(FREE, assignment)
+        assert str(info.value) == message
 
     def test_unsupported_assignment_rejected(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,8 @@ import pytest
 from factorcat import decode_morphism
 from factorcat.cli import JSON_DEPTH_BOUND, _json_arg, main
 
+from builders import needs_digit_limit
+
 DATA = Path(__file__).resolve().parent / "data"
 
 F_2_6 = json.dumps({"monoid": "zx", "domain": [2], "codomain": [6], "map": [1]})
@@ -60,6 +62,13 @@ class TestHom:
     def test_bad_json_is_parse_error(self, capsys):
         code, _, _ = run(capsys, "hom", "--monoid", "zx", "[2]", "nope")
         assert code == 2
+
+    @needs_digit_limit
+    def test_an_int_past_the_digit_limit_is_the_parse_error_json_loads_gives(self, capsys):
+        text = "[" + "7" * 5000 + "]"
+        with pytest.raises(ValueError) as info:
+            json.loads(text)
+        assert run(capsys, "hom", "--monoid", "zx", text, "[1]") == (2, "", f"error: {info.value}\n")
 
     def test_guard_exit_code(self, capsys):
         code, _, err = run(capsys, "hom", "--monoid", "zx", "[1,1]", "[" + ("1," * 24) + "1]")
@@ -322,6 +331,10 @@ class TestGraph:
         assert err.startswith("error: cannot write the graph") and "Traceback" not in err
         assert not target.parent.exists()
 
+    def test_an_out_path_holding_a_nul_is_the_parse_error_open_gives(self, capsys):
+        code, out, err = run(capsys, "graph", "--monoid", "zx", "--pool", "[2]", "--out", "g\0.dot")
+        assert (code, out, err) == (2, "", "error: embedded null byte\n")
+
 
 class TestVerify:
     def test_named_suites_pass(self, capsys):
@@ -393,6 +406,19 @@ def test_any_other_exception_is_one_internal_error_line_and_exit_70(capsys, monk
                         replace(oracle.LAWS["adjunction_roundtrip"], predicate=raises))
     assert run(capsys, "verify", "--suite", "adjunction") == (
         70, "", "error: internal: AttributeError: miswired\n")
+
+
+def test_a_plain_value_error_is_a_fault_and_exits_70(capsys, monkeypatch):
+    # exit 2 is an InvalidInputError only: a ValueError factorcat does not raise
+    # on caller data comes from a fault
+    from factorcat import cli
+
+    def raises(*args):
+        raise ValueError("miswired")
+
+    monkeypatch.setattr(cli, "hom_set", raises)
+    assert run(capsys, "hom", "--monoid", "zx", "[2]", "[6]") == (
+        70, "", "error: internal: ValueError: miswired\n")
 
 
 def test_a_second_main_call_builds_no_parser(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Property test of the CLI exit-code contract: whatever the argv and JSON
-payloads, ``cli.main`` returns 0..4 and never lets an exception escape.
+payloads, ``cli.main`` returns 0..4 and never lets an exception escape.  So
+every refusal of caller data is typed: a plain ValueError would exit 70.
 
 Options are passed as ``--name=value`` and positionals after ``--``, so a
 payload that starts with a dash stays a payload instead of an argparse
@@ -9,6 +10,8 @@ usage error.
 import contextlib
 import io
 import json
+import sys
+from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -16,9 +19,23 @@ from factorcat.cli import main
 
 MONOID_NAMES = ("zx", "nat", "interval", "free:ab", "free:", "free:a b", "bogus", "")
 
+# an int past str()'s digit limit, which json.dumps will not write: drawn as
+# this marker, which dumps spells out in digits
+HUGE = "<an int past the digit limit>"
+HUGE_DIGITS = "7" * (max(getattr(sys, "get_int_max_str_digits", lambda: 0)(), 4300) + 1)
+
+# --out paths that open() refuses, so graph never writes a file
+REFUSED_OUT = ("g\0.dot", str(Path(__file__).resolve().parent))
+
+
+def dumps(value) -> str:
+    return json.dumps(value).replace(json.dumps(HUGE), HUGE_DIGITS)
+
+
 elements = st.one_of(
     st.integers(-40, 40),
     st.integers(-(10**30), 10**30),
+    st.just(HUGE),
     st.sampled_from(("1/2", "1/1", "2/3", "3/2", "1/0", "a", "b", "a^2*b", "1", "c", "a^0", "a^x")),
     st.none(),
     st.booleans(),
@@ -39,8 +56,8 @@ morphism_objects = st.fixed_dictionaries(
     }
 )
 payloads = st.one_of(
-    json_values.map(json.dumps),
-    morphism_objects.map(json.dumps),
+    json_values.map(dumps),
+    morphism_objects.map(dumps),
     st.text(max_size=12),
     st.integers(1, 3000).map(lambda depth: "[" * depth + "]" * depth),
 )
@@ -67,6 +84,8 @@ def argvs(draw):
         # verify without a pool would run the whole default universe
         argv.append(f"--pool={draw(payloads)}")
         argv.append(f"--max-len={draw(st.integers(-1, 1))}")
+        if command == "graph" and draw(st.booleans()):
+            argv.append(f"--out={draw(st.sampled_from(REFUSED_OUT))}")
         return argv
     count = 2 if command in TWO_PAYLOADS else 1
     return argv + ["--"] + [draw(payloads) for _ in range(count)]
@@ -76,6 +95,9 @@ def argvs(draw):
 @example(argv=["hom", "--monoid", "zx", "[" * 20000 + "]" * 20000, "[1]"])
 @example(argv=["factorizations", "--monoid", "free:ab", '"a^2000"'])
 @example(argv=["factorizations", "--monoid", "free:ab", '"a^3000000"'])
+@example(argv=["hom", "--monoid=zx", "--", f"[{HUGE_DIGITS}]", "[1]"])
+@example(argv=["graph", "--monoid=zx", "--pool=[2]", f"--out={REFUSED_OUT[0]}"])
+@example(argv=["graph", "--monoid=zx", "--pool=[2]", f"--out={REFUSED_OUT[1]}"])
 @given(argv=argvs())
 def test_main_returns_a_contract_exit_code(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

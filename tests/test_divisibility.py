@@ -14,6 +14,7 @@ from factorcat import (
     FactorTuple,
     GuardError,
     INTERVAL,
+    InvalidInputError,
     InvalidMorphismError,
     Morphism,
     NAT,
@@ -49,7 +50,7 @@ from factorcat import (
 )
 from factorcat.monoids import FreeCommutative
 
-from builders import zm, zt
+from builders import UNPRINTABLE, needs_digit_limit, zm, zt
 from sampling import sample_extension, sample_morphism
 
 FREE = free_monoid("ab")
@@ -360,9 +361,12 @@ class TestFactorizationEnumeration:
         out = enumerate_irreducible_factorizations(ZX, 12, max_count=0)
         assert out.truncated and out.classes == ()
 
-    def test_negative_cap_rejected(self):
-        with pytest.raises(ValueError, match="max_count"):
-            enumerate_irreducible_factorizations(ZX, 12, max_count=-1)
+    @pytest.mark.parametrize("cap, shown", [
+        (-1, "-1"), pytest.param(-10**5000, UNPRINTABLE, marks=needs_digit_limit, id="past-the-digit-limit")])
+    def test_negative_cap_rejected(self, cap, shown):
+        with pytest.raises(InvalidInputError) as info:
+            enumerate_irreducible_factorizations(ZX, 12, max_count=cap)
+        assert str(info.value) == f"max_count must be non-negative, got {shown}"
 
     @pytest.mark.parametrize("cap", ["3", True, 2.0, None])
     def test_a_cap_that_is_not_an_int_is_rejected(self, cap):

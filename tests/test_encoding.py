@@ -10,6 +10,7 @@ from factorcat import (
     FactorTuple,
     GuardError,
     INTERVAL,
+    InvalidInputError,
     InvalidMorphismError,
     Morphism,
     NAT,
@@ -164,25 +165,25 @@ def _obj(**fields):
     return obj
 
 
-IMO = InvalidMorphismError
+IIE, IMO = InvalidInputError, InvalidMorphismError
 ORDER = "order constraint fails at domain index"
 
 # (morphism object, exception, its message, exit code of `factorcat decompose`);
 # a fault after valid entries must be named as the value-by-value checks name it
 MALFORMED = {
-    "bool-entry": (_obj(codomain=[True]), ValueError, "zx: expected a nonzero int, got True", 2),
-    "float-entry": (_obj(domain=[2.0]), ValueError, "zx: expected a nonzero int, got 2.0", 2),
-    "zero-entry": (_obj(codomain=[0]), ValueError, "zx: 0 is not an element", 2),
+    "bool-entry": (_obj(codomain=[True]), IIE, "zx: expected a nonzero int, got True", 2),
+    "float-entry": (_obj(domain=[2.0]), IIE, "zx: expected a nonzero int, got 2.0", 2),
+    "zero-entry": (_obj(codomain=[0]), IIE, "zx: 0 is not an element", 2),
     "nat-negative-entry": (
-        _obj(monoid="nat", domain=[-2]), ValueError, "nat: expected a positive int, got -2", 2),
+        _obj(monoid="nat", domain=[-2]), IIE, "nat: expected a positive int, got -2", 2),
     "free-unknown-generator": (_obj(monoid="free:a,b", domain=["c"], codomain=["a"]),
-                               ValueError, "free:a,b: unknown generator 'c'", 2),
+                               IIE, "free:a,b: unknown generator 'c'", 2),
     "interval-huge-exponent": (_obj(monoid="interval", domain=["1e-99999"], codomain=["1/2"]),
                                GuardError, "interval: exponent of '1e-99999' exceeds 10000", 3),
-    "entries-not-a-list": (_obj(domain=2), ValueError, "expected a JSON array of elements, got 2", 2),
-    "map-not-a-list": (_obj(map=1), ValueError, "morphism map must be a JSON array of 1-based integers", 2),
+    "entries-not-a-list": (_obj(domain=2), IIE, "expected a JSON array of elements, got 2", 2),
+    "map-not-a-list": (_obj(map=1), IIE, "morphism map must be a JSON array of 1-based integers", 2),
     "map-an-object": (
-        _obj(map={"1": 1}), ValueError, "morphism map must be a JSON array of 1-based integers", 2),
+        _obj(map={"1": 1}), IIE, "morphism map must be a JSON array of 1-based integers", 2),
     "map-bool": (_obj(map=[True]), IMO, "value True outside the 1-based range [1]", 2),
     "map-string": (_obj(map=["1"]), IMO, "value '1' outside the 1-based range [1]", 2),
     "map-float": (_obj(map=[1.0]), IMO, "value 1.0 outside the 1-based range [1]", 2),
@@ -194,11 +195,11 @@ MALFORMED = {
     "order-constraint": (
         _obj(domain=[4]), IMO, f"{ORDER} 1: 4 is not below the fiber product 6", 2),
     "bool-last-codomain-entry": (_obj(codomain=[2, 3, True], map=[1, 1, 1]),
-                                 ValueError, "zx: expected a nonzero int, got True", 2),
+                                 IIE, "zx: expected a nonzero int, got True", 2),
     "zero-third-domain-entry": (_obj(domain=[2, 3, 0], codomain=[2, 3], map=[1, 2]),
-                                ValueError, "zx: 0 is not an element", 2),
+                                IIE, "zx: 0 is not an element", 2),
     "nat-zero-entry": (_obj(monoid="nat", codomain=[6, 0], map=[1, 1]),
-                       ValueError, "nat: expected a positive int, got 0", 2),
+                       IIE, "nat: expected a positive int, got 0", 2),
     "map-past-the-domain-after-valid-values": (
         _obj(domain=[2, 3], codomain=[2, 3, 5], map=[1, 2, 3]),
         IMO, "value 3 outside the 1-based range [2]", 2),
@@ -228,7 +229,7 @@ def reference_decode(obj) -> Morphism:
     domain, codomain = (decode_tuple_by_entry(monoid, obj[key]) for key in ("domain", "codomain"))
     values, n, m = obj["map"], len(domain.entries), len(codomain.entries)
     if not isinstance(values, list):
-        raise ValueError("morphism map must be a JSON array of 1-based integers")
+        raise IIE("morphism map must be a JSON array of 1-based integers")
     if m > 0 and n == 0:
         raise IMO("no function from a non-empty index set to the empty one")
     if len(values) != m:
@@ -246,7 +247,7 @@ def reference_decode(obj) -> Morphism:
 
 def decode_tuple_by_entry(monoid, values) -> FactorTuple:
     if not isinstance(values, list):
-        raise ValueError(f"expected a JSON array of elements, got {shown(values)}")
+        raise IIE(f"expected a JSON array of elements, got {shown(values)}")
     return FactorTuple(monoid, tuple([monoid.decode(v) for v in values]))
 
 

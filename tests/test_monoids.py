@@ -16,6 +16,7 @@ from factorcat import (
     CapabilityError,
     GuardError,
     INTERVAL,
+    InvalidInputError,
     NAT,
     PRIMALITY_BOUND,
     ZX,
@@ -141,7 +142,8 @@ def test_a_caller_int_too_long_to_print_is_still_refused_by_name():
             (lambda: ZX.is_prime(big), GuardError, f"zx: |{note}| exceeds the trial-division bound 2**31"),
             (lambda: INTERVAL.validate([big]), ValueError, f"interval: expected a rational, got {note}"),
             (lambda: INTERVAL.decode([big]), ValueError, f"interval: expected 'p/q', got {note}"),
-            (lambda: FREE.validate([big]), ValueError, f"free:a,b: unknown generator {note}"),
+            (lambda: FREE.validate([big]), ValueError,
+             f"free:a,b: expected an iterable of generator names, got {note}"),
             (lambda: FREE.decode(big), ValueError, f"free:a,b: expected a string, got {note}"),
             (lambda: free_monoid([big]), ValueError, f"bad generator name {note}"),
             (lambda: monoid_by_name(big), ValueError, f"monoid name must be a string, got {note}")]:
@@ -198,13 +200,13 @@ def test_free_monoids_are_shared_per_alphabet():
     (free_monoid, "a,1", "bad generator name '1'"),
     # checked before sorting: an int would not iterate, and names of mixed types would not sort
     (free_monoid, ["a", 1], "bad generator name 1"),
-    (free_monoid, 5, "needs at least one generator, got 5"),
+    (free_monoid, 5, "free monoid generators are not iterable: 5"),
     (free_monoid, [["a"]], r"bad generator name \['a'\]"),
-    (monoids.FreeCommutative, None, "needs at least one generator, got None"),
+    (monoids.FreeCommutative, None, "free monoid generators are not iterable: None"),
     (monoids.FreeCommutative, ("a", ("b",)), r"bad generator name \('b',\)"),
 ])
 def test_free_monoid_alphabets_must_be_non_empty_identifiers(build, alphabet, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(InvalidInputError, match=message):
         build(alphabet)
 
 

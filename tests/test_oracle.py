@@ -25,6 +25,7 @@ from factorcat import (
     GuardError,
     INTERVAL,
     IndexFunction,
+    InvalidInputError,
     InvalidMorphismError,
     Morphism,
     NAT,
@@ -62,6 +63,7 @@ from factorcat import (
 )
 from factorcat.oracle import UNIVERSE_RUN_GUARD, universe_homs
 
+from builders import UNPRINTABLE, needs_digit_limit
 from conftest import clear_library_caches
 from sampling import sample_extension, sample_morphism
 
@@ -223,16 +225,17 @@ def test_unknown_suite_name():
 
 
 @pytest.mark.parametrize("spec, names, message", [
-    (ZX, None, "suites run on a UniverseSpec, not NonzeroIntegers"),
-    ({"pool": [1]}, ["iso"], "suites run on a UniverseSpec, not dict"),
-    (SMALL, 5, "suite names are an iterable of str, not int"),
-    (SMALL, "iso", "suite names are an iterable of str, not str"),
-    (SMALL, [["x"]], "unknown suite ['x']"),
-    (SMALL, ["iso", 3], "unknown suite 3"),
-], ids=["monoid", "dict", "int", "str", "list", "int_name"])
+    (ZX, None, "suites run on a UniverseSpec, not Monoid('zx')"),
+    ({"pool": [1]}, ["iso"], "suites run on a UniverseSpec, not {'pool': [1]}"),
+    (SMALL, 5, "suite names are an iterable of str, not 5"),
+    (SMALL, "iso", "suite names are an iterable of str, not 'iso'"),
+    (SMALL, [["x"]], "suite names are an iterable of str, not [['x']]"),
+    (SMALL, ["iso", 3], "suite names are an iterable of str, not ['iso', 3]"),
+    (SMALL, ["iso", "bogus"], "unknown suite 'bogus'"),
+], ids=["monoid", "dict", "int", "str", "list", "int_name", "unknown"])
 def test_run_suite_refuses_malformed_input_before_any_work(monkeypatch, spec, names, message):
     monkeypatch.setattr(oracle, "_run", lambda *args: pytest.fail("a suite ran"))
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(InvalidInputError) as info:
         run_suite(spec, names)
     assert str(info.value) == message
 
@@ -495,7 +498,7 @@ _TWO, _THREE = _identity_on(ZX, 2), _identity_on(ZX, 3)  # (2) -> (2) and (3) ->
      ({"law": "iso_agreement", "monoid": "zx"}, "iso_agreement payload lacks the key 'morphism'"),
      ({"law": "no_such_law", "monoid": "zx"}, "unknown law 'no_such_law'"),
      ({"law": ["iso_agreement"], "monoid": "zx"}, r"unknown law \['iso_agreement'\]"),
-     ("law", "a payload is a mapping, not str"), ([], "a payload is a mapping, not list"),
+     ("law", "a payload is a mapping, not 'law'"), ([], r"a payload is a mapping, not \[\]"),
      # cases no suite yields: a morphism over another monoid, a chain that is
      # not a non-empty list, morphisms that do not compose where the law composes them
      ({"law": "weakdiv_agreement", "monoid": "zx", "f": _TWO, "g": _identity_on(NAT, 2)},
@@ -518,7 +521,7 @@ _TWO, _THREE = _identity_on(ZX, 2), _identity_on(ZX, 3)  # (2) -> (2) and (3) ->
       "chain_membership payload: steps do not compose")],
 )
 def test_recheck_refuses_a_malformed_payload(payload, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(InvalidInputError, match=message):
         recheck(payload)
 
 
@@ -704,9 +707,9 @@ def test_universe_numeric_fields_must_be_integers(field, value):
 
 @pytest.mark.parametrize(
     "field, value, message",
-    [("monoid", "zx", "a universe's monoid must be a Monoid, got str"),
-     ("monoid", None, "a universe's monoid must be a Monoid, got NoneType"),
-     ("pool", 5, "universe pool is not iterable: int")],
+    [("monoid", "zx", "a universe's monoid must be a Monoid, got 'zx'"),
+     ("monoid", None, "a universe's monoid must be a Monoid, got None"),
+     ("pool", 5, "universe pool is not iterable: 5")],
 )
 def test_universe_monoid_and_pool_are_checked_as_caller_data(field, value, message):
     with pytest.raises(ValueError, match=message):
@@ -717,8 +720,8 @@ def test_universe_monoid_and_pool_are_checked_as_caller_data(field, value, messa
     "field, value, message",
     [
         ("max_len", -1, "universe max_len must be non-negative, got -1"),
-        ("exhaustive_limit", 0, "universe limits must be positive"),
-        ("sample_size", 0, "universe limits must be positive"),
+        ("exhaustive_limit", 0, "universe exhaustive_limit must be at least 1, got 0"),
+        ("sample_size", 0, "universe sample_size must be at least 1, got 0"),
         ("exhaustive_limit", UNIVERSE_RUN_GUARD, None),
         ("sample_size", UNIVERSE_RUN_GUARD, None),
         ("exhaustive_limit", UNIVERSE_RUN_GUARD + 1,
@@ -727,6 +730,15 @@ def test_universe_monoid_and_pool_are_checked_as_caller_data(field, value, messa
         # either knob of the spec whose weakdiv suite would walk 160,991^2 pairs, about a day
         ("exhaustive_limit", 10**12, "universe exhaustive_limit is 1000000000000; the guard is 1000000"),
         ("sample_size", 10**9, "universe sample_size is 1000000000; the guard is 1000000"),
+        # past str()'s digit limit: still the refusal, the value shown as too long to print
+        pytest.param("sample_size", 10**5000,
+                     f"universe sample_size is {UNPRINTABLE}; the guard is 1000000",
+                     marks=needs_digit_limit, id="sample_size-past-the-digit-limit"),
+        pytest.param("exhaustive_limit", 10**5000,
+                     f"universe exhaustive_limit is {UNPRINTABLE}; the guard is 1000000",
+                     marks=needs_digit_limit, id="exhaustive_limit-past-the-digit-limit"),
+        pytest.param("max_len", -10**5000, f"universe max_len must be non-negative, got {UNPRINTABLE}",
+                     marks=needs_digit_limit, id="max_len-past-the-digit-limit"),
     ],
 )
 def test_universe_bounds_must_be_in_range(field, value, message):
@@ -734,8 +746,9 @@ def test_universe_bounds_must_be_in_range(field, value, message):
     if message is None:  # at the bound: accepted
         assert getattr(UniverseSpec(**{field: value}), field) == value
     else:
-        with pytest.raises(GuardError if value > UNIVERSE_RUN_GUARD else ValueError, match=message):
+        with pytest.raises(GuardError if value > UNIVERSE_RUN_GUARD else InvalidInputError) as info:
             UniverseSpec(**{field: value})
+        assert str(info.value) == message
     assert time.perf_counter() - start < 1
 
 
