@@ -48,14 +48,14 @@ globals at call time, so a test can swap one out and watch the oracle catch it.
 
 The two cancellation probes are memoized on exactly what each reads, the
 epic probe on (codomain, values) and the monic probe on (domain, values),
-in lru_caches of ``PROBE_CACHE_SIZE`` entries: a universe has far fewer
-distinct probe inputs than morphisms.  The checked predicates
-``is_epic``/``is_monic`` still run on every morphism, as a cache on the
-probe's key would hide a fault that depends on the rest of the morphism.
-The probes and the inverse search, the only checks that ask for a hom set
-again, read it through ``_homs``, as large an lru_cache; the counting laws
-call the enumerator directly.  A test that swaps a global they call must
-clear them.
+in lru_caches of ``PROBE_CACHE_SIZE`` verdicts, and share one early-exit
+collision scan (``_distinct``).  The checked predicates ``is_epic``/``is_monic``
+still run on every morphism, as a cache on the probe's key would hide a
+fault that depends on the rest of the morphism.  The probes and the inverse
+search, the only checks that ask for a hom set again, read it through
+``_homs``, which holds only the two hom sets the probes are reading; the
+counting laws call the enumerator directly.  A test that swaps a global
+they call must clear them.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ UNIVERSE_CANDIDATE_GUARD = 2_000_000
 # morphisms per sampled composition chain in the two_of_three suite
 MAX_CHAIN = 3
 
-# entries of each oracle memo: the two probes and _homs (see the module docstring)
+# verdicts each probe memo keeps (see the module docstring)
 PROBE_CACHE_SIZE = 2**13
 
 # what a predicate raises on the values of a bad case, so the case fails; any
@@ -445,10 +445,21 @@ def _unit_constants(monoid: Monoid) -> tuple[FactorTuple, Morphism]:
     return embed(monoid, monoid.identity()), identity_morphism(empty_tuple(monoid))
 
 
-@lru_cache(maxsize=PROBE_CACHE_SIZE)
+# the hom sets the epic probe and the monic probe are reading, one each
+@lru_cache(maxsize=2)
 def _homs(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[int, ...], ...]:
     """The hom set's maps from ``hom_index_tuples``, looked up at call time."""
     return hom_index_tuples(domain, codomain)
+
+
+def _distinct(composites: Iterable[tuple]) -> bool:
+    """No two composites collide; stops at the first collision."""
+    seen = set()
+    for c in composites:
+        if c in seen:
+            return False
+        seen.add(c)
+    return True
 
 
 @lru_cache(maxsize=PROBE_CACHE_SIZE)
@@ -456,25 +467,13 @@ def _epic_probe(codomain: FactorTuple, values: tuple[int, ...]) -> bool:
     """No distinct post-compositions collide on the probe target obtained by
     appending a unit entry to the codomain."""
     target = tensor_objects(codomain, _unit_constants(codomain.monoid)[0])
-    seen = set()
-    for gv in _homs(codomain, target):
-        c = tuple([values[x - 1] for x in gv])
-        if c in seen:
-            return False
-        seen.add(c)
-    return True
+    return _distinct(tuple([values[x - 1] for x in gv]) for gv in _homs(codomain, target))
 
 
 @lru_cache(maxsize=PROBE_CACHE_SIZE)
 def _monic_probe(domain: FactorTuple, values: tuple[int, ...]) -> bool:
     source = tensor_objects(domain, _unit_constants(domain.monoid)[0])
-    seen = set()
-    for gv in _homs(source, domain):
-        c = tuple([gv[x - 1] for x in values])
-        if c in seen:
-            return False
-        seen.add(c)
-    return True
+    return _distinct(tuple([gv[x - 1] for x in values]) for gv in _homs(source, domain))
 
 
 def _iso_by_bruteforce(m: Morphism) -> bool:
@@ -772,16 +771,12 @@ SUITES: dict[str, tuple[Callable[..., Iterator[tuple]], bool]] = {
     "adjunction": (_adjunction, False),
 }
 
-# the suites a forked child runs (see run_suite), all of them reading the
-# morphisms: on the default universe they take less CPU time than the other
-# four, so this process sets a verify's time, and a child whose CPU runs
-# somewhat slower than this one's does not lengthen it (the two CPUs of a
-# shared virtual machine change speed apart; README has the measured ratio)
+# the suites a forked child runs when this process's share has a suite too,
+# all of them reading the morphisms: on the default universe they take less
+# CPU time than the other four, so this process sets a verify's time, and a
+# child whose CPU runs somewhat slower than this one's does not lengthen it
+# (a shared virtual machine's CPUs change speed apart; README has the ratio)
 FORKED_SUITES = ("epic_monic", "iso", "two_of_three")
-
-# the suites that never read the morphisms: with no other suite in its
-# share, this process would only wait on the child
-_WITHOUT_MORPHISMS = ("homset_formulas", "adjunction")
 
 
 def _run(u: UniverseSpec, name: str) -> SuiteReport:
@@ -865,8 +860,7 @@ def run_suite(u: UniverseSpec, names: Iterable[str] | None = None) -> list[Suite
         if SUITES[n][1]:
             u.monoid.require_divisibility(f"suite {n!r}")
     in_child = [n in FORKED_SUITES for n in names]
-    here_reads_morphisms = any(n not in FORKED_SUITES + _WITHOUT_MORPHISMS for n in names)
-    forked = any(in_child) and here_reads_morphisms and _can_fork() and _forked(u, names, in_child)
+    forked = any(in_child) and not all(in_child) and _can_fork() and _forked(u, names, in_child)
     return forked or [_run(u, n) for n in names]
 
 

@@ -975,11 +975,11 @@ def test_the_build_refuses_a_hom_set_past_the_result_guard(monkeypatch):
         universe_morphisms(replace(u))
 
 
-def test_a_cold_default_verify_misses_the_hom_memo_at_most_3876_times(cold_default_verify):
+def test_a_cold_default_verify_misses_the_two_set_hom_memo_at_most_4483_times(cold_default_verify):
     # one-sided: a change that needs fewer enumerations lowers the bound; the
     # session fixture swept the caches and ran the default verify
     assert all_passed(cold_default_verify.reports)
-    assert cold_default_verify.hom_memo.misses <= 3876
+    assert cold_default_verify.hom_memo.misses <= 4483
 
 
 def test_a_forked_parents_share_leaves_the_hom_memo_empty():
@@ -992,10 +992,10 @@ def test_a_forked_parents_share_leaves_the_hom_memo_empty():
     assert oracle._homs.cache_info().currsize == 0
 
 
-def test_epic_monic_enumerates_each_distinct_hom_set_once(monkeypatch):
-    # the enumerator keeps nothing, and the memo keeps every hom set the two
-    # probes ask for, whatever its shape: from (1,1,1,1,1) to (1,1,1,1) there
-    # are 5^4 candidate maps
+def test_epic_monic_enumerates_every_distinct_hom_set_and_keeps_two(monkeypatch):
+    # the enumerator keeps nothing, and the memo keeps only the hom set each
+    # probe is reading, whatever its shape: from (1,1,1,1,1) to (1,1,1,1)
+    # there are 5^4 candidate maps
     assert not hasattr(hom_index_tuples, "cache_info")
     u, one, calls = UniverseSpec(pool=(1, 2), max_len=4), FactorTuple(ZX, (1,)), []
     distinct = set()
@@ -1007,8 +1007,16 @@ def test_epic_monic_enumerates_each_distinct_hom_set_once(monkeypatch):
     clear_library_caches()
     assert run_suite(u, ["epic_monic"])[0].passed
     info = oracle._homs.cache_info()
-    assert info.misses == info.currsize == len(calls) == len(set(calls)) == len(distinct) == 62
-    assert set(calls) == distinct
+    assert set(calls) == distinct and len(distinct) == 62
+    assert len(calls) == info.misses <= 161
+    assert info.currsize <= 2
+
+
+def test_epic_monic_and_iso_in_one_process_keep_at_most_two_hom_sets(monkeypatch):
+    monkeypatch.setattr(oracle, "_can_fork", lambda: False)
+    clear_library_caches()
+    assert all_passed(run_suite(UniverseSpec(), ["epic_monic", "iso"]))
+    assert oracle._homs.cache_info().currsize <= 2
 
 
 def iso_by_unfiltered_search(m):
@@ -1564,7 +1572,7 @@ def test_a_run_in_one_process_keeps_only_the_blocks(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "setting", ["one CPU", "no fork", "a second thread", "no morphisms read here"])
+    "setting", ["one CPU", "no fork", "a second thread", "only forked suites"])
 def test_verify_runs_in_process_where_it_cannot_fork_or_the_fork_cannot_pay(monkeypatch, setting):
     forks = _count_forks(monkeypatch)
     u, names = replace(MUTANT_UNIVERSE), list(SUITES)
@@ -1576,8 +1584,8 @@ def test_verify_runs_in_process_where_it_cannot_fork_or_the_fork_cannot_pay(monk
         monkeypatch.delattr(os, "fork")
     elif setting == "a second thread":
         thread.start()
-    else:  # the child's share is all that reads the morphisms
-        names = ["homset_formulas", "iso", "adjunction", "epic_monic"]
+    else:  # this process's share would be empty, so it would only wait on the child
+        names = list(oracle.FORKED_SUITES)
     try:
         reports = run_suite(u, names)
     finally:
@@ -1585,6 +1593,20 @@ def test_verify_runs_in_process_where_it_cannot_fork_or_the_fork_cannot_pay(monk
         if thread.is_alive():
             thread.join()
     assert forks == [] and [r.suite for r in reports] == names and all_passed(reports)
+
+
+@needs_fork
+def test_verify_forks_when_both_shares_have_a_suite(monkeypatch):
+    # this process's share reads no morphism, but each share has a suite
+    names = ["homset_formulas", "iso", "adjunction", "epic_monic"]
+    monkeypatch.setattr(oracle, "_can_fork", lambda: False)
+    alone = run_suite(replace(MUTANT_UNIVERSE), names)
+    monkeypatch.undo()
+    forks = _count_forks(monkeypatch)
+    reports = run_suite(replace(MUTANT_UNIVERSE), names)
+    assert len(forks) == 1 and all_passed(reports)
+    assert [vars(r) for r in reports] == [vars(r) for r in alone]
+    _assert_no_child_is_left()
 
 
 def _raising(error: type, *args):
