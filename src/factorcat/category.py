@@ -353,6 +353,9 @@ def hom_index_tuples(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[
     monoid = domain.monoid
     xs, ys = domain.entries, codomain.entries
     n, m = len(xs), len(ys)
+    if n == 0:
+        # no functions into the empty index set except from itself
+        return ((),) if m == 0 else ()
     if n == 1:
         # the single candidate sends everything to 1; it needs no search
         if not monoid.leq(xs[0], monoid.product(ys)):

@@ -53,9 +53,9 @@ collision scan (``_distinct``).  The checked predicates ``is_epic``/``is_monic``
 still run on every morphism, as a cache on the probe's key would hide a
 fault that depends on the rest of the morphism.  The probes and the inverse
 search, the only checks that ask for a hom set again, read it through
-``_homs``, which holds only the two hom sets the probes are reading; the
-counting laws call the enumerator directly.  A test that swaps a global
-they call must clear them.
+``_homs``, which keeps the last two (the probes alternate; the inverse
+search reads one); the counting laws call the enumerator directly.  A test
+that swaps a global they call must clear them.
 """
 
 from __future__ import annotations
@@ -445,7 +445,7 @@ def _unit_constants(monoid: Monoid) -> tuple[FactorTuple, Morphism]:
     return embed(monoid, monoid.identity()), identity_morphism(empty_tuple(monoid))
 
 
-# the hom sets the epic probe and the monic probe are reading, one each
+# two hom sets: the epic and monic probes alternate; the inverse search reads one
 @lru_cache(maxsize=2)
 def _homs(domain: FactorTuple, codomain: FactorTuple) -> tuple[tuple[int, ...], ...]:
     """The hom set's maps from ``hom_index_tuples``, looked up at call time."""
@@ -771,12 +771,16 @@ SUITES: dict[str, tuple[Callable[..., Iterator[tuple]], bool]] = {
     "adjunction": (_adjunction, False),
 }
 
-# the suites a forked child runs when this process's share has a suite too,
-# all of them reading the morphisms: on the default universe they take less
-# CPU time than the other four, so this process sets a verify's time, and a
-# child whose CPU runs somewhat slower than this one's does not lengthen it
-# (a shared virtual machine's CPUs change speed apart; README has the ratio)
+# the suites a forked child runs (see run_suite), all of them reading the
+# morphisms: on the default universe they take less CPU time than the other
+# four, so this process sets a verify's time, and a child whose CPU runs
+# somewhat slower than this one's does not lengthen it (the two CPUs of a
+# shared virtual machine change speed apart; README has the measured ratio)
 FORKED_SUITES = ("epic_monic", "iso", "two_of_three")
+
+# the suites that never read the morphisms: with no other suite in its
+# share, this process would only wait on the child
+_WITHOUT_MORPHISMS = ("homset_formulas", "adjunction")
 
 
 def _run(u: UniverseSpec, name: str) -> SuiteReport:
@@ -860,7 +864,8 @@ def run_suite(u: UniverseSpec, names: Iterable[str] | None = None) -> list[Suite
         if SUITES[n][1]:
             u.monoid.require_divisibility(f"suite {n!r}")
     in_child = [n in FORKED_SUITES for n in names]
-    forked = any(in_child) and not all(in_child) and _can_fork() and _forked(u, names, in_child)
+    here_reads_morphisms = any(n not in FORKED_SUITES + _WITHOUT_MORPHISMS for n in names)
+    forked = any(in_child) and here_reads_morphisms and _can_fork() and _forked(u, names, in_child)
     return forked or [_run(u, n) for n in names]
 
 

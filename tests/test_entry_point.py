@@ -167,17 +167,21 @@ def test_a_universe_with_a_hom_set_past_the_result_guard_is_refused_in_bounded_m
 
 
 HOM_SETS_INTO_LONG_TUPLES = """
-from factorcat import ZX, FactorTuple, hom_index_tuples
+from factorcat import ZX, FactorTuple, empty_tuple, hom_index_tuples
 one = FactorTuple(ZX, (1,))
 for k in range(40):
     codomain = FactorTuple(ZX, (1,) * (100_000 + k))
     assert hom_index_tuples(one, codomain) == ((1,) * (100_000 + k),)
+o = empty_tuple(ZX)
+assert hom_index_tuples(o, FactorTuple(ZX, (2,) * 10**5)) == ()
+assert hom_index_tuples(o, o) == ((),)
 """
 
 
 def test_hom_sets_of_large_shape_are_not_kept():
     # each hom set is one map of 10^5 entries; kept with its codomain, forty
-    # of them would need about 60 MB more than one does
+    # of them would need about 60 MB more than one does.  Out of (), a search
+    # would first keep the suffix products of (2)^(10^5), about 625 MB
     proc = python("-c", HOM_SETS_INTO_LONG_TUPLES, timeout=20,
                   preexec_fn=lambda: _cap_address_space(64))
     assert proc.returncode == 0, proc.stderr
@@ -270,6 +274,9 @@ GUARD_EDGE_CASES = {
                                    json.dumps([3] * 7)), 0),  # 10^7, each branch cut at once
     "zx-hom-past-candidate-guard": (("hom", "--monoid", "zx", json.dumps([2] * 10),
                                      json.dumps([3] * 8)), 3),
+    # 0^60000 candidates; a search would first keep its suffix products, about 700 MB
+    "zx-hom-out-of-the-empty-tuple": (("hom", "--monoid", "zx", "[]",
+                                       "[" + ",".join(["9"] * 60_000) + "]"), 0),
     "zx-graph-past-candidate-guard": (("graph", "--monoid", "zx", "--pool", "[1,2,3]",
                                        "--max-len", "4"), 3),  # 2,045,947 candidate maps
     # two 4,001-digit entries parse; their product, the witness, has 8,001 digits to print

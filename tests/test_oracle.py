@@ -1572,7 +1572,8 @@ def test_a_run_in_one_process_keeps_only_the_blocks(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "setting", ["one CPU", "no fork", "a second thread", "only forked suites"])
+    "setting", ["one CPU", "no fork", "a second thread", "no morphisms read here",
+                "only forked suites"])
 def test_verify_runs_in_process_where_it_cannot_fork_or_the_fork_cannot_pay(monkeypatch, setting):
     forks = _count_forks(monkeypatch)
     u, names = replace(MUTANT_UNIVERSE), list(SUITES)
@@ -1584,6 +1585,8 @@ def test_verify_runs_in_process_where_it_cannot_fork_or_the_fork_cannot_pay(monk
         monkeypatch.delattr(os, "fork")
     elif setting == "a second thread":
         thread.start()
+    elif setting == "no morphisms read here":  # the child's share is all that reads them
+        names = ["homset_formulas", "iso", "adjunction", "epic_monic"]
     else:  # this process's share would be empty, so it would only wait on the child
         names = list(oracle.FORKED_SUITES)
     try:
@@ -1593,20 +1596,6 @@ def test_verify_runs_in_process_where_it_cannot_fork_or_the_fork_cannot_pay(monk
         if thread.is_alive():
             thread.join()
     assert forks == [] and [r.suite for r in reports] == names and all_passed(reports)
-
-
-@needs_fork
-def test_verify_forks_when_both_shares_have_a_suite(monkeypatch):
-    # this process's share reads no morphism, but each share has a suite
-    names = ["homset_formulas", "iso", "adjunction", "epic_monic"]
-    monkeypatch.setattr(oracle, "_can_fork", lambda: False)
-    alone = run_suite(replace(MUTANT_UNIVERSE), names)
-    monkeypatch.undo()
-    forks = _count_forks(monkeypatch)
-    reports = run_suite(replace(MUTANT_UNIVERSE), names)
-    assert len(forks) == 1 and all_passed(reports)
-    assert [vars(r) for r in reports] == [vars(r) for r in alone]
-    _assert_no_child_is_left()
 
 
 def _raising(error: type, *args):
